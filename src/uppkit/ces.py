@@ -12,7 +12,6 @@ reduce to simple share formulas in the single-consumer case:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InputValidationError
-from .market import OUTSIDE, DiversionMatrix
+from .market import OUTSIDE, DiversionMatrix, read_json
 
 OUTSIDE_NEST = "__outside__"
 
@@ -478,11 +477,4 @@ def economy_to_dict(economy: CESEconomy) -> dict:
 
 
 def load_economy(path: str | Path) -> CESEconomy:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return economy_from_dict(doc, where=str(path))
+    return economy_from_dict(read_json(path), where=str(path))

@@ -7,16 +7,18 @@ post-merger Bertrand equilibria solved, and the observable slice (revenues,
 margins, revenue diversion) fed to the screening toolkit so its predictions
 can be scored against the true price effects.
 
+Equilibria are found by ``solve_bertrand``: one damped step of the margin
+fixed point as a warm start, then the package's damped Newton in log prices
+on the margin-form pricing conditions.
+
 Per-trial randomness uses counter-based Philox streams keyed by
-(experiment seed, trial index), so results are reproducible regardless of
-how trials are scheduled.
+(experiment seed, trial index), so a trial's market does not depend on the
+number of markets or on the other trials.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +27,8 @@ import numpy as np
 from . import ces, effects
 from .ces import CESEconomy, Consumer, NestedCESEconomy
 from .errors import ConvergenceError, InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, Product
+from .market import DiversionMatrix, Market, MergerSpec, Product, read_json
+from .newton import damped_newton
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +79,11 @@ class CESGroundTruth:
         """dq_l/dp_j as [l, j]; analytic from the softmax derivatives."""
         alpha = self.share_rows(prices)
         wb = self.weights * self.budgets
-        j = self.n_products
-        jac = np.empty((j, j))
         slope = 1.0 - self.eta
         cross = (alpha * wb[:, None]).T @ alpha  # sum_i wb a_il a_ij -> [l, j]
-        for l in range(j):
-            for k in range(j):
-                if l == k:
-                    s1 = float(np.sum(wb * alpha[:, l] * (1.0 - alpha[:, l])))
-                    s0 = float(np.sum(wb * alpha[:, l]))
-                    jac[l, l] = (slope * s1 - s0) / prices[l] ** 2
-                else:
-                    jac[l, k] = -slope * cross[l, k] / (prices[l] * prices[k])
+        s0 = wb @ alpha
+        jac = -slope * cross / np.outer(prices, prices)
+        np.fill_diagonal(jac, (slope * (s0 - np.diag(cross)) - s0) / prices**2)
         return jac
 
     def economy(self, prices: np.ndarray, ids: Sequence[str]) -> CESEconomy:
@@ -104,11 +100,7 @@ class CESGroundTruth:
         alpha = self.share_rows(prices)
         wb = self.weights * self.budgets
         a0 = 1.0 - alpha.sum(axis=1)
-        slope = 1.0 - self.eta
-        return np.array([
-            -slope / prices[k] * float(np.sum(wb * a0 * alpha[:, k]))
-            for k in range(self.n_products)
-        ])
+        return -(1.0 - self.eta) * ((wb * a0) @ alpha) / prices
 
 
 class LogitGroundTruth:
@@ -158,7 +150,7 @@ class Equilibrium:
     margins: np.ndarray
     shares: np.ndarray        # inside shares summed over consumers' budgets (revenue weights)
     residual: float
-    iterations: int
+    iterations: int           # the warm-start step plus the Newton steps
 
 
 def _foc_objects(demand, prices: np.ndarray):
@@ -203,6 +195,19 @@ def _implied_margins(demand, prices, groups) -> np.ndarray:
     return m
 
 
+def _margin_step(demand, log_p, costs, groups) -> np.ndarray:
+    """Half a step of the margin fixed point p <- c / (1 - m(p)) in log prices.
+
+    Moves are clamped to 0.25 in log price so a bad margin solve cannot fling
+    prices into the underflow region of the share function.
+    """
+    m = _implied_margins(demand, np.exp(log_p), groups)
+    if not np.all(np.isfinite(m)):
+        raise ConvergenceError("margin iteration left the elastic region")
+    target = np.log(costs / (1.0 - np.clip(m, 1e-6, 1.0 - 1e-6)))
+    return log_p + np.clip(0.5 * (target - log_p), -0.25, 0.25)
+
+
 def solve_bertrand(
     demand,
     costs: np.ndarray,
@@ -211,10 +216,13 @@ def solve_bertrand(
     tol: float = 1e-10,
     max_iterations: int = 400,
 ) -> Equilibrium:
-    """Bertrand-Nash prices by damped margin fixed point plus Newton polish.
+    """Bertrand-Nash prices by damped Newton in log prices.
 
-    ``ownership`` assigns a firm index to each product. Raises
-    ConvergenceError when the residual cannot be brought under ``tol``.
+    One damped margin fixed-point step from ``p0`` (default 1.5 x cost) is the
+    warm start, and the same step rescues Newton when its line search fails.
+    The root is that of the margin-form pricing conditions; ``max_iterations``
+    caps the Newton steps. ``ownership`` assigns a firm index to each product.
+    Raises ConvergenceError when the residual cannot be brought under ``tol``.
     """
     costs = np.asarray(costs, dtype=float)
     groups = [
@@ -222,61 +230,21 @@ def solve_bertrand(
         for firm in dict.fromkeys(ownership)
     ]
     p = np.array(costs * 1.5 if p0 is None else p0, dtype=float)
-    its = 0
-    # damped fixed point to get in the basin; per-step log-price moves are
-    # clamped so a bad margin solve cannot fling prices into the underflow
-    # region of the share function
-    for _ in range(max_iterations):
-        its += 1
-        m = _implied_margins(demand, p, groups)
-        if not np.all(np.isfinite(m)):
-            raise ConvergenceError("margin iteration left the elastic region")
-        m = np.clip(m, 1e-6, 1.0 - 1e-6)
-        target = costs / (1.0 - m)
-        move = np.clip(0.5 * (np.log(target) - np.log(p)), -0.25, 0.25)
-        p_new = np.exp(np.log(p) + move)
-        if np.max(np.abs(p_new - p) / p) < 1e-9:
-            p = p_new
-            break
-        p = p_new
-    # Newton polish on the margin-form conditions in log prices
-    res = _margin_residual(demand, p, costs, groups)
+
+    def step(log_p):
+        return _margin_step(demand, log_p, costs, groups)
+
+    x, res, its, ok = damped_newton(
+        lambda x: _margin_residual(demand, np.exp(x), costs, groups),
+        step(np.log(p)), step, tol, max_iterations,
+    )
     norm = float(np.max(np.abs(res)))
-    for _ in range(60):
-        if norm < tol:
-            break
-        its += 1
-        n = len(p)
-        jac = np.empty((n, n))
-        h = 1e-7
-        for k in range(n):
-            lp, lm = np.log(p).copy(), np.log(p).copy()
-            lp[k] += h
-            lm[k] -= h
-            rp = _margin_residual(demand, np.exp(lp), costs, groups)
-            rm = _margin_residual(demand, np.exp(lm), costs, groups)
-            jac[:, k] = (rp - rm) / (2 * h)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("equilibrium Jacobian singular")
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            cand = np.exp(np.log(p) + np.clip(t * step, -0.5, 0.5))
-            rc = _margin_residual(demand, cand, costs, groups)
-            nc = float(np.max(np.abs(rc)))
-            if nc < norm:
-                p, res, norm, improved = cand, rc, nc, True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    if not norm < tol:  # NaN-safe
+    if not ok:
         raise ConvergenceError(f"Bertrand solver stalled at residual {norm:.3e}")
+    p = np.exp(x)
     margins = (p - costs) / p
     shares = demand.revenues(p)
-    return Equilibrium(p, margins, shares, norm, its)
+    return Equilibrium(p, margins, shares, norm, its + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +342,10 @@ class HarnessConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise InputValidationError(f"{name} must be a non-degenerate range")
+        if self.n_markets < 1:
+            raise InputValidationError("n_markets must be at least 1")
+        if self.seed < 0:
+            raise InputValidationError("seed must be non-negative")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -471,37 +443,17 @@ def _run_trial(config: HarnessConfig, trial: int) -> list[TrialRecord]:
     return out
 
 
-def _max_workers() -> int:
-    env = os.environ.get("UPPKIT_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def run_accuracy_experiment(config: HarnessConfig) -> ExperimentResult:
     """Score GUPPI-based price-effect predictions against true equilibria on
     ``config.n_markets`` random markets. Deterministic given the seed; failed
     trials are dropped and logged in ``failures``."""
     records: list[TrialRecord] = []
     failures: list[int] = []
-
-    def work(trial: int):
+    for trial in range(config.n_markets):
         try:
-            return trial, _run_trial(config, trial)
+            records.extend(_run_trial(config, trial))
         except ConvergenceError:
-            return trial, None
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(config.n_markets)))
-    else:
-        results = [work(t) for t in range(config.n_markets)]
-    for trial, recs in sorted(results, key=lambda x: x[0]):
-        if recs is None:
             failures.append(trial)
-        else:
-            records.extend(recs)
 
     preds = np.array([r.predicted_pdd for r in records])
     trues = np.array([r.true_pdd for r in records])
@@ -513,8 +465,8 @@ def run_accuracy_experiment(config: HarnessConfig) -> ExperimentResult:
         "n_markets": config.n_markets,
         "n_failed": len(failures),
         "n_records": len(records),
-        "share_conservative": float(np.mean(trues >= preds)) if len(records) else float("nan"),
-        "median_relative_error": float(np.median(rel[np.isfinite(rel)])) if len(records) else float("nan"),
+        "share_conservative": float(np.mean(trues >= preds)) if records else None,
+        "median_relative_error": float(np.median(rel[np.isfinite(rel)])) if records else None,
     }
     return ExperimentResult(tuple(records), tuple(failures), summary)
 
@@ -617,15 +569,7 @@ def spatial_fixture_to_dict(fx: SpatialFixture) -> dict:
 
 def load_spatial_fixture(path) -> SpatialFixture:
     """Read a geography fixture (the fitter's input schema) from JSON."""
-    import json
-
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"{path} is not valid JSON: {exc}") from exc
+    doc = read_json(path)
     for key in ("store_ids", "nests", "design", "budgets", "revenues"):
         if key not in doc:
             raise InputValidationError(f"{path}: missing field {key!r}")

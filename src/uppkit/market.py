@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -310,7 +309,7 @@ def load_market(path: str | Path, format: str | None = None) -> MarketBundle:
     if format is None:
         format = "csv" if (path.is_dir() or path.suffix.lower() == ".csv") else "json"
     if format == "json":
-        bundle = _load_json(path)
+        bundle = market_bundle_from_dict(read_json(path), where=str(path))
     elif format == "csv":
         bundle = _load_csv(path)
     else:
@@ -325,7 +324,9 @@ def _num(obj, field_name: str, where: str) -> float:
         raise InputValidationError(f"{where}: field {field_name!r} is not a number: {obj!r}") from None
 
 
-def _load_json(path: Path) -> MarketBundle:
+def read_json(path: str | Path) -> dict:
+    """Parse a JSON object from a file; unreadable or malformed files and
+    non-object documents raise InputValidationError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -333,7 +334,9 @@ def _load_json(path: Path) -> MarketBundle:
         raise InputValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return market_bundle_from_dict(doc, where=str(path))
+    if not isinstance(doc, dict):
+        raise InputValidationError(f"{path}: top-level JSON must be an object")
+    return doc
 
 
 def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:

@@ -26,6 +26,7 @@ from . import ces
 from .ces import CESEconomy, ShareTable
 from .errors import InputValidationError
 from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
+from .newton import damped_newton
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class PostMergerState:
     elasticities: dict[str, float]
     diversion: DiversionMatrix
     margins: dict[str, float]
-    elastic: bool  # False when some eps_jj >= -1 at this candidate
 
 
 def _shifted_utilities(problem: SimulationProblem, pdd: np.ndarray) -> np.ndarray:
@@ -127,21 +127,18 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     _, wb, mask = econ._dense
     diversion = ces._diversion_from_share_values(alpha, wb, mask, econ.order)
     eps: dict[str, float] = {}
-    elastic = True
     for k, pid in enumerate(problem.order):
         shoppers = mask[:, k]
         den = float(np.sum(wb[shoppers] * alpha[shoppers, k]))
         num = float(np.sum(wb[shoppers] * alpha[shoppers, k] * (1.0 - alpha[shoppers, k])))
         e_r = (1.0 - econ.eta) * (num / den) if den > 0 else 0.0
         eps[pid] = e_r - 1.0
-        if eps[pid] >= -1.0:
-            elastic = False
     margins = {
         pid: 1.0 - (1.0 - problem.market.product(pid).margin)
         * (1.0 + problem.efficiency(pid)) / (1.0 + vec[i])
         for i, pid in enumerate(problem.order)
     }
-    return PostMergerState(problem.order, table, eps, diversion, margins, elastic)
+    return PostMergerState(problem.order, table, eps, diversion, margins)
 
 
 def _residual_from_state(
@@ -233,63 +230,18 @@ def _guppi_warm_start(problem: SimulationProblem) -> np.ndarray:
     return g
 
 
-def _newton_solve(problem: SimulationProblem, x0: np.ndarray, config: SolverConfig):
-    """Damped Newton with central-difference Jacobian and a margin-form damped
-    fixed point as the rescue step. Returns (x, residual, iterations, ok)."""
-    lo = config.lower_bound
-    x = np.clip(x0, lo, None)
-    f = foc_residual(problem, x)
-    best_norm = float(np.linalg.norm(f, np.inf))
-    its = 0
-    while best_norm >= config.tolerance and its < config.max_iterations:
-        its += 1
-        n = len(x)
-        jac = np.empty((n, n))
-        h = config.fd_step
-        for k in range(n):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] = max(xm[k] - h, lo)
-            fp = foc_residual(problem, xp)
-            fm = foc_residual(problem, xm)
-            jac[:, k] = (fp - fm) / (xp[k] - xm[k])
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = None
-        improved = False
-        if step is not None and np.all(np.isfinite(step)):
-            t = 1.0
-            for _ in range(30):
-                cand = np.clip(x + t * step, lo, None)
-                fc = foc_residual(problem, cand)
-                norm = float(np.linalg.norm(fc, np.inf))
-                if norm < best_norm:
-                    x, f, best_norm, improved = cand, fc, norm, True
-                    break
-                t *= 0.5
-        if not improved:
-            # margin-form fixed point rescue, damping 0.5
-            state = post_merger_state(problem, x)
-            target = np.empty_like(x)
-            for i, j in enumerate(problem.order):
-                eps = state.elasticities[j]
-                cross = sum(
-                    state.margins[l] * state.diversion.get(j, l)
-                    for l in problem.order
-                    if l != j and problem.post_ownership[l] == problem.post_ownership[j]
-                )
-                m_tilde = -1.0 / eps + (1.0 + 1.0 / eps) * cross
-                m_pre = problem.market.product(j).margin
-                denom = max(1.0 - m_tilde, 1e-9)
-                target[i] = (1.0 - m_pre) * (1.0 + problem.efficiency(j)) / denom - 1.0
-            cand = np.clip(x + 0.5 * (target - x), lo, None)
-            fc = foc_residual(problem, cand)
-            norm = float(np.linalg.norm(fc, np.inf))
-            if norm >= best_norm and np.allclose(cand, x):
-                break  # no progress possible
-            x, f, best_norm = cand, fc, norm
-    return x, f, its, best_norm < config.tolerance
+def _margin_rescue(problem: SimulationProblem, x: np.ndarray) -> np.ndarray:
+    """Half a step of the margin-form fixed point: towards the price changes
+    at which each margin equals its FOC-implied value f(x) + m(x)."""
+    state = post_merger_state(problem, x)
+    margins = np.array([state.margins[j] for j in problem.order])
+    implied = _residual_from_state(problem, state, problem.post_ownership) + margins
+    base = np.array([
+        (1.0 - problem.market.product(j).margin) * (1.0 + problem.efficiency(j))
+        for j in problem.order
+    ])
+    target = base / np.maximum(1.0 - implied, 1e-9) - 1.0
+    return x + 0.5 * (target - x)
 
 
 def simulate(
@@ -314,13 +266,19 @@ def simulate(
             f"pre-merger data not self-consistent: FOC residual {pre_norm:.3e} at zero price change"
         )
 
+    def solve(x0):
+        return damped_newton(
+            lambda x: foc_residual(problem, x), x0, lambda x: _margin_rescue(problem, x),
+            config.tolerance, config.max_iterations, config.fd_step, config.lower_bound,
+        )
+
     g = _guppi_warm_start(problem)
-    x, f, its, ok = _newton_solve(problem, g, config)
+    x, f, its, ok = solve(g)
 
     unique = True
     if config.check_uniqueness and ok:
         for alt0 in (np.zeros_like(g), 2.0 * g):
-            alt, _, _, alt_ok = _newton_solve(problem, alt0, config)
+            alt, _, _, alt_ok = solve(alt0)
             if alt_ok and float(np.linalg.norm(alt - x, np.inf)) > 1e-6:
                 unique = False
                 warnings.append("solver found a second root from a different start")

@@ -181,6 +181,28 @@ class TestHarnessCommand:
         assert payload["result"]["summary"]["n_markets"] == 3
         assert "median_relative_error" in payload["result"]["summary"]
 
+    @pytest.mark.parametrize("flags", [["--n", "0", "--seed", "1"], ["--n", "2", "--seed", "-1"]])
+    def test_bad_config_exits_2(self, runner, flags):
+        result = runner.invoke(main, ["harness", *flags])
+        assert result.exit_code == 2, result.output
+
+    def test_json_without_records_has_no_nan(self, runner, monkeypatch):
+        from uppkit import harness
+        from uppkit.errors import ConvergenceError
+
+        def fail(config, trial):
+            raise ConvergenceError("stalled")
+
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON output")
+
+        monkeypatch.setattr(harness, "_run_trial", fail)
+        result = runner.invoke(main, ["harness", "--n", "2", "--seed", "1", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output, parse_constant=reject)["result"]["summary"]
+        assert summary["n_failed"] == 2
+        assert summary["share_conservative"] is None
+
 
 class TestOutputPlumbing:
     def test_out_writes_file_and_manifest(self, runner, tmp_path):
@@ -210,3 +232,14 @@ class TestOutputPlumbing:
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("id,firm,margin")
         assert lines[1].startswith("SP,")
+
+
+class TestMalformedJsonInput:
+    @pytest.mark.parametrize("command", [["validate"], ["second-choice", "--remove", "A"], ["fit"]])
+    @pytest.mark.parametrize("content", ["5", "{not json"])
+    def test_exits_2_without_traceback(self, runner, tmp_path, command, content):
+        path = tmp_path / "doc.json"
+        path.write_text(content)
+        result = runner.invoke(main, [command[0], str(path), *command[1:]])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output

@@ -5,8 +5,21 @@ import pytest
 
 from uppkit import ces, effects, harness
 from uppkit.diversion import quantity_to_revenue_diversion
-from uppkit.errors import InputValidationError
+from uppkit.errors import ConvergenceError, InputValidationError
 from uppkit.market import MergerSpec
+
+
+def heterogeneous_ces():
+    """Three weighted consumers with consideration sets over four products;
+    firm 0 owns two of them. Every product is considered by someone."""
+    betas = np.array([[1.6, 1.2, 1.4, 0.9],
+                      [0.8, 1.5, 1.1, 1.3],
+                      [1.2, 0.7, 1.6, 1.0]])
+    consider = np.array([[1, 1, 0, 1],
+                         [0, 1, 1, 1],
+                         [1, 1, 1, 0]], dtype=bool)
+    return harness.CESGroundTruth(betas, budgets=[1.0, 2.5, 1.7], eta=5.0,
+                                  weights=[0.5, 1.0, 2.0], consider=consider)
 
 
 def ces_duopoly(eta=6.0, betas=((1.4, 1.1),), budgets=(1.0,), costs=(1.0, 1.0)):
@@ -51,6 +64,29 @@ class TestBertrandSolver:
             groups = [[j] for j in range(len(prim.ids))]
             res = harness._margin_residual(prim.demand, prim.prices, prim.costs, groups)
             assert np.max(np.abs(res)) < 1e-12
+
+
+class TestGroundTruthDerivatives:
+    """Analytic CES derivatives against central differences in price."""
+
+    def test_quantity_jacobian_and_outside_slope_match_fd(self):
+        demand = heterogeneous_ces()
+        p = np.array([1.3, 0.9, 1.6, 1.1])
+        jac = demand.quantity_jacobian(p)
+        slope = demand.outside_revenue_slope(p)
+        fd_jac, fd_slope = np.empty((4, 4)), np.empty(4)
+        wb = demand.weights * demand.budgets
+        for k in range(4):
+            h = 1e-6 * p[k]
+            up, dn = p.copy(), p.copy()
+            up[k] += h
+            dn[k] -= h
+            fd_jac[:, k] = (demand.quantities(up) - demand.quantities(dn)) / (2 * h)
+            outside_up = wb @ (1.0 - demand.share_rows(up).sum(axis=1))
+            outside_dn = wb @ (1.0 - demand.share_rows(dn).sum(axis=1))
+            fd_slope[k] = (outside_up - outside_dn) / (2 * h)
+        np.testing.assert_allclose(jac, fd_jac, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(slope, fd_slope, rtol=1e-7, atol=1e-10)
 
 
 class TestPostMerger:
@@ -181,6 +217,29 @@ class TestCrossModuleEquivalence:
         for j, pid in enumerate(prim.ids):
             assert result.price_changes[pid] == pytest.approx(pdd_true[j], abs=1e-8)
 
+    def test_heterogeneous_multiproduct_market_agrees(self):
+        """Both solvers share the root finder, so the oracle rests on the two
+        residuals: check them on a market with weighted consumers,
+        consideration sets and a two-product merging firm."""
+        from uppkit import simulation
+
+        demand = heterogeneous_ces()
+        costs = np.array([1.0, 0.7, 1.2, 0.9])
+        ids, ownership = ("A", "B", "C", "D"), (0, 0, 1, 2)
+        pre = harness.solve_bertrand(demand, costs, ownership)
+        prim = harness.SyntheticPrimitives(ids, demand, costs, ownership, pre.prices)
+        _, pdd_true = harness.solve_post_merger_equilibrium(prim, (0, 1))
+        assert np.all(pdd_true[:3] > 1e-3)
+
+        market, _ = harness.observe(prim, pre.prices)
+        economy = demand.economy(pre.prices, list(ids))
+        result = simulation.simulate(
+            simulation.merger_problem(market, economy, MergerSpec("f0", "f1")))
+        assert result.converged
+        assert not result.warnings
+        for j, pid in enumerate(ids):
+            assert result.price_changes[pid] == pytest.approx(pdd_true[j], abs=1e-8)
+
 
 class TestCmcrRoundTrip:
     @pytest.mark.parametrize("trial", range(5))
@@ -262,14 +321,6 @@ class TestAccuracyExperiment:
         b = harness.run_accuracy_experiment(config)
         assert list(a.to_csv_rows()) == list(b.to_csv_rows())
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        config = harness.HarnessConfig(seed=9, n_markets=8, model="ces")
-        monkeypatch.setenv("UPPKIT_THREADS", "1")
-        a = harness.run_accuracy_experiment(config)
-        monkeypatch.setenv("UPPKIT_THREADS", "4")
-        b = harness.run_accuracy_experiment(config)
-        assert list(a.to_csv_rows()) == list(b.to_csv_rows())
-
     def test_config_validation(self):
         with pytest.raises(InputValidationError):
             harness.HarnessConfig(seed=1, model="blp")
@@ -277,6 +328,20 @@ class TestAccuracyExperiment:
             harness.HarnessConfig(seed=1, n_products=(1, 3))
         with pytest.raises(InputValidationError):
             harness.HarnessConfig(seed=1, eta_range=(5.0, 5.0))
+        with pytest.raises(InputValidationError, match="n_markets"):
+            harness.HarnessConfig(seed=1, n_markets=0)
+        with pytest.raises(InputValidationError, match="seed"):
+            harness.HarnessConfig(seed=-1)
+
+    def test_no_records_summary_is_null(self, monkeypatch):
+        def fail(config, trial):
+            raise ConvergenceError("stalled")
+
+        monkeypatch.setattr(harness, "_run_trial", fail)
+        result = harness.run_accuracy_experiment(harness.HarnessConfig(seed=1, n_markets=2))
+        assert result.failures == (0, 1)
+        assert result.summary["share_conservative"] is None
+        assert result.summary["median_relative_error"] is None
 
     def test_csv_rows_round_trip_floats(self):
         result = harness.run_accuracy_experiment(
