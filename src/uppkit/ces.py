@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputValidationError
-from .market import OUTSIDE, DiversionMatrix, read_json
+from .market import OUTSIDE, DiversionMatrix, as_float, as_mapping, read_json
 
 OUTSIDE_NEST = "__outside__"
 
@@ -148,6 +147,12 @@ def _softmax_rows(u: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
+def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
+    """log sum_k exp(u_ik) per row; each row needs one finite entry."""
+    m = np.max(u, axis=1)
+    return m + np.log(np.exp(u - m[:, None]).sum(axis=1))
+
+
 def shares(economy: CESEconomy) -> ShareTable:
     """Softmax expenditure shares per consumer over their consideration set."""
     u, _, _ = economy._dense
@@ -173,7 +178,7 @@ def _nested_share_rows(
         present = np.any(np.isfinite(ub), axis=1)
         iv = np.full(n, -np.inf)
         if np.any(present):
-            iv[present] = logsumexp(ub[present], axis=1)
+            iv[present] = _logsumexp_rows(ub[present])
         nest_logits[:, bi] = np.where(present, nest_mus[b] * iv, -np.inf)
         with np.errstate(invalid="ignore"):
             w = np.exp(ub - iv[:, None])
@@ -262,33 +267,24 @@ def aggregate_shares(economy: CESEconomy, table: ShareTable | None = None) -> di
 
 def _diversion_from_share_values(
     alpha: np.ndarray, wb: np.ndarray, mask: np.ndarray, order: Sequence[str]
-) -> DiversionMatrix:
-    """Revenue diversion computed from a dense share block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Revenue diversion ``(values, outside)`` computed from a dense share block.
 
-    Row j: numerator sum_i wb_i a_ij a_ik over consumers considering both j and
-    k, denominator sum_i wb_i a_ij (1 - a_ij) over shoppers of j; the common
-    per-consumer slope factor cancels between the two.
+    Row j: numerator sum_i wb_i a_ij a_ik, denominator sum_i wb_i a_ij (1 - a_ij);
+    shares are zero off consideration sets, so only shoppers of both j and k
+    count, and the common per-consumer slope factor cancels between the two.
     """
-    n_inside = len(order) - 1  # OUTSIDE is last
-    values = -np.eye(n_inside)
-    outside = np.zeros(n_inside)
-    undefined: list[str] = []
-    for j in range(n_inside):
-        shoppers = mask[:, j]
-        den = float(np.sum(wb[shoppers] * alpha[shoppers, j] * (1.0 - alpha[shoppers, j])))
-        if not np.any(shoppers) or den <= 0.0:
-            undefined.append(order[j])
-            continue
-        num = (wb[shoppers, None] * alpha[shoppers, j:j + 1] * alpha[shoppers, :]).sum(axis=0)
-        row = num / den
-        values[j, :n_inside] = row[:n_inside]
-        values[j, j] = -1.0
-        outside[j] = row[n_inside]
+    n = len(order) - 1  # OUTSIDE is last
+    inside = alpha[:, :n]
+    den = wb @ (inside * (1.0 - inside))
+    undefined = [order[j] for j in np.flatnonzero(~mask[:, :n].any(axis=0) | (den <= 0.0))]
     if undefined:
         raise InputValidationError(
             f"diversion undefined for products considered by no consumer: {undefined}"
         )
-    return DiversionMatrix(tuple(order[:n_inside]), values, outside)
+    full = (wb[:, None] * inside).T @ alpha / den[:, None]
+    np.fill_diagonal(full, -1.0)
+    return full[:, :n], full[:, n]
 
 
 def revenue_diversion(economy: CESEconomy, table: ShareTable | None = None) -> DiversionMatrix:
@@ -298,7 +294,16 @@ def revenue_diversion(economy: CESEconomy, table: ShareTable | None = None) -> D
     alternatives including the outside column (fixed-budget property)."""
     table = shares(economy) if table is None else table
     _, wb, mask = economy._dense
-    return _diversion_from_share_values(table.values, wb, mask, economy.order)
+    values, outside = _diversion_from_share_values(table.values, wb, mask, economy.order)
+    return DiversionMatrix(economy.order[:-1], values, outside)
+
+
+def _own_revenue_elasticity(alpha: np.ndarray, wb: np.ndarray, eta: float) -> np.ndarray:
+    """(1 - eta) * sum_i wb_i a_ij (1 - a_ij) / sum_i wb_i a_ij per column of a
+    share block (zero off consideration sets); 0 where nobody spends."""
+    spend = wb @ alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(spend > 0.0, (1.0 - eta) * (wb @ (alpha * (1.0 - alpha))) / spend, 0.0)
 
 
 def own_price_revenue_elasticity(
@@ -307,20 +312,9 @@ def own_price_revenue_elasticity(
     """Own-price elasticity of revenue per product:
     (1 - eta) * sum_i wbar_ij (1 - a_ij), shopper-weighted by a_ij B_i."""
     table = shares(economy) if table is None else table
-    _, wb, mask = economy._dense
-    alpha = table.values
-    out: dict[str, float] = {}
-    for k, pid in enumerate(economy.order):
-        if pid == OUTSIDE:
-            continue
-        shoppers = mask[:, k]
-        den = float(np.sum(wb[shoppers] * alpha[shoppers, k]))
-        if den <= 0.0:
-            out[pid] = 0.0
-            continue
-        num = float(np.sum(wb[shoppers] * alpha[shoppers, k] * (1.0 - alpha[shoppers, k])))
-        out[pid] = (1.0 - economy.eta) * num / den
-    return out
+    _, wb, _ = economy._dense
+    eps = _own_revenue_elasticity(table.values[:, :-1], wb, economy.eta)
+    return dict(zip(economy.order[:-1], eps.tolist()))
 
 
 def own_price_elasticity_of_demand(
@@ -413,8 +407,8 @@ def compensating_variation(
         bump[economy.order.index(pid)] = (1.0 - eta) * np.log1p(pdd)
     u1 = u0 + bump[None, :]
     u1[~mask] = -np.inf
-    log_s0 = logsumexp(u0, axis=1)
-    log_s1 = logsumexp(u1, axis=1)
+    log_s0 = _logsumexp_rows(u0)
+    log_s1 = _logsumexp_rows(u1)
     ratio = np.exp((log_s0 - log_s1) / (1.0 - eta))
     per = {}
     total = 0.0
@@ -435,29 +429,32 @@ def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
     upgrades the result to a :class:`NestedCESEconomy`."""
     if "eta" not in doc:
         raise InputValidationError(f"{where}: missing field 'eta'")
-    eta = float(doc["eta"])
+    eta = as_float(doc["eta"], "eta", where)
     rows = doc.get("consumers")
     if not isinstance(rows, list) or not rows:
         raise InputValidationError(f"{where}: no consumers")
     consumers = []
     for idx, rec in enumerate(rows):
+        rec = as_mapping(rec, f"consumers[{idx}]", where)
         w = f"{where}: consumers[{idx}]"
         cid = str(rec.get("id", idx))
-        budget = float(rec.get("budget", 0.0))
-        weight = float(rec.get("weight", 1.0))
+        budget = as_float(rec.get("budget", 0.0), "budget", w)
+        weight = as_float(rec.get("weight", 1.0), "weight", w)
         has_shares, has_utils = "shares" in rec, "utilities" in rec
         if has_shares == has_utils:
             raise InputValidationError(f"{w}: give exactly one of 'shares' or 'utilities'")
+        key = "utilities" if has_utils else "shares"
+        values = {str(k): as_float(v, f"{key}[{k}]", w)
+                  for k, v in as_mapping(rec[key], key, w).items()}
         if has_utils:
-            utils = {str(k): float(v) for k, v in rec["utilities"].items()}
-            consumers.append(Consumer(cid, budget, utils, weight))
+            consumers.append(Consumer(cid, budget, values, weight))
         else:
-            sh = {str(k): float(v) for k, v in rec["shares"].items()}
-            econ = economy_from_shares({cid: sh}, {cid: budget}, eta=max(eta, 1.0 + 1e-9))
+            econ = economy_from_shares({cid: values}, {cid: budget}, eta=max(eta, 1.0 + 1e-9))
             consumers.append(Consumer(cid, budget, econ.consumers[0].utilities, weight))
     if "nests" in doc and doc["nests"]:
-        nests = {str(k): str(v) for k, v in doc["nests"].items()}
-        return NestedCESEconomy(tuple(consumers), eta, nests=nests, mu=float(doc.get("mu", 1.0)))
+        nests = {str(k): str(v) for k, v in as_mapping(doc["nests"], "nests", where).items()}
+        mu = as_float(doc.get("mu", 1.0), "mu", where)
+        return NestedCESEconomy(tuple(consumers), eta, nests=nests, mu=mu)
     return CESEconomy(tuple(consumers), eta)
 
 

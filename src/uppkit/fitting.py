@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import expit, logit
 
 from .ces import OUTSIDE_NEST, _nested_share_rows
 from .errors import InputValidationError
+
+
+def _expit(x: float) -> float:
+    return float(1.0 / (1.0 + np.exp(-x)))
 
 
 def _model_revenues(
@@ -126,6 +128,8 @@ class NestedCESRevenueFitter:
             raise InputValidationError("one nest label per store required")
         mask = np.ones((n_t, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         w = np.ones(n_t) if consumer_weights is None else np.asarray(consumer_weights, dtype=float)
+        if budgets.shape != (n_t,) or w.shape != (n_t,) or mask.shape != (n_t, n_s):
+            raise InputValidationError("budgets, weights and mask must match the design's shape")
         wb = w * budgets
 
         x_rows = design[mask]
@@ -149,7 +153,7 @@ class NestedCESRevenueFitter:
         trace: list[tuple[int, float]] = []
 
         def residuals(params: np.ndarray) -> np.ndarray:
-            theta, mu = params[:k], float(expit(params[k]))
+            theta, mu = params[:k], _expit(params[k])
             r = _model_revenues(theta, mu, design, mask, wb, nest_cols)
             res = (r - revenues) / scale
             trace.append((len(trace) + 1, float(res @ res)))
@@ -158,7 +162,9 @@ class NestedCESRevenueFitter:
         theta0 = np.zeros(k) if self.theta0 is None else np.asarray(self.theta0, dtype=float)
         if not 0.0 < self.mu0 < 1.0:
             raise InputValidationError("mu0 must be inside (0, 1)")
-        x0 = np.concatenate([theta0, [logit(self.mu0)]])
+        from scipy.optimize import least_squares  # deferred: slow to import
+
+        x0 = np.concatenate([theta0, [np.log(self.mu0 / (1.0 - self.mu0))]])
         sol = least_squares(
             residuals,
             x0,
@@ -169,7 +175,7 @@ class NestedCESRevenueFitter:
         )
         dof = max(n_s - (k + 1), 1)
         self.theta_ = sol.x[:k]
-        self.mu_ = float(expit(sol.x[k]))
+        self.mu_ = _expit(sol.x[k])
         self.converged_ = bool(sol.status > 0)
         self.residual_se_ = float(np.sqrt(2.0 * sol.cost / dof))
         self.n_evaluations_ = int(sol.nfev)

@@ -27,7 +27,9 @@ import numpy as np
 from . import ces, effects
 from .ces import CESEconomy, Consumer, NestedCESEconomy
 from .errors import ConvergenceError, InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, Product, read_json
+from .market import (
+    DiversionMatrix, Market, MergerSpec, Product, as_float, as_mapping, co_ownership, read_json,
+)
 from .newton import damped_newton
 
 
@@ -153,55 +155,38 @@ class Equilibrium:
     iterations: int           # the warm-start step plus the Newton steps
 
 
-def _foc_objects(demand, prices: np.ndarray):
-    """(eps_jj vector, quantity diversion matrix D[j, l], quantities)."""
-    q = demand.quantities(prices)
+def _cross_weights(demand, prices, co_owned):
+    """(eps_jj, A) with A[j, l] = D_jl p_l / p_j where ``co_owned[j, l]``, else 0,
+    D_jl = -(dq_l/dp_j) / (dq_j/dp_j) being quantity diversion; the pricing
+    conditions then read -1/eps - m + A m = 0."""
     jac = demand.quantity_jacobian(prices)
+    own = np.diag(jac)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = np.diag(jac) * prices / q
-        div = -jac.T / np.diag(jac)[:, None]  # D[j, l] = -dq_l/dp_j / dq_j/dp_j
-    np.fill_diagonal(div, -1.0)
-    return eps, div, q
+        eps = own * prices / demand.quantities(prices)
+        a = -jac.T / own[:, None] * prices[None, :] / prices[:, None]
+    return eps, np.where(co_owned, a, 0.0)
 
 
-def _margin_residual(demand, prices, costs, groups) -> np.ndarray:
+def _margin_residual(demand, prices, costs, co_owned) -> np.ndarray:
     """Pricing conditions normalized to be quasilinear in margins."""
-    eps, div, _ = _foc_objects(demand, prices)
+    eps, a = _cross_weights(demand, prices, co_owned)
     m = (prices - costs) / prices
-    res = -1.0 / eps - m
-    for grp in groups:
-        for j in grp:
-            res[j] += sum(
-                m[l] * div[j, l] * prices[l] / prices[j] for l in grp if l != j
-            )
-    return res
+    return -1.0 / eps - m + a @ m
 
 
-def _implied_margins(demand, prices, groups) -> np.ndarray:
-    """Solve the within-firm linear systems for margins at fixed prices."""
-    eps, div, _ = _foc_objects(demand, prices)
-    n = len(prices)
-    m = np.empty(n)
-    for grp in groups:
-        k = len(grp)
-        a = np.eye(k)
-        b = np.empty(k)
-        for r, j in enumerate(grp):
-            b[r] = -1.0 / eps[j]
-            for c_, l in enumerate(grp):
-                if l != j:
-                    a[r, c_] = -div[j, l] * prices[l] / prices[j]
-        m[list(grp)] = np.linalg.solve(a, b)
-    return m
+def _implied_margins(demand, prices, co_owned) -> np.ndarray:
+    """Margins solving the pricing conditions at fixed prices."""
+    eps, a = _cross_weights(demand, prices, co_owned)
+    return np.linalg.solve(np.eye(len(prices)) - a, -1.0 / eps)
 
 
-def _margin_step(demand, log_p, costs, groups) -> np.ndarray:
+def _margin_step(demand, log_p, costs, co_owned) -> np.ndarray:
     """Half a step of the margin fixed point p <- c / (1 - m(p)) in log prices.
 
     Moves are clamped to 0.25 in log price so a bad margin solve cannot fling
     prices into the underflow region of the share function.
     """
-    m = _implied_margins(demand, np.exp(log_p), groups)
+    m = _implied_margins(demand, np.exp(log_p), co_owned)
     if not np.all(np.isfinite(m)):
         raise ConvergenceError("margin iteration left the elastic region")
     target = np.log(costs / (1.0 - np.clip(m, 1e-6, 1.0 - 1e-6)))
@@ -225,17 +210,14 @@ def solve_bertrand(
     Raises ConvergenceError when the residual cannot be brought under ``tol``.
     """
     costs = np.asarray(costs, dtype=float)
-    groups = [
-        [j for j, f in enumerate(ownership) if f == firm]
-        for firm in dict.fromkeys(ownership)
-    ]
+    co_owned = co_ownership(ownership)
     p = np.array(costs * 1.5 if p0 is None else p0, dtype=float)
 
     def step(log_p):
-        return _margin_step(demand, log_p, costs, groups)
+        return _margin_step(demand, log_p, costs, co_owned)
 
     x, res, its, ok = damped_newton(
-        lambda x: _margin_residual(demand, np.exp(x), costs, groups),
+        lambda x: _margin_residual(demand, np.exp(x), costs, co_owned),
         step(np.log(p)), step, tol, max_iterations,
     )
     norm = float(np.max(np.abs(res)))
@@ -573,24 +555,29 @@ def load_spatial_fixture(path) -> SpatialFixture:
     for key in ("store_ids", "nests", "design", "budgets", "revenues"):
         if key not in doc:
             raise InputValidationError(f"{path}: missing field {key!r}")
-    design = np.asarray(doc["design"], dtype=float)
-    if design.ndim != 3:
-        raise InputValidationError(f"{path}: design must be 3-dimensional")
+    if not isinstance(doc["store_ids"], list):
+        raise InputValidationError(f"{path}: field 'store_ids' must be a list")
+    store_ids = tuple(str(s) for s in doc["store_ids"])
+    revenues = {str(k): as_float(v, f"revenues[{k}]", path)
+                for k, v in as_mapping(doc["revenues"], "revenues", path).items()}
+    nests = {str(k): str(v) for k, v in as_mapping(doc["nests"], "nests", path).items()}
+    missing = [s for s in store_ids if s not in revenues or s not in nests]
+    if missing:
+        raise InputValidationError(f"{path}: stores without a revenue or nest: {missing}")
+    design = as_float(doc["design"], "design", path, 3)
     n_t, n_s, _ = design.shape
-    mask = (np.asarray(doc["mask"], dtype=float).astype(bool)
+    mask = (as_float(doc["mask"], "mask", path, 2).astype(bool)
             if "mask" in doc else np.ones((n_t, n_s), dtype=bool))
-    weights = (np.asarray(doc["weights"], dtype=float)
-               if "weights" in doc else np.ones(n_t))
-    truth = doc.get("truth") or {}
-    theta = np.asarray(truth["theta"], dtype=float) if "theta" in truth else None
+    weights = as_float(doc["weights"], "weights", path, 1) if "weights" in doc else np.ones(n_t)
+    truth = as_mapping(doc.get("truth") or {}, "truth", path)
     return SpatialFixture(
         design=design,
         mask=mask,
-        budgets=np.asarray(doc["budgets"], dtype=float),
+        budgets=as_float(doc["budgets"], "budgets", path, 1),
         weights=weights,
-        revenues={str(k): float(v) for k, v in doc["revenues"].items()},
-        store_ids=tuple(str(s) for s in doc["store_ids"]),
-        nests={str(k): str(v) for k, v in doc["nests"].items()},
-        theta=theta,
-        mu=float(truth["mu"]) if "mu" in truth else None,
+        revenues=revenues,
+        store_ids=store_ids,
+        nests=nests,
+        theta=as_float(truth["theta"], "truth.theta", path, 1) if "theta" in truth else None,
+        mu=as_float(truth["mu"], "truth.mu", path) if "mu" in truth else None,
     )

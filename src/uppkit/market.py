@@ -115,6 +115,12 @@ class DiversionMatrix:
         return DiversionMatrix(tuple(order), self.values[np.ix_(idx, idx)], out)
 
 
+def co_ownership(owners: Sequence) -> np.ndarray:
+    """Boolean [j, l]: products j != l have the same entry in ``owners``."""
+    owners = np.asarray(owners)
+    return (owners[:, None] == owners) & ~np.eye(len(owners), dtype=bool)
+
+
 @dataclass(frozen=True)
 class MergerSpec:
     """Two merging firms, their per-product efficiency ratios, and how GUPPIs
@@ -317,11 +323,25 @@ def load_market(path: str | Path, format: str | None = None) -> MarketBundle:
     return _raise_if_invalid(bundle)
 
 
-def _num(obj, field_name: str, where: str) -> float:
+def as_float(obj, field_name: str, where: str, ndim: int = 0):
+    """``obj`` as a float (``ndim`` 0) or as a float array of ``ndim`` dimensions;
+    text, ragged lists and other shapes raise InputValidationError naming the field."""
     try:
-        return float(obj)
+        value = float(obj) if ndim == 0 else np.array(obj, dtype=float)
+        if np.ndim(value) == ndim:
+            return value
     except (TypeError, ValueError):
-        raise InputValidationError(f"{where}: field {field_name!r} is not a number: {obj!r}") from None
+        pass
+    if ndim == 0:
+        raise InputValidationError(f"{where}: field {field_name!r} is not a number: {obj!r}")
+    raise InputValidationError(f"{where}: field {field_name!r} is not a {ndim}-d array of numbers")
+
+
+def as_mapping(obj, field_name: str, where: str) -> Mapping:
+    """``obj`` itself if it is a JSON object, else InputValidationError."""
+    if not isinstance(obj, Mapping):
+        raise InputValidationError(f"{where}: field {field_name!r} must be an object")
+    return obj
 
 
 def read_json(path: str | Path) -> dict:
@@ -354,23 +374,23 @@ def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:
         pid = str(rec["id"])
         if pid == OUTSIDE:
             products.append(Product(OUTSIDE, str(rec.get("firm", "")),
-                                    _num(rec.get("revenue", 0.0), "revenue", w),
-                                    _num(rec.get("margin", 0.5), "margin", w)))
+                                    as_float(rec.get("revenue", 0.0), "revenue", w),
+                                    as_float(rec.get("margin", 0.5), "margin", w)))
             continue
         for f in ("firm", "revenue", "margin"):
             if f not in rec:
                 raise InputValidationError(f"{w}: missing field {f!r}")
         products.append(Product(pid, str(rec["firm"]),
-                                _num(rec["revenue"], "revenue", w),
-                                _num(rec["margin"], "margin", w)))
+                                as_float(rec["revenue"], "revenue", w),
+                                as_float(rec["margin"], "margin", w)))
     market = Market(tuple(products), currency=str(doc.get("currency", "USD")))
 
     dv = doc.get("diversion")
-    if not isinstance(dv, Mapping) or "order" not in dv or "matrix" not in dv:
-        raise InputValidationError(f"{where}: diversion must provide 'order' and 'matrix'")
+    if not isinstance(dv, Mapping) or not isinstance(dv.get("order"), list) or "matrix" not in dv:
+        raise InputValidationError(f"{where}: diversion must provide 'order' (a list) and 'matrix'")
     order = [str(x) for x in dv["order"]]
-    matrix = np.array(dv["matrix"], dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(order):
+    matrix = as_float(dv["matrix"], "diversion.matrix", where, 2)
+    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(order):
         raise InputValidationError(f"{where}: diversion matrix must be square and match 'order'")
     outside = None
     if OUTSIDE in order:
@@ -380,7 +400,7 @@ def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:
         matrix = matrix[np.ix_(keep, keep)]
         order = [order[i] for i in keep]
     if "outside" in dv and dv["outside"] is not None:
-        outside = np.array(dv["outside"], dtype=float)
+        outside = as_float(dv["outside"], "diversion.outside", where, 1)
     diversion = DiversionMatrix(tuple(order), matrix, outside)
 
     merger = None
@@ -388,13 +408,14 @@ def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:
     if mg is not None:
         if not isinstance(mg, Mapping) or "firm_a" not in mg or "firm_b" not in mg:
             raise InputValidationError(f"{where}: merger must provide 'firm_a' and 'firm_b'")
-        eff = {str(k): _num(v, f"efficiencies[{k}]", f"{where}: merger")
-               for k, v in (mg.get("efficiencies") or {}).items()}
+        w = f"{where}: merger"
+        eff = {str(k): as_float(v, f"efficiencies[{k}]", w)
+               for k, v in as_mapping(mg.get("efficiencies") or {}, "efficiencies", w).items()}
         pt = mg.get("passthrough", "identity")
         if isinstance(pt, Mapping):
             if "matrix" not in pt:
                 raise InputValidationError(f"{where}: merger.passthrough object needs 'matrix'")
-            pt = np.array(pt["matrix"], dtype=float)
+            pt = as_float(pt["matrix"], "passthrough.matrix", where, 2)
         elif not isinstance(pt, str):
             raise InputValidationError(f"{where}: merger.passthrough must be a mode string or matrix")
         merger = MergerSpec(str(mg["firm_a"]), str(mg["firm_b"]), eff, pt)
@@ -415,8 +436,8 @@ def _load_csv(path: Path) -> MarketBundle:
                     if rec.get(f) is None:
                         raise InputValidationError(f"{w}: missing field {f!r}")
                 products.append(Product(rec["id"], rec["firm"],
-                                        _num(rec["revenue"], "revenue", w),
-                                        _num(rec["margin"], "margin", w)))
+                                        as_float(rec["revenue"], "revenue", w),
+                                        as_float(rec["margin"], "margin", w)))
     except OSError as exc:
         raise InputValidationError(f"cannot read {prod_path}: {exc}") from exc
     if not products:
@@ -437,7 +458,7 @@ def _load_csv(path: Path) -> MarketBundle:
                 src, dst = rec["from"], rec["to"]
                 if src not in pos:
                     raise InputValidationError(f"{w}: unknown product {src!r} in 'from'")
-                v = _num(rec["value"], "value", w)
+                v = as_float(rec["value"], "value", w)
                 if dst == OUTSIDE:
                     outside[pos[src]] = v
                     has_outside = True

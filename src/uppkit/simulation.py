@@ -18,6 +18,7 @@ fails to improve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import ces
 from .ces import CESEconomy, ShareTable
 from .errors import InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
+from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, co_ownership
 from .newton import damped_newton
 
 
@@ -60,13 +61,23 @@ class SimulationProblem:
             if not -1.0 < c <= 0.0:
                 raise InputValidationError(f"product {pid}: efficiency {c} outside (-1, 0]")
 
-    @property
+    @cached_property
     def order(self) -> tuple[str, ...]:
         """Inside products, economy order."""
         return tuple(pid for pid in self.economy.order if pid != OUTSIDE)
 
     def efficiency(self, pid: str) -> float:
         return float(self.efficiencies.get(pid, 0.0))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-product arrays in ``order``: pre-merger margins m, (1 - m)(1 + c),
+        and the pre- and post-merger co-ownership masks (diagonal excluded)."""
+        m = np.array([self.market.product(pid).margin for pid in self.order])
+        c = np.array([self.efficiency(pid) for pid in self.order])
+        pre = co_ownership([self.market.product(pid).firm for pid in self.order])
+        post = co_ownership([self.post_ownership[pid] for pid in self.order])
+        return m, (1.0 - m) * (1.0 + c), pre, post
 
 
 def merger_problem(
@@ -85,22 +96,39 @@ def merger_problem(
 
 @dataclass(frozen=True)
 class PostMergerState:
-    """All demand-side objects induced by a candidate price-change vector."""
+    """Demand-side arrays induced by a candidate price-change vector: shares
+    per consumer (OUTSIDE last), and per inside product the quantity own-price
+    elasticities, revenue diversion (with its outside column) and margins.
+    The keyed views ``shares``, ``elasticities``, ``diversion`` and
+    ``margins`` are built on first use."""
 
-    order: tuple[str, ...]
-    shares: ShareTable
-    elasticities: dict[str, float]
-    diversion: DiversionMatrix
-    margins: dict[str, float]
+    problem: SimulationProblem
+    alpha: np.ndarray
+    eps: np.ndarray
+    d: np.ndarray
+    d_outside: np.ndarray
+    m: np.ndarray
 
+    @property
+    def order(self) -> tuple[str, ...]:
+        return self.problem.order
 
-def _shifted_utilities(problem: SimulationProblem, pdd: np.ndarray) -> np.ndarray:
-    u, _, mask = problem.economy._dense
-    bump = np.zeros(len(problem.economy.order))
-    bump[: len(problem.order)] = (1.0 - problem.economy.eta) * np.log1p(pdd)
-    u_post = u + bump[None, :]
-    u_post[~mask] = -np.inf
-    return u_post
+    @cached_property
+    def shares(self) -> ShareTable:
+        econ = self.problem.economy
+        return ShareTable(tuple(c.id for c in econ.consumers), econ.order, self.alpha)
+
+    @cached_property
+    def elasticities(self) -> dict[str, float]:
+        return dict(zip(self.order, self.eps.tolist()))
+
+    @cached_property
+    def diversion(self) -> DiversionMatrix:
+        return DiversionMatrix(self.order, self.d, self.d_outside)
+
+    @cached_property
+    def margins(self) -> dict[str, float]:
+        return dict(zip(self.order, self.m.tolist()))
 
 
 def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
@@ -118,49 +146,32 @@ def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
 
 
 def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
-    """Utilities, shares, elasticities, diversion, and margins at ``pdd``."""
+    """Shares, elasticities, diversion, and margins at ``pdd``."""
     vec = _as_vector(problem, pdd)
     econ = problem.economy
-    u_post = _shifted_utilities(problem, vec)
+    u, wb, mask = econ._dense
+    u_post = u.copy()
+    u_post[:, : len(vec)] += (1.0 - econ.eta) * np.log1p(vec)
     alpha = ces._softmax_rows(u_post)
-    table = ShareTable(tuple(c.id for c in econ.consumers), econ.order, alpha)
-    _, wb, mask = econ._dense
-    diversion = ces._diversion_from_share_values(alpha, wb, mask, econ.order)
-    eps: dict[str, float] = {}
-    for k, pid in enumerate(problem.order):
-        shoppers = mask[:, k]
-        den = float(np.sum(wb[shoppers] * alpha[shoppers, k]))
-        num = float(np.sum(wb[shoppers] * alpha[shoppers, k] * (1.0 - alpha[shoppers, k])))
-        e_r = (1.0 - econ.eta) * (num / den) if den > 0 else 0.0
-        eps[pid] = e_r - 1.0
-    margins = {
-        pid: 1.0 - (1.0 - problem.market.product(pid).margin)
-        * (1.0 + problem.efficiency(pid)) / (1.0 + vec[i])
-        for i, pid in enumerate(problem.order)
-    }
-    return PostMergerState(problem.order, table, eps, diversion, margins)
+    d, d_outside = ces._diversion_from_share_values(alpha, wb, mask, econ.order)
+    eps = ces._own_revenue_elasticity(alpha[:, : len(vec)], wb, econ.eta) - 1.0
+    _, base, _, _ = problem._arrays
+    m = 1.0 - base / (1.0 + vec)
+    return PostMergerState(problem, alpha, eps, d, d_outside, m)
 
 
-def _residual_from_state(
-    problem: SimulationProblem, state: PostMergerState, ownership: Mapping[str, str]
-) -> np.ndarray:
-    res = np.empty(len(problem.order))
-    for i, j in enumerate(problem.order):
-        eps = state.elasticities[j]
-        cross = sum(
-            state.margins[l] * state.diversion.get(j, l)
-            for l in problem.order
-            if l != j and ownership[l] == ownership[j]
-        )
-        res[i] = -1.0 / eps - state.margins[j] + (1.0 + 1.0 / eps) * cross
-    return res
+def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
+    """Pricing conditions -1/eps_j - m_j + (1 + 1/eps_j) sum_l m_l D_jl, the sum
+    over the products l that ``co_owned[j, l]`` marks as sharing j's owner."""
+    return -1.0 / eps - m + (1.0 + 1.0 / eps) * ((co_owned * d) @ m)
 
 
 def foc_residual(problem: SimulationProblem, pdd) -> np.ndarray:
     """Stacked post-merger pricing conditions at a candidate ``pdd`` (one entry
     per inside product, ownership taken post-merger)."""
-    state = post_merger_state(problem, pdd)
-    return _residual_from_state(problem, state, problem.post_ownership)
+    s = post_merger_state(problem, pdd)
+    *_, post = problem._arrays
+    return _foc(s.eps, s.d, s.m, post)
 
 
 @dataclass(frozen=True)
@@ -212,34 +223,21 @@ class SolverConfig:
 
 def _guppi_warm_start(problem: SimulationProblem) -> np.ndarray:
     """Generalized GUPPI of the ownership change: pressure from products newly
-    co-owned with j, plus j's own efficiency term. Zero for unchanged firms."""
-    pre_own = {p.id: p.firm for p in problem.market.products if p.id != OUTSIDE}
-    state = post_merger_state(problem, np.zeros(len(problem.order)))
-    g = np.zeros(len(problem.order))
-    for i, j in enumerate(problem.order):
-        eps = state.elasticities[j]
-        m_j = problem.market.product(j).margin
-        gained = [
-            l for l in problem.order
-            if l != j
-            and problem.post_ownership[l] == problem.post_ownership[j]
-            and pre_own[l] != pre_own[j]
-        ]
-        cross = sum(problem.market.product(l).margin * state.diversion.get(j, l) for l in gained)
-        g[i] = problem.efficiency(j) * (1.0 - m_j) + (1.0 + 1.0 / eps) * cross
-    return g
+    co-owned with j, plus j's own efficiency term c_j (1 - m_j). Zero for
+    unchanged firms."""
+    s = post_merger_state(problem, np.zeros(len(problem.order)))
+    m0, base, pre, post = problem._arrays
+    # the conditions over the newly co-owned pairs, less j's own terms
+    # -1/eps_j - m_j, leave the diversion pressure; base - (1 - m) = c (1 - m)
+    return _foc(s.eps, s.d, m0, post & ~pre) + 1.0 / s.eps + m0 + base - (1.0 - m0)
 
 
 def _margin_rescue(problem: SimulationProblem, x: np.ndarray) -> np.ndarray:
     """Half a step of the margin-form fixed point: towards the price changes
     at which each margin equals its FOC-implied value f(x) + m(x)."""
-    state = post_merger_state(problem, x)
-    margins = np.array([state.margins[j] for j in problem.order])
-    implied = _residual_from_state(problem, state, problem.post_ownership) + margins
-    base = np.array([
-        (1.0 - problem.market.product(j).margin) * (1.0 + problem.efficiency(j))
-        for j in problem.order
-    ])
+    s = post_merger_state(problem, x)
+    _, base, _, post = problem._arrays
+    implied = _foc(s.eps, s.d, s.m, post) + s.m
     target = base / np.maximum(1.0 - implied, 1e-9) - 1.0
     return x + 0.5 * (target - x)
 
@@ -257,10 +255,7 @@ def simulate(
     config = config or SolverConfig()
     warnings: list[str] = []
 
-    pre_own = {p.id: p.firm for p in problem.market.products if p.id != OUTSIDE}
-    state0 = post_merger_state(problem, np.zeros(len(problem.order)))
-    pre_res = _residual_from_state(problem, state0, pre_own)
-    pre_norm = float(np.linalg.norm(pre_res, np.inf))
+    pre_norm = max(map(abs, consistency_check(problem).gaps.values()))
     if pre_norm > 1e-6:
         warnings.append(
             f"pre-merger data not self-consistent: FOC residual {pre_norm:.3e} at zero price change"
@@ -315,19 +310,8 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Compare each supplied margin with the FOC-implied one (holding the other
     supplied margins fixed) under pre-merger ownership at zero price change."""
-    pre_own = {p.id: p.firm for p in problem.market.products if p.id != OUTSIDE}
-    state = post_merger_state(problem, np.zeros(len(problem.order)))
-    gaps: dict[str, float] = {}
-    flagged: list[str] = []
-    for j in problem.order:
-        eps = state.elasticities[j]
-        cross = sum(
-            problem.market.product(l).margin * state.diversion.get(j, l)
-            for l in problem.order
-            if l != j and pre_own[l] == pre_own[j]
-        )
-        implied = -1.0 / eps + (1.0 + 1.0 / eps) * cross
-        gaps[j] = problem.market.product(j).margin - implied
-        if abs(gaps[j]) > threshold:
-            flagged.append(j)
-    return ConsistencyReport(gaps, tuple(flagged), threshold)
+    s = post_merger_state(problem, np.zeros(len(problem.order)))
+    m0, _, pre, _ = problem._arrays
+    gaps = dict(zip(problem.order, (-_foc(s.eps, s.d, m0, pre)).tolist()))
+    flagged = tuple(j for j, gap in gaps.items() if abs(gap) > threshold)
+    return ConsistencyReport(gaps, flagged, threshold)

@@ -1,10 +1,15 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import uppkit
 from uppkit.cli import main
 from tests.conftest import fixture_path
 
@@ -234,6 +239,22 @@ class TestOutputPlumbing:
         assert lines[1].startswith("SP,")
 
 
+def _market_with(**diversion):
+    doc = json.loads(Path(MARKET).read_text())
+    doc["diversion"].update(diversion)
+    return doc
+
+
+def _economy_with(**fields):
+    return {**json.loads(Path(ECONOMY).read_text()), **fields}
+
+
+_GEOGRAPHY = {"store_ids": ["s0"], "nests": {"s0": "a"}, "budgets": [1.0, 1.0],
+              "revenues": {"s0": 1.0}}
+_RAGGED = [[-1.0, 0.5], [0.5]]
+_DESIGN = [[[1.0, 2.0]], [[1.0, 0.5]]]
+
+
 class TestMalformedJsonInput:
     @pytest.mark.parametrize("command", [["validate"], ["second-choice", "--remove", "A"], ["fit"]])
     @pytest.mark.parametrize("content", ["5", "{not json"])
@@ -243,3 +264,38 @@ class TestMalformedJsonInput:
         result = runner.invoke(main, [command[0], str(path), *command[1:]])
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["validate", "DOC"], _market_with(matrix=_RAGGED)),
+        (["guppi", "DOC"], _market_with(matrix=_RAGGED)),
+        (["validate", "DOC"], _market_with(order=5)),
+        (["simulate", MARKET, "DOC"], _economy_with(eta="abc")),
+        (["simulate", MARKET, "DOC"], _economy_with(consumers=[5])),
+        (["second-choice", "DOC", "--remove", "SP"], _economy_with(consumers=[5])),
+        (["second-choice", "DOC", "--remove", "SP"],
+         _economy_with(consumers=[{"id": "c", "budget": 1.0, "utilities": [0.1, 0.2]}])),
+        (["fit", "DOC"], {**_GEOGRAPHY, "design": [[[1.0, 2.0]], [[1.0]]]}),
+        (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "budgets": [1.0, 2.0, 3.0]}),
+        (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "store_ids": 5}),
+        (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "truth": 5}),
+        (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "nests": {}}),
+        (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "revenues": {}}),
+    ], ids=["ragged-validate", "ragged-guppi", "order-int", "eta-text", "consumer-int-simulate",
+            "consumer-int-second-choice", "utilities-list", "design-ragged", "budgets-length",
+            "store-ids-int", "truth-int", "nest-missing", "revenue-missing"])
+    def test_malformed_field_exits_2(self, runner, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [str(path) if a == "DOC" else a for a in argv])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is only needed by the fitter, which imports it when it runs."""
+    code = "import sys, uppkit.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(uppkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -61,8 +61,9 @@ class TestBertrandSolver:
         for trial in range(5):
             config = harness.HarnessConfig(seed=1, n_markets=5, model="ces")
             prim, _ = harness.random_primitives(config, trial)
-            groups = [[j] for j in range(len(prim.ids))]
-            res = harness._margin_residual(prim.demand, prim.prices, prim.costs, groups)
+            n = len(prim.ids)
+            co_owned = np.zeros((n, n), dtype=bool)  # single-product firms
+            res = harness._margin_residual(prim.demand, prim.prices, prim.costs, co_owned)
             assert np.max(np.abs(res)) < 1e-12
 
 
@@ -130,10 +131,12 @@ class TestObservation:
             merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
             g = effects.guppi(market, diversion, merger)
 
-            _, qdiv, _ = harness._foc_objects(prim.demand, eq.prices)
+            co_owned = np.zeros((len(prim.ids),) * 2, dtype=bool)
+            co_owned[pair, pair[::-1]] = True
+            _, cross = harness._cross_weights(prim.demand, eq.prices, co_owned)
             for j, k in (pair, pair[::-1]):
                 pid = prim.ids[j]
-                direct = eq.margins[k] * qdiv[j, k] * eq.prices[k] / eq.prices[j]
+                direct = eq.margins[k] * cross[j, k]  # m_k D_jk p_k / p_j
                 assert g[pid] == pytest.approx(direct, abs=1e-8)
 
     def test_elasticity_identities_at_equilibrium(self):

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uppkit import ces, simulation
 from uppkit import market as mk
@@ -72,7 +74,63 @@ class TestPostMergerState:
         assert np.max(np.abs(res)) < 1e-3
 
 
+def loop_foc_residual(problem, pdd):
+    """Reference for foc_residual written product by product from per-consumer
+    softmax loops: -1/eps_j - m_j + (1 + 1/eps_j) sum_l m_l D_jl over the
+    products l co-owned with j after the merger."""
+    econ, order = problem.economy, problem.order
+    shift = {pid: (1.0 - econ.eta) * np.log1p(x) for pid, x in zip(order, pdd)}
+    alphas, spend = [], []
+    for c in econ.consumers:
+        z = {pid: np.exp(u + shift.get(pid, 0.0)) for pid, u in c.utilities.items()}
+        total = sum(z.values())
+        alphas.append({pid: v / total for pid, v in z.items()})
+        spend.append(c.weight * c.budget)
+
+    def agg(f):
+        return sum(w * f(a) for w, a in zip(spend, alphas))
+
+    margins = {
+        pid: 1.0 - (1.0 - problem.market.product(pid).margin)
+        * (1.0 + problem.efficiency(pid)) / (1.0 + x)
+        for pid, x in zip(order, pdd)
+    }
+    res = []
+    for j in order:
+        slope = agg(lambda a: a.get(j, 0.0) * (1.0 - a.get(j, 0.0)))
+        eps = (1.0 - econ.eta) * slope / agg(lambda a: a.get(j, 0.0)) - 1.0
+        cross = sum(
+            margins[l] * agg(lambda a: a.get(j, 0.0) * a.get(l, 0.0)) / slope
+            for l in order
+            if l != j and problem.post_ownership[l] == problem.post_ownership[j]
+        )
+        res.append(-1.0 / eps - margins[j] + (1.0 + 1.0 / eps) * cross)
+    return np.array(res)
+
+
 class TestFocResidual:
+    def test_matches_per_product_reference(self):
+        """Weighted consumers with different consideration sets, a merging firm
+        with two products and an efficiency: the masked-matmul residual equals
+        the product-by-product formula."""
+        econ = CESEconomy((
+            Consumer("c0", 2.0, {"A": 0.4, "B": -0.2, "C": 0.1}, 1.0),
+            Consumer("c1", 1.0, {"B": 0.6, "C": -0.3, "D": 0.2}, 0.5),
+            Consumer("c2", 3.0, {"A": -0.1, "D": 0.5}, 1.5),
+        ), eta=4.5)
+        market = mk.Market((
+            mk.Product("A", "f0", 1.0, 0.30),
+            mk.Product("B", "f0", 1.0, 0.25),
+            mk.Product("C", "f1", 1.0, 0.40),
+            mk.Product("D", "f2", 1.0, 0.35),
+        ))
+        problem = merged_problem(market, econ, efficiencies={"A": -0.1})
+        for pdd in (np.zeros(4), np.array([0.05, 0.1, -0.02, 0.03])):
+            np.testing.assert_allclose(
+                simulation.foc_residual(problem, pdd), loop_foc_residual(problem, pdd),
+                rtol=0.0, atol=1e-13,
+            )
+
     def test_pre_merger_equilibrium_is_root(self):
         """Self-consistent market, unchanged ownership: residual 0 at pdd = 0."""
         market, econ = self_consistent_market([0.3, 0.25, 0.45], eta=5.0)
@@ -216,6 +274,36 @@ class TestSimulate:
         assert not result.warnings
         assert all(v > 0 for pid, v in result.price_changes.items()
                    if market.product(pid).firm in ("f0", "f1"))
+
+    def test_efficiencies_leave_pre_merger_check_alone(self):
+        """Efficiencies move post-merger costs only: an exactly self-consistent
+        market draws no pre-merger warning once they are given."""
+        market, econ = self_consistent_market([0.3, 0.25, 0.45], eta=5.0)
+        problem = merged_problem(market, econ, efficiencies={"g0": -0.05, "g1": -0.05})
+        assert simulation.consistency_check(problem).flagged == ()
+        result = simulation.simulate(problem)
+        assert result.converged
+        assert result.warnings == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        inside=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
+        outside=st.floats(0.1, 0.6),
+        eta=st.floats(2.0, 9.0),
+    )
+    def test_self_consistent_markets_solve(self, inside, outside, eta):
+        """Random single-consumer markets at their own pre-merger equilibrium:
+        nothing is flagged, the solver reaches its tolerance, and without
+        efficiencies both merging products' prices rise."""
+        alpha = (1.0 - outside) * np.array(inside) / sum(inside)
+        market, econ = self_consistent_market([*alpha, outside], eta=eta)
+        problem = merged_problem(market, econ)
+        assert simulation.consistency_check(problem).flagged == ()
+        result = simulation.simulate(problem)
+        assert result.converged
+        assert result.residual_norm < simulation.SolverConfig().tolerance
+        assert result.price_changes["g0"] > 0.0
+        assert result.price_changes["g1"] > 0.0
 
     def test_pre_inconsistency_warning(self, staples_bundle, staples_economy):
         """The averaged substitution elasticity cannot rationalize both margins,
