@@ -369,6 +369,10 @@ def second_choice_diversion(economy: CESEconomy, removed: str) -> dict[str, floa
     u_post[:, k] = -np.inf
     post = _softmax_rows(u_post)
     loss = float(np.sum(wb * pre[:, k]))
+    if loss <= 0.0:
+        raise InputValidationError(
+            f"second-choice diversion undefined for product {removed!r}: no consumer spends on it"
+        )
     gains = wb @ (post - pre)
     return {
         pid: float(gains[q] / loss)

@@ -76,7 +76,7 @@ def _emit(doc: dict, table_text: str, fmt: str, out: str | None,
           manifest: dict, quiet: bool, csv_rows=None) -> None:
     """Write the result in the requested format, attaching the manifest."""
     if fmt == "json":
-        payload = json.dumps({"manifest": manifest, "result": doc}, indent=2) + "\n"
+        payload = json.dumps({"manifest": manifest, "result": doc}, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

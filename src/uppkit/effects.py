@@ -7,20 +7,21 @@ conditions,
     eps_jj = -(1 - sum_k m_k D_{j->k}^R) / (m_j - sum_k m_k D_{j->k}^R),
 
 summing over the owner's other products, and then feeds the GUPPI, price
-effect, welfare, and CMCR calculations. Naive comparators (treating revenue
-diversion as quantity diversion with equal prices) are provided to quantify
-the bias they introduce.
+effect, welfare, and CMCR calculations. One kernel, ``_screen``, evaluates
+them as arrays over the merging products; the public functions are keyed
+views of it. Naive comparators (treating revenue diversion as quantity
+diversion with equal prices) are provided to quantify the bias they introduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
+from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, Product, co_ownership
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,88 @@ def merging_products(market: Market, merger: MergerSpec) -> list[str]:
     return [p.id for p in market.products if p.firm in both and p.id != OUTSIDE]
 
 
-def _own_margin_diversion_sum(market: Market, diversion: DiversionMatrix, j: str, owner: str) -> float:
-    return sum(
-        p.margin * diversion.get(j, p.id)
-        for p in market.products_of(owner)
-        if p.id != j and p.id != OUTSIDE
-    )
+def single_product_pair(market: Market, merger: MergerSpec, message: str) -> tuple[Product, Product]:
+    """The merging firms' products when each firm owns exactly one; otherwise
+    raises ``InputValidationError(message)``."""
+    a, b = ([p for p in market.products_of(f) if p.id != OUTSIDE]
+            for f in (merger.firm_a, merger.firm_b))
+    if len(a) != 1 or len(b) != 1:
+        raise InputValidationError(message)
+    return a[0], b[0]
+
+
+def pressure(eps: np.ndarray, d: np.ndarray, m: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Upward pricing pressure (1 + 1/eps_j) sum_l m_l D_jl, the sum over the
+    products l that ``mask[j, l]`` marks."""
+    return (1.0 + 1.0 / eps) * ((mask * d) @ m)
+
+
+@dataclass(frozen=True)
+class CmcrResult:
+    """Compensating marginal cost reductions and the post-merger margins that
+    generate them; ``condition_number`` diagnoses the linear system."""
+
+    efficiencies: dict[str, float]   # cdd_j <= 0 per merging product
+    post_margins: dict[str, float]
+    condition_number: float
+
+
+class _Screen(NamedTuple):
+    """One merger's screening statistics as arrays over the merging products
+    in market order: margins m, diversion block D, elasticities, naive GUPPI
+    (rival∘D) m, its pressure (1 + 1/eps) naive, and GUPPI c(1 - m) + pressure."""
+
+    order: tuple[str, ...]
+    m: np.ndarray
+    d: np.ndarray
+    eps: np.ndarray
+    naive: np.ndarray
+    pressure: np.ndarray
+    guppi: np.ndarray
+
+    def keyed(self, values: np.ndarray) -> dict[str, float]:
+        return dict(zip(self.order, values.tolist()))
+
+    def cmcr(self) -> CmcrResult:
+        """Post-merger margins m1 = solve(I - diag(1 + 1/eps)(post∘D), -1/eps),
+        post-merger every pair co-owned, and the cost changes (m - m1)/(1 - m)."""
+        a = -(1.0 + 1.0 / self.eps)[:, None] * self.d
+        np.fill_diagonal(a, 1.0)
+        cond = float(np.linalg.cond(a))
+        if not np.isfinite(cond) or cond > 1e12:
+            raise ConvergenceError(f"CMCR system singular (condition number {cond:.3g})")
+        m1 = np.linalg.solve(a, -1.0 / self.eps)
+        return CmcrResult(self.keyed((self.m - m1) / (1.0 - self.m)), self.keyed(m1), cond)
+
+
+def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _Screen:
+    """Evaluate every screening statistic of ``merger`` but the CMCR, with D
+    the diversion block of the merging products.
+
+    The elasticities use the owner's sum S = (same∘D) m. One that would not
+    be in the elastic region (< -1) raises, naming the first such product,
+    firm_a's first: the margins are then not consistent with Bertrand pricing.
+    """
+    order = tuple(merging_products(market, merger))
+    prods = [market.product(pid) for pid in order]
+    m = np.array([p.margin for p in prods])
+    idx = np.array([diversion._pos[pid] for pid in order], dtype=int)
+    d = diversion.values[idx[:, None], idx]  # not aligned(): no new object per call
+    is_a = np.array([p.firm == merger.firm_a for p in prods], dtype=bool)
+    s = (co_ownership(is_a) * d) @ m
+    denom = m - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = -(1.0 - s) / denom
+    bad = np.flatnonzero((denom <= 0) | (eps >= -1.0))
+    if len(bad):
+        j = bad[np.argmax(is_a[bad])]  # argmax: the first True, else index 0
+        detail = (f"m_j - sum m_k D^R = {denom[j]:.6g} <= 0" if denom[j] <= 0
+                  else f"implied elasticity {eps[j]:.6g} >= -1")
+        raise InputValidationError(f"product {order[j]}: margins inconsistent with Bertrand FOC ({detail})")
+    rival = is_a[:, None] != is_a
+    push = pressure(eps, d, m, rival)
+    c = np.array([merger.efficiency(pid) for pid in order])
+    return _Screen(order, m, d, eps, (rival * d) @ m, push, c * (1.0 - m) + push)
 
 
 def own_price_elasticity(
@@ -69,34 +146,16 @@ def own_price_elasticity(
     when the implied elasticity would not be in the elastic region (< -1), in
     which case the margins are not consistent with Bertrand pricing.
     """
-    out: dict[str, float] = {}
-    for p in market.products_of(firm):
-        if p.id == OUTSIDE:
-            continue
-        s = _own_margin_diversion_sum(market, diversion, p.id, firm)
-        denom = p.margin - s
-        if denom <= 0:
-            raise InputValidationError(
-                f"product {p.id}: margins inconsistent with Bertrand FOC "
-                f"(m_j - sum m_k D^R = {denom:.6g} <= 0)"
-            )
-        eps = -(1.0 - s) / denom
-        if eps >= -1.0:
-            raise InputValidationError(
-                f"product {p.id}: margins inconsistent with Bertrand FOC "
-                f"(implied elasticity {eps:.6g} >= -1)"
-            )
-        out[p.id] = eps
-    return out
+    # a firm "merging" with itself: all its products co-owned, none a rival
+    return own_price_elasticities(market, diversion, MergerSpec(firm, firm))
 
 
 def own_price_elasticities(
     market: Market, diversion: DiversionMatrix, merger: MergerSpec
 ) -> dict[str, float]:
     """Elasticities for every product of both merging firms."""
-    out = own_price_elasticity(market, diversion, merger.firm_a)
-    out.update(own_price_elasticity(market, diversion, merger.firm_b))
-    return out
+    s = _screen(market, diversion, merger)
+    return s.keyed(s.eps)
 
 
 def guppi(
@@ -107,16 +166,8 @@ def guppi(
     GUPPI_j = cdd_j (1 - m_j) + (1 + 1/eps_jj) * sum_{k in counterparty} m_k D_{j->k}^R,
     with the counterparty sum running over the other merging firm's products.
     """
-    eps = own_price_elasticities(market, diversion, merger)
-    out: dict[str, float] = {}
-    for firm, other in ((merger.firm_a, merger.firm_b), (merger.firm_b, merger.firm_a)):
-        for p in market.products_of(firm):
-            if p.id == OUTSIDE:
-                continue
-            cross = _own_margin_diversion_sum(market, diversion, p.id, other)
-            cdd = merger.efficiency(p.id)
-            out[p.id] = cdd * (1.0 - p.margin) + (1.0 + 1.0 / eps[p.id]) * cross
-    return {pid: out[pid] for pid in merging_products(market, merger)}
+    s = _screen(market, diversion, merger)
+    return s.keyed(s.guppi)
 
 
 def naive_guppi(
@@ -125,13 +176,8 @@ def naive_guppi(
     """Biased screen that treats revenue diversion as quantity diversion with
     equal prices: sum_k m_k D_{j->k}^R, no elasticity adjustment, no
     efficiency credit. Always >= the correct zero-credit GUPPI."""
-    out: dict[str, float] = {}
-    for firm, other in ((merger.firm_a, merger.firm_b), (merger.firm_b, merger.firm_a)):
-        for p in market.products_of(firm):
-            if p.id == OUTSIDE:
-                continue
-            out[p.id] = _own_margin_diversion_sum(market, diversion, p.id, other)
-    return {pid: out[pid] for pid in merging_products(market, merger)}
+    s = _screen(market, diversion, merger)
+    return s.keyed(s.naive)
 
 
 def price_effects(
@@ -207,16 +253,6 @@ def welfare(
     )
 
 
-@dataclass(frozen=True)
-class CmcrResult:
-    """Compensating marginal cost reductions and the post-merger margins that
-    generate them; ``condition_number`` diagnoses the linear system."""
-
-    efficiencies: dict[str, float]   # cdd_j <= 0 per merging product
-    post_margins: dict[str, float]
-    condition_number: float
-
-
 def cmcr(
     market: Market, diversion: DiversionMatrix, merger: MergerSpec
 ) -> CmcrResult:
@@ -230,27 +266,7 @@ def cmcr(
 
     then maps margins to cost changes via cdd_j = (m^0_j - m^1_j)/(1 - m^0_j).
     """
-    order = merging_products(market, merger)
-    eps = own_price_elasticities(market, diversion, merger)
-    n = len(order)
-    a = np.eye(n)
-    b = np.empty(n)
-    for i, j in enumerate(order):
-        adj = 1.0 + 1.0 / eps[j]
-        b[i] = -1.0 / eps[j]
-        for l, k in enumerate(order):
-            if k != j:
-                a[i, l] = -adj * diversion.get(j, k)
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ConvergenceError(f"CMCR system singular (condition number {cond:.3g})")
-    m1 = np.linalg.solve(a, b)
-    post = dict(zip(order, m1.tolist()))
-    eff = {
-        j: (market.product(j).margin - post[j]) / (1.0 - market.product(j).margin)
-        for j in order
-    }
-    return CmcrResult(eff, post, cond)
+    return _screen(market, diversion, merger).cmcr()
 
 
 def naive_cmcr(
@@ -264,19 +280,13 @@ def naive_cmcr(
 
     Only defined when both merging firms are single-product.
     """
-    prods_a = [p for p in market.products_of(merger.firm_a) if p.id != OUTSIDE]
-    prods_b = [p for p in market.products_of(merger.firm_b) if p.id != OUTSIDE]
-    if len(prods_a) != 1 or len(prods_b) != 1:
-        raise InputValidationError(
-            "naive CMCR is unsupported for multi-product merging firms"
-        )
+    pj, pk = single_product_pair(market, merger,
+                                 "naive CMCR is unsupported for multi-product merging firms")
     out: dict[str, float] = {}
-    for pj, pk in ((prods_a[0], prods_b[0]), (prods_b[0], prods_a[0])):
-        d_jk = diversion.get(pj.id, pk.id)
-        d_kj = diversion.get(pk.id, pj.id)
-        out[pj.id] = (pj.margin * d_jk * d_kj + pk.margin * d_jk) / (
-            (1.0 - pj.margin) * (1.0 - d_jk * d_kj)
-        )
+    for j, k in ((pj, pk), (pk, pj)):
+        d_jk = diversion.get(j.id, k.id)
+        d_kj = diversion.get(k.id, j.id)
+        out[j.id] = (j.margin * d_jk * d_kj + k.margin * d_jk) / ((1.0 - j.margin) * (1.0 - d_jk * d_kj))
     return out
 
 
@@ -310,7 +320,7 @@ class EffectsReport:
     currency: str = "USD"
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "products": [
                 {
                     "id": pid,
@@ -341,7 +351,6 @@ class EffectsReport:
             "currency": self.currency,
             "caveats": list(self.caveats),
         }
-        return doc
 
 
 def effects_report(
@@ -357,14 +366,8 @@ def effects_report(
     falls back to the identity approximation with a caveat recorded on the
     report (a conservative default).
     """
-    order = tuple(merging_products(market, merger))
-    eps = own_price_elasticities(market, diversion, merger)
-    g = guppi(market, diversion, merger)
-    g_naive = naive_guppi(market, diversion, merger)
-    g_no_credit = {
-        pid: g[pid] - merger.efficiency(pid) * (1.0 - market.product(pid).margin)
-        for pid in order
-    }
+    s = _screen(market, diversion, merger)
+    order, eps, g = s.order, s.keyed(s.eps), s.keyed(s.guppi)
 
     caveats: list[str] = []
     mode = merger.passthrough_mode
@@ -380,14 +383,13 @@ def effects_report(
         except InputValidationError as exc:
             caveats.append(f"ces passthrough unavailable ({exc}); using identity")
             mode = "identity"
-            passthrough = PassThroughMatrix.identity(order)
     if mode == "identity":
         passthrough = PassThroughMatrix.identity(order)
         caveats.append("identity pass-through: price effects approximated by GUPPI")
 
     pdd = price_effects(g, passthrough)
     wf = welfare(market, pdd, merger, eps)
-    c = cmcr(market, diversion, merger)
+    c = s.cmcr()
     if c.condition_number > 1e8:
         caveats.append(
             f"CMCR system ill-conditioned (condition number {c.condition_number:.3g})"
@@ -396,23 +398,19 @@ def effects_report(
         c_naive = naive_cmcr(market, diversion, merger)
     except InputValidationError:
         c_naive = None
-    comp = {
-        pid: compensating_efficiency(g_no_credit[pid], market.product(pid).margin)
-        for pid in order
-    }
     return EffectsReport(
         order=order,
         firms={pid: market.product(pid).firm for pid in order},
-        margins={pid: market.product(pid).margin for pid in order},
+        margins=s.keyed(s.m),
         revenues={pid: market.product(pid).revenue for pid in order},
-        elasticities={pid: eps[pid] for pid in order},
+        elasticities=eps,
         guppi=g,
-        naive_guppi=g_naive,
+        naive_guppi=s.keyed(s.naive),
         price_changes=pdd,
         welfare=wf,
         cmcr=c,
         naive_cmcr=c_naive,
-        compensating_efficiencies=comp,
+        compensating_efficiencies=s.keyed(s.pressure / (1.0 - s.m)),
         passthrough=passthrough,
         passthrough_mode=mode,
         caveats=tuple(caveats),

@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+FD_STEP = 1e-6  # central-difference step of the Jacobian
+
 
 def damped_newton(
     fun: Callable[[np.ndarray], np.ndarray],
@@ -19,7 +21,6 @@ def damped_newton(
     rescue: Callable[[np.ndarray], np.ndarray],
     tolerance: float,
     max_iterations: int,
-    fd_step: float = 1e-6,
     lower_bound: float = -np.inf,
 ):
     """Damped Newton with a central-difference Jacobian.
@@ -41,11 +42,10 @@ def damped_newton(
         its += 1
         n = len(x)
         jac = np.empty((n, n))
-        h = fd_step
         for k in range(n):
             xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] = max(xm[k] - h, lo)
+            xp[k] += FD_STEP
+            xm[k] = max(xm[k] - FD_STEP, lo)
             fp = fun(xp)
             fm = fun(xm)
             jac[:, k] = (fp - fm) / (xp[k] - xm[k])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ces import identify_eta
-from .effects import PassThroughMatrix, own_price_elasticities
+from .effects import PassThroughMatrix, own_price_elasticities, single_product_pair
 from .errors import InputValidationError
 from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
 
@@ -110,11 +110,8 @@ def passthrough_matrix_from_market(
 ) -> PassThroughMatrix:
     """Everything from observables: shares recovered from the diversion pair,
     elasticities from margins, eta from the averaged share/elasticity relation."""
-    prods_a = [p for p in market.products_of(merger.firm_a) if p.id != OUTSIDE]
-    prods_b = [p for p in market.products_of(merger.firm_b) if p.id != OUTSIDE]
-    if len(prods_a) != 1 or len(prods_b) != 1:
-        raise InputValidationError("ces pass-through supports single-product merging firms only")
-    pj, pk = prods_a[0], prods_b[0]
+    pj, pk = single_product_pair(market, merger,
+                                 "ces pass-through supports single-product merging firms only")
     if {p.id for p in market.products} - {pj.id, pk.id, OUTSIDE}:
         raise InputValidationError("ces pass-through supports two-firm markets only")
     d_jk = diversion.get(pj.id, pk.id)

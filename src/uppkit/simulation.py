@@ -25,9 +25,12 @@ import numpy as np
 
 from . import ces
 from .ces import CESEconomy, ShareTable
+from .effects import pressure
 from .errors import InputValidationError
 from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, co_ownership
 from .newton import damped_newton
+
+LOWER_BOUND = -0.99  # floor on every iterate's price change
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
 def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
     """Pricing conditions -1/eps_j - m_j + (1 + 1/eps_j) sum_l m_l D_jl, the sum
     over the products l that ``co_owned[j, l]`` marks as sharing j's owner."""
-    return -1.0 / eps - m + (1.0 + 1.0 / eps) * ((co_owned * d) @ m)
+    return -1.0 / eps - m + pressure(eps, d, m, co_owned)
 
 
 def foc_residual(problem: SimulationProblem, pdd) -> np.ndarray:
@@ -216,20 +219,18 @@ class SimulationResult:
 class SolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 200
-    fd_step: float = 1e-6
-    lower_bound: float = -0.99
     check_uniqueness: bool = True
 
 
-def _guppi_warm_start(problem: SimulationProblem) -> np.ndarray:
-    """Generalized GUPPI of the ownership change: pressure from products newly
-    co-owned with j, plus j's own efficiency term c_j (1 - m_j). Zero for
-    unchanged firms."""
+def _gaps_and_warm_start(problem: SimulationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """From one evaluation at zero price change: the pre-merger margin gaps
+    (supplied less FOC-implied margins under pre-merger ownership) and the
+    generalized GUPPI of the ownership change, pressure from products newly
+    co-owned with j plus j's own efficiency term c_j (1 - m_j) = base - (1 - m_j),
+    zero for unchanged firms."""
     s = post_merger_state(problem, np.zeros(len(problem.order)))
     m0, base, pre, post = problem._arrays
-    # the conditions over the newly co-owned pairs, less j's own terms
-    # -1/eps_j - m_j, leave the diversion pressure; base - (1 - m) = c (1 - m)
-    return _foc(s.eps, s.d, m0, post & ~pre) + 1.0 / s.eps + m0 + base - (1.0 - m0)
+    return -_foc(s.eps, s.d, m0, pre), pressure(s.eps, s.d, m0, post & ~pre) + base - (1.0 - m0)
 
 
 def _margin_rescue(problem: SimulationProblem, x: np.ndarray) -> np.ndarray:
@@ -255,7 +256,8 @@ def simulate(
     config = config or SolverConfig()
     warnings: list[str] = []
 
-    pre_norm = max(map(abs, consistency_check(problem).gaps.values()))
+    gaps, g = _gaps_and_warm_start(problem)
+    pre_norm = float(np.max(np.abs(gaps)))
     if pre_norm > 1e-6:
         warnings.append(
             f"pre-merger data not self-consistent: FOC residual {pre_norm:.3e} at zero price change"
@@ -264,10 +266,9 @@ def simulate(
     def solve(x0):
         return damped_newton(
             lambda x: foc_residual(problem, x), x0, lambda x: _margin_rescue(problem, x),
-            config.tolerance, config.max_iterations, config.fd_step, config.lower_bound,
+            config.tolerance, config.max_iterations, lower_bound=LOWER_BOUND,
         )
 
-    g = _guppi_warm_start(problem)
     x, f, its, ok = solve(g)
 
     unique = True
@@ -310,8 +311,6 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Compare each supplied margin with the FOC-implied one (holding the other
     supplied margins fixed) under pre-merger ownership at zero price change."""
-    s = post_merger_state(problem, np.zeros(len(problem.order)))
-    m0, _, pre, _ = problem._arrays
-    gaps = dict(zip(problem.order, (-_foc(s.eps, s.d, m0, pre)).tolist()))
+    gaps = dict(zip(problem.order, _gaps_and_warm_start(problem)[0].tolist()))
     flagged = tuple(j for j, gap in gaps.items() if abs(gap) > threshold)
     return ConsistencyReport(gaps, flagged, threshold)

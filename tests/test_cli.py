@@ -128,6 +128,26 @@ class TestSecondChoiceCommand:
         result = runner.invoke(main, ["second-choice", ECONOMY, "--remove", "ZZ"])
         assert result.exit_code == 2
 
+    def test_removed_product_without_spending_exits_2(self, runner, tmp_path):
+        """Only a zero-budget consumer considers X, so its lost revenue is 0 and
+        diversion from it undefined: exit 2, never a bare NaN in the JSON."""
+        path = tmp_path / "economy.json"
+        path.write_text(json.dumps({"eta": 5, "consumers": [
+            {"id": "a", "budget": 0, "utilities": {"X": 0.5, "Y": 0.2}},
+            {"id": "b", "budget": 100, "utilities": {"Y": 0.3}},
+        ]}))
+
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON output")
+
+        ok = runner.invoke(main, ["second-choice", str(path), "--remove", "Y", "--format", "json"])
+        assert ok.exit_code == 0, ok.output
+        diversion = json.loads(ok.output, parse_constant=reject)["result"]["diversion"]
+        assert diversion == pytest.approx({"X": 0.0, "OUTSIDE": 1.0})
+        result = runner.invoke(main, ["second-choice", str(path), "--remove", "X", "--format", "json"])
+        assert result.exit_code == 2, result.output
+        assert "undefined" in result.output
+
 
 class TestCmcrCommand:
     def test_values(self, runner):

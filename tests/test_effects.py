@@ -16,6 +16,103 @@ def two_firm_market(m1=0.3, m2=0.3, d12=0.4, d21=0.5, r1=100.0, r2=80.0):
     return market, div, mk.MergerSpec("f1", "f2")
 
 
+def loop_screen(market, div, merger):
+    """Per-product loop reference: the former dict implementation of the
+    elasticities, naive GUPPI, GUPPI, CMCR and compensating efficiencies."""
+    def cross(j, firm):
+        return sum(p.margin * div.get(j, p.id) for p in market.products_of(firm) if p.id != j)
+
+    order = effects.merging_products(market, merger)
+    eps, naive, guppi, comp = {}, {}, {}, {}
+    for firm, other in ((merger.firm_a, merger.firm_b), (merger.firm_b, merger.firm_a)):
+        for p in market.products_of(firm):
+            s = cross(p.id, firm)
+            eps[p.id] = -(1.0 - s) / (p.margin - s)
+            naive[p.id] = cross(p.id, other)
+            guppi[p.id] = (merger.efficiency(p.id) * (1.0 - p.margin)
+                           + (1.0 + 1.0 / eps[p.id]) * naive[p.id])
+            comp[p.id] = (guppi[p.id] - merger.efficiency(p.id) * (1.0 - p.margin)) / (1.0 - p.margin)
+    a, b = np.eye(len(order)), np.empty(len(order))
+    for i, j in enumerate(order):
+        b[i] = -1.0 / eps[j]
+        for k, pid in enumerate(order):
+            if pid != j:
+                a[i, k] = -(1.0 + 1.0 / eps[j]) * div.get(j, pid)
+    post = dict(zip(order, np.linalg.solve(a, b)))
+    cmcr = {j: (market.product(j).margin - post[j]) / (1.0 - market.product(j).margin) for j in order}
+    return dict(elasticities=eps, naive_guppi=naive, guppi=guppi, cmcr=cmcr,
+                post_margins=post, compensating_efficiencies=comp)
+
+
+def multiproduct_market():
+    """A two-product merging firm f1 (A, B), a single-product counterparty f2
+    (C), a non-merging rival f3 (D) between them in market order, and one
+    efficiency credit."""
+    market = mk.Market((
+        mk.Product("A", "f1", 120.0, 0.42),
+        mk.Product("D", "f3", 90.0, 0.30),
+        mk.Product("C", "f2", 80.0, 0.35),
+        mk.Product("B", "f1", 60.0, 0.38),
+    ))
+    div = mk.DiversionMatrix(("A", "B", "C", "D"), np.array([
+        [-1.0, 0.22, 0.18, 0.12],
+        [0.25, -1.0, 0.15, 0.10],
+        [0.20, 0.14, -1.0, 0.16],
+        [0.11, 0.09, 0.13, -1.0],
+    ]))
+    return market, div, mk.MergerSpec("f1", "f2", {"B": -0.04})
+
+
+class TestMultiProductScreen:
+    def test_matches_per_product_reference(self):
+        market, div, merger = multiproduct_market()
+        ref = loop_screen(market, div, merger)
+        report = effects.effects_report(market, div, merger)
+        got = dict(
+            elasticities=report.elasticities, naive_guppi=report.naive_guppi,
+            guppi=report.guppi, cmcr=report.cmcr.efficiencies,
+            post_margins=report.cmcr.post_margins,
+            compensating_efficiencies=report.compensating_efficiencies,
+        )
+        views = dict(
+            elasticities=effects.own_price_elasticities(market, div, merger),
+            naive_guppi=effects.naive_guppi(market, div, merger),
+            guppi=effects.guppi(market, div, merger),
+            cmcr=effects.cmcr(market, div, merger).efficiencies,
+            post_margins=effects.cmcr(market, div, merger).post_margins,
+        )
+        assert report.order == ("A", "C", "B")
+        for name, expected in ref.items():
+            for stats in (got, views):
+                if name in stats:
+                    assert stats[name].keys() == expected.keys()
+                    for pid, value in expected.items():
+                        assert stats[name][pid] == pytest.approx(value, abs=1e-13), (name, pid)
+        for firm in ("f1", "f2"):
+            for pid, value in effects.own_price_elasticity(market, div, firm).items():
+                assert value == pytest.approx(ref["elasticities"][pid], abs=1e-13)
+
+    def test_first_firm_named_first(self):
+        """Both products sit outside the elastic region; as before, firm_a's
+        product is named although firm_b's comes first in market order."""
+        market = mk.Market((mk.Product("B1", "f2", 1.0, 1.2), mk.Product("A1", "f1", 1.0, 1.2)))
+        div = mk.DiversionMatrix(("B1", "A1"), np.array([[-1.0, 0.2], [0.2, -1.0]]))
+        with pytest.raises(InputValidationError, match="product A1: .*implied elasticity"):
+            effects.guppi(market, div, mk.MergerSpec("f1", "f2"))
+
+    def test_report_evaluates_kernel_once(self, monkeypatch):
+        """One report evaluates the screening kernel once, plus once in "ces"
+        mode for the pass-through's elasticities."""
+        market, div, _ = two_firm_market()
+        calls = []
+        kernel = effects._screen
+        monkeypatch.setattr(effects, "_screen", lambda *args: calls.append(1) or kernel(*args))
+        for mode, count in (("identity", 1), ("ces", 2)):
+            calls.clear()
+            effects.effects_report(market, div, mk.MergerSpec("f1", "f2", passthrough=mode))
+            assert len(calls) == count, mode
+
+
 class TestOwnPriceElasticity:
     def test_lerner_single_product(self, staples_bundle):
         eps = effects.own_price_elasticities(

@@ -314,6 +314,24 @@ class TestSimulate:
         result = simulation.simulate(problem)
         assert any("not self-consistent" in w for w in result.warnings)
 
+    def test_one_state_at_zero_before_the_solve(self, staples_bundle, staples_economy, monkeypatch):
+        """The pre-merger check and the GUPPI warm start share one evaluation at
+        pdd = 0; the only other one starts the uniqueness re-solve from 0."""
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        at_zero = []
+        state = simulation.post_merger_state
+
+        def counting(prob, pdd):
+            at_zero.append(not np.any(pdd))
+            return state(prob, pdd)
+
+        monkeypatch.setattr(simulation, "post_merger_state", counting)
+        assert simulation.simulate(problem).converged
+        assert sum(at_zero) == 2
+        assert at_zero[0]
+
 
 class TestConsistencyCheck:
     def test_self_consistent_zero_gaps(self):
