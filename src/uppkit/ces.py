@@ -114,6 +114,15 @@ class NestedCESEconomy(CESEconomy):
                 raise InputValidationError(f"product {pid} has no nest label")
 
 
+def require_plain(economy: CESEconomy, what: str) -> None:
+    """Raise ``InputValidationError`` unless ``economy``'s shares are the plain
+    CES softmax, which ``what`` assumes: a nested economy with mu < 1 has other
+    shares. At mu = 1 the nests collapse to plain CES."""
+    if isinstance(economy, NestedCESEconomy) and economy.mu < 1.0:
+        raise InputValidationError(
+            f"{what} assumes plain CES shares; nested economy with mu = {economy.mu} < 1")
+
+
 @dataclass(frozen=True)
 class ShareTable:
     """Expenditure shares per consumer x product; rows sum to one over each
@@ -257,14 +266,6 @@ def revenues(economy: CESEconomy, table: ShareTable | None = None) -> dict[str, 
     return {pid: float(r[k]) for k, pid in enumerate(economy.order)}
 
 
-def aggregate_shares(economy: CESEconomy, table: ShareTable | None = None) -> dict[str, float]:
-    """Expenditure-weighted market shares R_j / total budget, incl. OUTSIDE."""
-    table = shares(economy) if table is None else table
-    _, wb, _ = economy._dense
-    r = wb @ table.values
-    return {pid: float(r[k] / wb.sum()) for k, pid in enumerate(economy.order)}
-
-
 def _diversion_from_share_values(
     alpha: np.ndarray, wb: np.ndarray, mask: np.ndarray, order: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -358,6 +359,7 @@ def second_choice_diversion(economy: CESEconomy, removed: str) -> dict[str, floa
     """Revenue diversion from removing one product from all consideration sets:
     each surviving alternative's revenue gain divided by the removed product's
     lost revenue. Under CES this equals the marginal (price-based) diversion."""
+    require_plain(economy, "second-choice diversion")
     if removed == OUTSIDE:
         raise InputValidationError("cannot remove the outside option")
     k = economy.order.index(removed) if removed in economy.order else -1

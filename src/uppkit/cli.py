@@ -1,9 +1,15 @@
 """Command-line surface.
 
-Every command is a pure function of its input files, flags, and seed; a run
-manifest (command, inputs, config hash, seed, version, timestamp) accompanies
-every output so results can be reproduced. Tables render fractions as
-percentages with one decimal; JSON always carries full-precision fractions.
+Every command is a pure function of its input files, flags, and seed. Each is
+registered with ``_command`` and returns a ``Result``: its result document,
+table text, CSV rows and exit code. The runner does the rest: it adds
+``--format``, ``--out`` and ``--quiet``, builds the run manifest (command,
+inputs, config hash, seed, version, timestamp) that accompanies every output
+so results can be reproduced, writes the output, and exits with the returned
+code, so a non-zero exit a command returns (``validate`` with findings,
+``simulate`` or ``fit`` without convergence) still comes with its output.
+Tables render fractions as percentages with one decimal; JSON always carries
+full-precision fractions.
 
 Exit codes: 0 ok, 2 validation failure, 3 non-convergence, 4 I/O error.
 """
@@ -18,6 +24,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -72,69 +79,99 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, table_text: str, fmt: str, out: str | None,
-          manifest: dict, quiet: bool, csv_rows=None) -> None:
-    """Write the result in the requested format, attaching the manifest."""
-    if fmt == "json":
-        payload = json.dumps({"manifest": manifest, "result": doc}, indent=2, allow_nan=False) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in (csv_rows if csv_rows is not None else _doc_to_csv(doc)):
-            writer.writerow(row)
-        payload = buf.getvalue()
-    else:
-        payload = table_text + "\n"
-    if out:
-        Path(out).write_text(payload)
-        Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-        if not quiet:
-            click.echo(f"wrote {out}")
-    else:
-        click.echo(payload, nl=False)
-        if fmt == "table" and not quiet:
-            click.echo(f"manifest: config_hash={manifest['config_hash']} "
-                       f"version={manifest['version']}")
-        elif fmt == "csv" and not quiet:
-            click.echo(json.dumps(manifest), err=True)
+class Result(NamedTuple):
+    """What a command returns: its result document, its table text, its CSV
+    rows (None: the document's ``products``) and its exit code. ``detail``
+    rows, when given, are the CSV that ``--out`` writes, the formatted result
+    then going to stdout; without ``--out``, ``--format csv`` prints them."""
+
+    doc: dict
+    text: str
+    csv_rows: list | None = None
+    code: int = 0
+    detail: list | None = None
 
 
-def _doc_to_csv(doc: dict):
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _doc_to_csv(doc: dict) -> list[list]:
     rows = doc.get("products")
     if not rows:
-        yield from ()
-        return
-    headers = list(rows[0].keys())
-    yield headers
-    for rec in rows:
-        yield [rec[h] for h in headers]
+        return []
+    headers = list(rows[0])
+    return [headers] + [[rec[h] for h in headers] for rec in rows]
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InputValidationError as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except ConvergenceError as exc:
-            click.echo(f"did not converge: {exc}", err=True)
-            sys.exit(EXIT_NO_CONVERGENCE)
-        except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(EXIT_IO)
-    return wrapper
+def _emit(res: Result, fmt: str, out: str | None, quiet: bool, manifest: dict) -> None:
+    """Write ``res`` in ``fmt`` to stdout, or to ``out`` with the manifest beside it."""
+    if fmt == "json":
+        payload = json.dumps({"manifest": manifest, "result": res.doc}, indent=2, allow_nan=False) + "\n"
+    elif fmt == "csv":
+        rows = res.detail if res.detail is not None and not out else res.csv_rows
+        payload = _csv(_doc_to_csv(res.doc) if rows is None else rows)
+    else:
+        payload = res.text + "\n"
+    if out:
+        Path(out).write_text(payload if res.detail is None else _csv(res.detail))
+        Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        if res.detail is None:
+            if not quiet:
+                click.echo(f"wrote {out}")
+            return
+    click.echo(payload, nl=False)
+    if fmt == "table" and not quiet:
+        click.echo(f"manifest: config_hash={manifest['config_hash']} "
+                   f"version={manifest['version']}")
+    elif fmt == "csv" and not quiet:
+        click.echo(json.dumps(manifest), err=True)
 
 
-def _common_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "table", "csv"]),
-                      default="table", show_default=True, help="Output format.")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="Write output to this path instead of stdout.")(fn)
-    fn = click.option("--quiet", is_flag=True, default=False,
-                      help="Suppress informational chatter.")(fn)
-    return fn
+def _command(name: str, inputs: tuple[str, ...] = (), seed: str | None = None):
+    """Register a function of its parsed arguments that returns a ``Result``
+    as the command ``name``, with ``--format``, ``--out`` and ``--quiet``.
+
+    The runner builds the manifest (the ``inputs`` parameters that are set are
+    its input paths, the ``seed`` parameter its seed, every other parameter a
+    flag), writes the output and exits with the result's code; a validation
+    error, non-convergence or I/O error, output writing included, exits 2, 3
+    or 4.
+    """
+    def register(fn):
+        @functools.wraps(fn)
+        def run(fmt, out, quiet, **params):
+            try:
+                res = fn(**params)
+                flags = {k: v for k, v in params.items() if k not in (*inputs, seed)}
+                manifest = _manifest(name, [params[k] for k in inputs if params[k] is not None],
+                                     {"format": fmt, **flags}, params[seed] if seed else None)
+                _emit(res, fmt, out, quiet, manifest)
+            except InputValidationError as exc:
+                click.echo(f"validation error: {exc}", err=True)
+                sys.exit(EXIT_VALIDATION)
+            except ConvergenceError as exc:
+                click.echo(f"did not converge: {exc}", err=True)
+                sys.exit(EXIT_NO_CONVERGENCE)
+            except OSError as exc:
+                click.echo(f"i/o error: {exc}", err=True)
+                sys.exit(EXIT_IO)
+            if res.code:
+                sys.exit(res.code)
+
+        run.__click_params__ = [
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "table", "csv"]),
+                         default="table", show_default=True, help="Output format."),
+            click.Option(["--out"], type=click.Path(dir_okay=False), default=None,
+                         help="Write output to this path instead of stdout."),
+            click.Option(["--quiet"], is_flag=True, default=False,
+                         help="Suppress informational chatter."),
+            *getattr(fn, "__click_params__", []),
+        ]
+        return main.command(name)(run)
+    return register
 
 
 def _load_bundle_with_merger(market_file: str) -> mk.MarketBundle:
@@ -161,70 +198,50 @@ def main():
     """Merger screening from revenues, margins, and revenue diversion ratios."""
 
 
-@main.command()
+@_command("validate", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
-@_common_options
-@_handle_errors
-def validate(market_file, fmt, out, quiet):
+def validate(market_file):
     """Check a market file against every data invariant."""
     try:
         bundle = mk.load_market(market_file)
-        findings = mk.validate(bundle.market, bundle.diversion, bundle.merger)
+        violations = [str(v) for v in mk.validate(bundle.market, bundle.diversion, bundle.merger)]
+        text = "\n".join(["INVALID:"] + [f"  {v}" for v in violations])
     except InputValidationError as exc:
-        findings = None
-        message = str(exc)
-    manifest = _manifest("validate", [market_file], {"format": fmt})
-    if findings is None:
-        doc = {"valid": False, "violations": [message]}
-        text = f"INVALID: {message}"
-    elif findings:
-        doc = {"valid": False, "violations": [str(v) for v in findings]}
-        text = "\n".join(["INVALID:"] + [f"  {v}" for v in findings])
-    else:
-        doc = {"valid": True, "violations": []}
-        text = "OK"
-    _emit(doc, text, fmt, out, manifest, quiet,
-          csv_rows=[["violation"]] + [[v] for v in doc["violations"]])
-    if not doc["valid"]:
-        sys.exit(EXIT_VALIDATION)
+        violations = [str(exc)]
+        text = f"INVALID: {exc}"
+    return Result({"valid": not violations, "violations": violations},
+                  text if violations else "OK", [["violation"]] + [[v] for v in violations],
+                  EXIT_VALIDATION if violations else 0)
 
 
-@main.command()
+@_command("guppi", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
 @click.option("--naive", is_flag=True, help="Add the revenue-proxy comparator column.")
 @click.option("--efficiency", type=float, default=None,
               help="Uniform efficiency credit (fraction <= 0) for all merging products.")
-@_common_options
-@_handle_errors
-def guppi(market_file, naive, efficiency, fmt, out, quiet):
+def guppi(market_file, naive, efficiency):
     """Gross upward pricing pressure indices and implied elasticities."""
     bundle = _apply_efficiency(_load_bundle_with_merger(market_file), efficiency)
-    m, d, mg = bundle.market, bundle.diversion, bundle.merger
-    eps = effects.own_price_elasticities(m, d, mg)
-    g = effects.guppi(m, d, mg)
-    g_naive = effects.naive_guppi(m, d, mg)
-    order = effects.merging_products(m, mg)
+    m = bundle.market
+    s = effects._screen(m, bundle.diversion, bundle.merger)  # one evaluation for all columns
+    eps, g, g_naive = s.keyed(s.eps), s.keyed(s.guppi), s.keyed(s.naive)
     doc = {"products": [
         {"id": pid, "firm": m.product(pid).firm, "margin": m.product(pid).margin,
          "elasticity": eps[pid], "guppi": g[pid],
          **({"naive_guppi": g_naive[pid]} if naive else {})}
-        for pid in order
+        for pid in s.order
     ]}
     headers = ["product", "firm", "margin", "elasticity", "guppi"] + (["naive"] if naive else [])
     rows = [[pid, m.product(pid).firm, _pct(m.product(pid).margin),
              f"{eps[pid]:.3f}", _pct(g[pid])] + ([_pct(g_naive[pid])] if naive else [])
-            for pid in order]
-    manifest = _manifest("guppi", [market_file],
-                         {"format": fmt, "naive": naive, "efficiency": efficiency})
-    _emit(doc, _table(headers, rows), fmt, out, manifest, quiet)
+            for pid in s.order]
+    return Result(doc, _table(headers, rows))
 
 
-@main.command()
+@_command("cmcr", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
 @click.option("--naive", is_flag=True, help="Add the classic-formula comparator column.")
-@_common_options
-@_handle_errors
-def cmcr(market_file, naive, fmt, out, quiet):
+def cmcr(market_file, naive):
     """Compensating marginal cost reductions."""
     bundle = _load_bundle_with_merger(market_file)
     m, d, mg = bundle.market, bundle.diversion, bundle.merger
@@ -241,25 +258,21 @@ def cmcr(market_file, naive, fmt, out, quiet):
     rows = [[pid, _pct(m.product(pid).margin), _pct(res.post_margins[pid]),
              _pct(res.efficiencies[pid])] + ([_pct(res_naive[pid])] if res_naive else [])
             for pid in order]
-    manifest = _manifest("cmcr", [market_file], {"format": fmt, "naive": naive})
-    _emit(doc, _table(headers, rows), fmt, out, manifest, quiet)
+    return Result(doc, _table(headers, rows))
 
 
-@main.command()
+@_command("welfare", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
-@click.option("--passthrough", "pt_mode", type=click.Choice(["file", "identity", "ces"]),
+@click.option("--passthrough", type=click.Choice(["file", "identity", "ces"]),
               default="file", show_default=True,
               help="Pass-through mode; 'file' keeps what the market file configures.")
-@_common_options
-@_handle_errors
-def welfare(market_file, pt_mode, fmt, out, quiet):
+def welfare(market_file, passthrough):
     """First-order price effects and welfare report."""
     bundle = _load_bundle_with_merger(market_file)
     m, d, mg = bundle.market, bundle.diversion, bundle.merger
-    if pt_mode != "file":
-        mg = mk.MergerSpec(mg.firm_a, mg.firm_b, mg.efficiencies, pt_mode)
+    if passthrough != "file":
+        mg = mk.MergerSpec(mg.firm_a, mg.firm_b, mg.efficiencies, passthrough)
     report = effects.effects_report(m, d, mg)
-    doc = report.to_dict()
     headers = ["product", "guppi", "price-change", "dCS", "dPS", "cmcr"]
     rows = [[pid, _pct(report.guppi[pid]), _pct(report.price_changes[pid]),
              _money(report.welfare.cs[pid], m.currency),
@@ -272,15 +285,12 @@ def welfare(market_file, pt_mode, fmt, out, quiet):
     )
     for caveat in report.caveats:
         text += f"\nnote: {caveat}"
-    manifest = _manifest("welfare", [market_file], {"format": fmt, "passthrough": pt_mode})
-    _emit(doc, text, fmt, out, manifest, quiet)
+    return Result(report.to_dict(), text)
 
 
-@main.command()
+@_command("passthrough", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
-@_common_options
-@_handle_errors
-def passthrough(market_file, fmt, out, quiet):
+def passthrough(market_file):
     """Closed-form CES merger pass-through matrix (2x2)."""
     from .passthrough import passthrough_matrix_from_market
 
@@ -289,20 +299,16 @@ def passthrough(market_file, fmt, out, quiet):
     doc = {"order": list(pt.order), "matrix": pt.values.tolist()}
     rows = [[pt.order[i]] + [f"{pt.values[i, j]:.3f}" for j in range(len(pt.order))]
             for i in range(len(pt.order))]
-    text = _table(["", *pt.order], rows)
-    manifest = _manifest("passthrough", [market_file], {"format": fmt})
-    _emit(doc, text, fmt, out, manifest, quiet,
-          csv_rows=[["product", *pt.order]] + [[pt.order[i]] + [repr(v) for v in pt.values[i]]
-                                               for i in range(len(pt.order))])
+    return Result(doc, _table(["", *pt.order], rows),
+                  [["product", *pt.order]] + [[pt.order[i]] + [repr(v) for v in pt.values[i]]
+                                              for i in range(len(pt.order))])
 
 
-@main.command()
+@_command("simulate", inputs=("market_file", "economy_file"))
 @click.argument("market_file", type=click.Path(exists=True))
 @click.argument("economy_file", type=click.Path(exists=True))
 @click.option("--tolerance", type=float, default=1e-10, show_default=True)
-@_common_options
-@_handle_errors
-def simulate(market_file, economy_file, tolerance, fmt, out, quiet):
+def simulate(market_file, economy_file, tolerance):
     """Merger simulation: equilibrium percentage price changes."""
     bundle = _load_bundle_with_merger(market_file)
     economy = ces.load_economy(economy_file)
@@ -337,33 +343,25 @@ def simulate(market_file, economy_file, tolerance, fmt, out, quiet):
     )
     for warning in notes:
         text += f"\nnote: {warning}"
-    manifest = _manifest("simulate", [market_file, economy_file],
-                         {"format": fmt, "tolerance": tolerance})
-    _emit(doc, text, fmt, out, manifest, quiet,
-          csv_rows=[["product", "price_change", "post_margin"]]
-          + [[pid, repr(result.price_changes[pid]), repr(result.post_margins[pid])]
-             for pid in result.order])
-    if not result.converged:
-        sys.exit(EXIT_NO_CONVERGENCE)
+    return Result(doc, text,
+                  [["product", "price_change", "post_margin"]]
+                  + [[pid, repr(result.price_changes[pid]), repr(result.post_margins[pid])]
+                     for pid in result.order],
+                  0 if result.converged else EXIT_NO_CONVERGENCE)
 
 
-@main.command("second-choice")
+@_command("second-choice", inputs=("economy_file",))
 @click.argument("economy_file", type=click.Path(exists=True))
-@click.option("--remove", "removed", required=True, help="Product to remove.")
-@_common_options
-@_handle_errors
-def second_choice(economy_file, removed, fmt, out, quiet):
+@click.option("--remove", required=True, help="Product to remove.")
+def second_choice(economy_file, remove):
     """Revenue diversion implied by removing one product."""
-    economy = ces.load_economy(economy_file)
-    div = ces.second_choice_diversion(economy, removed)
-    doc = {"removed": removed, "diversion": div}
-    rows = [[pid, _pct(v)] for pid, v in div.items()]
-    manifest = _manifest("second-choice", [economy_file], {"format": fmt, "remove": removed})
-    _emit(doc, _table(["to", "diversion"], rows), fmt, out, manifest, quiet,
-          csv_rows=[["to", "diversion"]] + [[pid, repr(v)] for pid, v in div.items()])
+    div = ces.second_choice_diversion(ces.load_economy(economy_file), remove)
+    return Result({"removed": remove, "diversion": div},
+                  _table(["to", "diversion"], [[pid, _pct(v)] for pid, v in div.items()]),
+                  [["to", "diversion"]] + [[pid, repr(v)] for pid, v in div.items()])
 
 
-@main.command()
+@_command("fit", inputs=("fixture_file",), seed="synthetic_seed")
 @click.argument("fixture_file", type=click.Path(exists=True), required=False)
 @click.option("--synthetic-seed", type=int, default=None,
               help="Generate a synthetic geography with this seed and fit it.")
@@ -373,22 +371,16 @@ def second_choice(economy_file, removed, fmt, out, quiet):
               help="True nesting parameter of the synthetic geography.")
 @click.option("--weighting", type=click.Choice(["none", "revenue"]), default="none",
               show_default=True)
-@_common_options
-@_handle_errors
-def fit(fixture_file, synthetic_seed, tracts, stores, mu, weighting, fmt, out, quiet):
+def fit(fixture_file, synthetic_seed, tracts, stores, mu, weighting):
     """Fit nested-CES utility parameters to store revenues."""
     if (fixture_file is None) == (synthetic_seed is None):
         raise InputValidationError("give exactly one of FIXTURE_FILE or --synthetic-seed")
     if synthetic_seed is not None:
         fx = harness.generate_spatial_fixture(
             harness.SpatialConfig(seed=synthetic_seed, n_tracts=tracts, n_stores=stores, mu=mu))
-        inputs: list[str] = []
-        seed = synthetic_seed
         truth = {"theta": fx.theta.tolist(), "mu": fx.mu}
     else:
         fx = harness.load_spatial_fixture(fixture_file)
-        inputs = [fixture_file]
-        seed = None
         truth = None
     rev = np.array([fx.revenues[sid] for sid in fx.store_ids])
     nests = [fx.nests[sid] for sid in fx.store_ids]
@@ -410,46 +402,26 @@ def fit(fixture_file, synthetic_seed, tracts, stores, mu, weighting, fmt, out, q
     ]
     text = _table(["parameter", "estimate"], rows)
     text += f"\nconverged: {result.converged}  residual s.e.: {result.residual_se:.4g}"
-    manifest = _manifest("fit", inputs,
-                         {"format": fmt, "weighting": weighting, "tracts": tracts,
-                          "stores": stores, "mu": mu}, seed=seed)
-    _emit(doc, text, fmt, out, manifest, quiet,
-          csv_rows=[["parameter", "estimate"], ["mu", repr(result.mu)]]
-          + [[f"theta[{i}]", repr(v)] for i, v in enumerate(result.theta.tolist())])
-    if not result.converged:
-        sys.exit(EXIT_NO_CONVERGENCE)
+    return Result(doc, text,
+                  [["parameter", "estimate"], ["mu", repr(result.mu)]]
+                  + [[f"theta[{i}]", repr(v)] for i, v in enumerate(result.theta.tolist())],
+                  0 if result.converged else EXIT_NO_CONVERGENCE)
 
 
-@main.command("harness")
+@_command("harness", seed="seed")
 @click.option("--model", type=click.Choice(["ces", "logit"]), default="ces", show_default=True)
-@click.option("--n", "n_markets", type=int, default=200, show_default=True)
+@click.option("--n", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, required=True)
-@_common_options
-@_handle_errors
-def harness_cmd(model, n_markets, seed, fmt, out, quiet):
+def harness_cmd(model, n, seed):
     """Monte-Carlo accuracy experiment: GUPPI predictions vs true equilibria.
 
     With --out, the per-trial CSV goes to that path and the summary to stdout.
     """
-    config = harness.HarnessConfig(seed=seed, n_markets=n_markets, model=model)
-    result = harness.run_accuracy_experiment(config)
-    manifest = _manifest("harness", [], {"format": fmt, "model": model, "n": n_markets},
-                         seed=seed)
-    csv_rows = list(result.to_csv_rows())
-    if out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
-        Path(out).write_text(buf.getvalue())
-        Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    summary_doc = {"summary": result.summary}
+    result = harness.run_accuracy_experiment(
+        harness.HarnessConfig(seed=seed, n_markets=n, model=model))
     rows = [[k, str(v)] for k, v in result.summary.items()]
-    text = _table(["statistic", "value"], rows)
-    if fmt == "csv" and not out:
-        _emit(summary_doc, text, "csv", None, manifest, quiet, csv_rows=csv_rows)
-    else:
-        _emit(summary_doc, text, fmt, None, manifest, quiet,
-              csv_rows=[["statistic", "value"]] + rows)
+    return Result({"summary": result.summary}, _table(["statistic", "value"], rows),
+                  [["statistic", "value"]] + rows, detail=list(result.to_csv_rows()))
 
 
 if __name__ == "__main__":

@@ -357,23 +357,21 @@ def effects_report(
     market: Market,
     diversion: DiversionMatrix,
     merger: MergerSpec,
-    passthrough: PassThroughMatrix | None = None,
 ) -> EffectsReport:
     """Run the full first-order toolkit for one merger.
 
-    ``passthrough`` overrides the merger's configured mode when given. The "ces"
-    mode only supports the two-single-product-firm case; anything larger
-    falls back to the identity approximation with a caveat recorded on the
-    report (a conservative default).
+    The pass-through is the merger's configured mode. The "ces" mode only
+    supports the two-single-product-firm case; anything larger falls back to
+    the identity approximation with a caveat recorded on the report (a
+    conservative default).
     """
     s = _screen(market, diversion, merger)
     order, eps, g = s.order, s.keyed(s.eps), s.keyed(s.guppi)
 
     caveats: list[str] = []
     mode = merger.passthrough_mode
-    if passthrough is not None:
-        mode = "matrix"
-    elif mode == "matrix":
+    passthrough = None
+    if mode == "matrix":
         passthrough = PassThroughMatrix(order, merger.passthrough)
     elif mode == "ces":
         from .passthrough import passthrough_matrix_from_market

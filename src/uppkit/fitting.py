@@ -181,7 +181,6 @@ class NestedCESRevenueFitter:
         self.n_evaluations_ = int(sol.nfev)
         self.message_ = sol.message if self.converged_ else f"not converged: {sol.message}"
         self.log_ = tuple(trace)
-        self._shape = (n_t, n_s, k)
         self._nest_cols = nest_cols
         return self
 

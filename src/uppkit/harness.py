@@ -472,9 +472,9 @@ class SpatialConfig:
 
 @dataclass(frozen=True)
 class SpatialFixture:
-    """Ground-truth geography: economy at (theta*, mu*), the design matrix the
-    fitter sees, and the model-implied revenues it must match. Loaded fixtures
-    may omit the ground truth (economy/theta/mu are then None)."""
+    """Ground-truth geography: the design matrix the fitter sees and the
+    revenues an economy at (theta*, mu*) implies, which it must match. Loaded
+    fixtures may omit the ground truth (theta/mu are then None)."""
 
     design: np.ndarray             # (n_tracts, n_stores, k)
     mask: np.ndarray               # (n_tracts, n_stores) consideration
@@ -483,7 +483,6 @@ class SpatialFixture:
     revenues: dict[str, float]
     store_ids: tuple[str, ...]
     nests: dict[str, str]
-    economy: NestedCESEconomy | None = None
     theta: np.ndarray | None = None
     mu: float | None = None
 
@@ -528,7 +527,6 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
         revenues=revenues,
         store_ids=store_ids,
         nests=nests,
-        economy=economy,
         theta=theta,
         mu=config.mu,
     )

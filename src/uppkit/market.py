@@ -21,8 +21,6 @@ from .errors import InputValidationError
 #: revenue and only ever appears as a diversion *destination*.
 OUTSIDE = "OUTSIDE"
 
-PASSTHROUGH_MODES = ("identity", "ces", "matrix")
-
 
 @dataclass(frozen=True)
 class Product:
@@ -71,9 +69,6 @@ class Market:
 
     def margins(self) -> dict[str, float]:
         return {p.id: p.margin for p in self.products}
-
-    def revenues(self) -> dict[str, float]:
-        return {p.id: p.revenue for p in self.products}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ class SimulationProblem:
     efficiencies: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        ces.require_plain(self.economy, "merger simulation")
         object.__setattr__(self, "post_ownership", dict(self.post_ownership))
         object.__setattr__(self, "efficiencies", dict(self.efficiencies))
         inside = [pid for pid in self.economy.order if pid != OUTSIDE]

@@ -326,6 +326,18 @@ class TestSecondChoice:
         with pytest.raises(InputValidationError, match="no consideration set"):
             ces.second_choice_diversion(econ, "Z")
 
+    def test_nested_economy_rejected_below_mu_one(self, staples_economy):
+        """Removal diversion uses plain CES shares: a nested economy with
+        mu < 1 is refused, and at mu = 1 it gives the plain economy's numbers."""
+        def nested(mu):
+            return NestedCESEconomy(staples_economy.consumers, staples_economy.eta,
+                                    nests={"SP": "a", "OD": "a"}, mu=mu)
+
+        with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
+            ces.second_choice_diversion(nested(0.2), "SP")
+        assert ces.second_choice_diversion(nested(1.0), "SP") == \
+            ces.second_choice_diversion(staples_economy, "SP")
+
 
 class TestCompensatingVariation:
     def test_zero_change(self, staples_economy):

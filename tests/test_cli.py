@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import uppkit
+from uppkit import cli, effects, harness, simulation
 from uppkit.cli import main
 from tests.conftest import fixture_path
 
@@ -51,6 +52,15 @@ class TestGuppi:
         payload = json.loads(result.output)
         for rec in payload["result"]["products"]:
             assert rec["guppi"] == 0.0
+
+    def test_evaluates_kernel_once(self, runner, monkeypatch):
+        """One screening evaluation serves the elasticity, GUPPI and naive columns."""
+        calls = []
+        kernel = effects._screen
+        monkeypatch.setattr(effects, "_screen", lambda *args: calls.append(1) or kernel(*args))
+        result = runner.invoke(main, ["guppi", MARKET, "--naive"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     def test_json_full_precision(self, runner):
         result = runner.invoke(main, ["guppi", MARKET, "--format", "json"])
@@ -94,6 +104,31 @@ class TestSimulateCommand:
         assert payload["converged"] is True
         assert payload["residual_norm"] < 1e-10
         assert payload["merging_harm"] == pytest.approx(-255.7e6, abs=2e6)
+
+    def test_nonconverged_writes_output_then_exits_3(self, runner, monkeypatch):
+        solve = simulation.simulate
+        monkeypatch.setattr(simulation, "simulate", lambda problem, config: solve(
+            problem, simulation.SolverConfig(max_iterations=0, check_uniqueness=False)))
+        result = runner.invoke(main, ["simulate", MARKET, ECONOMY, "--format", "json"])
+        assert result.exit_code == 3
+        assert json.loads(result.output)["result"]["converged"] is False
+
+
+@pytest.mark.parametrize("argv", [["simulate", MARKET, "ECON"], ["second-choice", "ECON", "--remove", "SP"]])
+def test_nested_economy_exits_2(runner, tmp_path, argv):
+    """Simulation and removal diversion use plain CES shares, so a nested
+    economy with mu < 1 is refused; at mu = 1 it gives the plain numbers."""
+    def run(**fields):
+        path = tmp_path / "economy.json"
+        path.write_text(json.dumps(_economy_with(**fields)))
+        return runner.invoke(main, [str(path) if a == "ECON" else a for a in argv] + ["--quiet"])
+
+    nested = run(nests={"SP": "a", "OD": "a"}, mu=0.2)
+    assert nested.exit_code == 2, nested.output
+    assert "mu = 0.2 < 1" in nested.output
+    plain = run()
+    assert plain.exit_code == 0
+    assert run(nests={"SP": "a", "OD": "a"}, mu=1.0).output == plain.output
 
 
 class TestPassthroughCommand:
@@ -257,6 +292,49 @@ class TestOutputPlumbing:
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("id,firm,margin")
         assert lines[1].startswith("SP,")
+
+
+# Each command's manifest flags as the command line has always hashed them.
+_MANIFEST_CASES = {
+    "validate": (["validate", MARKET], [MARKET], None, {"format": "json"}),
+    "guppi": (["guppi", MARKET, "--naive", "--efficiency", "-0.05"], [MARKET], None,
+              {"format": "json", "naive": True, "efficiency": -0.05}),
+    "cmcr": (["cmcr", MARKET, "--naive"], [MARKET], None, {"format": "json", "naive": True}),
+    "welfare": (["welfare", MARKET, "--passthrough", "identity"], [MARKET], None,
+                {"format": "json", "passthrough": "identity"}),
+    "passthrough": (["passthrough", MARKET], [MARKET], None, {"format": "json"}),
+    "simulate": (["simulate", MARKET, ECONOMY, "--tolerance", "1e-9"], [MARKET, ECONOMY], None,
+                 {"format": "json", "tolerance": 1e-9}),
+    "second-choice": (["second-choice", ECONOMY, "--remove", "SP"], [ECONOMY], None,
+                      {"format": "json", "remove": "SP"}),
+    "fit": (["fit", "--synthetic-seed", "5", "--tracts", "20", "--stores", "8"], [], 5,
+            {"format": "json", "weighting": "none", "tracts": 20, "stores": 8, "mu": 0.46}),
+    "fit-file": (["fit", "FIXTURE", "--weighting", "revenue"], ["FIXTURE"], None,
+                 {"format": "json", "weighting": "revenue", "tracts": 50, "stores": 20,
+                  "mu": 0.46}),
+    "harness": (["harness", "--model", "logit", "--n", "2", "--seed", "3"], [], 3,
+                {"format": "json", "model": "logit", "n": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(_MANIFEST_CASES))
+def test_manifest_contract(runner, tmp_path, case):
+    """Inputs, seed and config hash of every command's manifest, and the
+    options every command carries."""
+    argv, inputs, seed, flags = _MANIFEST_CASES[case]
+    fixture = tmp_path / "fx.json"
+    fixture.write_text(json.dumps(harness.spatial_fixture_to_dict(harness.generate_spatial_fixture(
+        harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6)))))
+    argv, inputs = ([str(fixture) if a == "FIXTURE" else a for a in args] for args in (argv, inputs))
+    result = runner.invoke(main, [*argv, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(result.output)["manifest"]
+    assert manifest["command"] == argv[0]
+    assert manifest["inputs"] == inputs
+    assert manifest["seed"] == seed
+    assert manifest["config_hash"] == cli._config_hash(argv[0], inputs, flags)
+    usage = runner.invoke(main, [argv[0], "--help"]).output
+    assert all(option in usage for option in ("--format", "--out", "--quiet"))
 
 
 def _market_with(**diversion):

@@ -351,6 +351,21 @@ class TestConsistencyCheck:
         assert report.gaps["g0"] == pytest.approx(0.05, abs=1e-12)
         assert "g0" in report.flagged
 
+    def test_nested_economy_rejected_below_mu_one(self, staples_bundle, staples_economy):
+        """The solver's shares are plain CES: a nested economy with mu < 1 is
+        refused, and at mu = 1 it solves to the plain economy's root."""
+        def problem(economy):
+            return simulation.merger_problem(staples_bundle.market, economy, staples_bundle.merger)
+
+        def nested(mu):
+            return ces.NestedCESEconomy(staples_economy.consumers, staples_economy.eta,
+                                        nests={"SP": "a", "OD": "a"}, mu=mu)
+
+        with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
+            problem(nested(0.2))
+        assert simulation.simulate(problem(nested(1.0))).price_changes == \
+            simulation.simulate(problem(staples_economy)).price_changes
+
     def test_missing_margin_is_hard_error(self):
         market, econ = self_consistent_market([0.3, 0.25, 0.45], eta=5.0)
         partial = mk.Market(market.products[:1])
