@@ -8,6 +8,10 @@ reduce to simple share formulas in the single-consumer case:
 
     D_{j->k}^R = alpha_k / (1 - alpha_j),
     eps_jj^R   = (1 - eta)(1 - alpha_j).
+
+A :class:`NestedCESEconomy` with mu < 1 has two-level shares: :func:`shares`,
+:func:`revenues` and :func:`nested_shares` honour them, and everything derived
+from the softmax refuses it at one gate, ``_softmax_arrays``.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import numpy as np
 
 from .errors import InputValidationError
 from .market import OUTSIDE, DiversionMatrix, as_float, as_mapping, read_json
-
-OUTSIDE_NEST = "__outside__"
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,10 @@ class CESEconomy:
                 u[i, pos[pid]] = val
         return u, wb, np.isfinite(u)
 
+    def _softmax_arrays(self, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_dense`` for ``what``, a formula derived from the softmax shares."""
+        return self._dense
+
 
 @dataclass(frozen=True)
 class NestedCESEconomy(CESEconomy):
@@ -106,21 +112,17 @@ class NestedCESEconomy(CESEconomy):
         super().__post_init__()
         if not 0.0 < self.mu <= 1.0:
             raise InputValidationError(f"mu must be in (0, 1], got {self.mu}")
-        nests = dict(self.nests)
-        nests[OUTSIDE] = OUTSIDE_NEST
-        object.__setattr__(self, "nests", nests)
-        for pid in self.order:
+        object.__setattr__(self, "nests", dict(self.nests))
+        for pid in self.order[:-1]:
             if pid not in self.nests:
                 raise InputValidationError(f"product {pid} has no nest label")
 
-
-def require_plain(economy: CESEconomy, what: str) -> None:
-    """Raise ``InputValidationError`` unless ``economy``'s shares are the plain
-    CES softmax, which ``what`` assumes: a nested economy with mu < 1 has other
-    shares. At mu = 1 the nests collapse to plain CES."""
-    if isinstance(economy, NestedCESEconomy) and economy.mu < 1.0:
-        raise InputValidationError(
-            f"{what} assumes plain CES shares; nested economy with mu = {economy.mu} < 1")
+    def _softmax_arrays(self, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The plain-CES gate: refuses ``what`` while the nests bind (mu < 1)."""
+        if self.mu < 1.0:
+            raise InputValidationError(
+                f"{what} assumes plain CES shares; nested economy with mu = {self.mu} < 1")
+        return self._dense
 
 
 @dataclass(frozen=True)
@@ -163,72 +165,80 @@ def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
 
 
 def shares(economy: CESEconomy) -> ShareTable:
-    """Softmax expenditure shares per consumer over their consideration set."""
-    u, _, _ = economy._dense
+    """The economy's own shares: the softmax, or :func:`nested_shares` where nests bind."""
+    try:
+        u, _, _ = economy._softmax_arrays("softmax shares")
+    except InputValidationError:
+        return nested_shares(economy)
     return ShareTable(tuple(c.id for c in economy.consumers), economy.order, _softmax_rows(u))
 
 
-def _nested_share_rows(
-    u: np.ndarray, nest_cols: Mapping[str, Sequence[int]], nest_mus: Mapping[str, float]
-) -> np.ndarray:
+def _nest_columns(labels: Sequence[str]) -> list[list[int]]:
+    """Kernel column groups for per-product nest labels, in first-appearance
+    order, then the outside option (column ``len(labels)``) as its own nest."""
+    names = dict.fromkeys(labels)
+    return [[k for k, lab in enumerate(labels) if lab == b] for b in names] + [[len(labels)]]
+
+
+def _nested_share_rows(u: np.ndarray, groups: Sequence[Sequence[int]], mu: float) -> np.ndarray:
     """Two-level share kernel on a dense utility block (-inf = not considered).
 
-    Within nest b: softmax of u/mu_b over that consumer's members; nest chosen
-    by softmax of mu_b * I_b where I_b is the nest's inclusive value.
+    Within nest b of :func:`_nest_columns`: softmax of u/mu_b over that consumer's
+    members; nest chosen by softmax of mu_b * I_b where I_b is the nest's
+    inclusive value. mu_b = mu, except 1 for the outside option's own nest.
     """
     n = u.shape[0]
     alpha = np.zeros_like(u)
-    names = list(nest_cols)
-    nest_logits = np.full((n, len(names)), -np.inf)
+    nest_logits = np.full((n, len(groups)), -np.inf)
     within = np.zeros_like(u)
-    for bi, b in enumerate(names):
-        cols = list(nest_cols[b])
-        ub = u[:, cols] / nest_mus[b]
+    for bi, cols in enumerate(groups):
+        mu_b = mu if bi < len(groups) - 1 else 1.0
+        ub = u[:, cols] / mu_b
         present = np.any(np.isfinite(ub), axis=1)
         iv = np.full(n, -np.inf)
         if np.any(present):
             iv[present] = _logsumexp_rows(ub[present])
-        nest_logits[:, bi] = np.where(present, nest_mus[b] * iv, -np.inf)
+        nest_logits[:, bi] = np.where(present, mu_b * iv, -np.inf)
         with np.errstate(invalid="ignore"):
             w = np.exp(ub - iv[:, None])
         w[~np.isfinite(ub)] = 0.0
         w[~present] = 0.0
         within[:, cols] = w
     nest_share = _softmax_rows(nest_logits)
-    for bi, b in enumerate(names):
-        cols = list(nest_cols[b])
+    for bi, cols in enumerate(groups):
         alpha[:, cols] = within[:, cols] * nest_share[:, [bi]]
     return alpha
 
 
 def nested_shares(economy: NestedCESEconomy) -> ShareTable:
     """Two-level shares: within-nest softmax of u/mu, nest chosen by softmax of
-    mu times the nest's inclusive value. Collapses to :func:`shares` at mu = 1."""
+    mu times the nest's inclusive value. Collapses to the softmax at mu = 1."""
     u, _, mask = economy._dense
-    labels = [economy.nests[pid] for pid in economy.order]
-    nest_names = list(dict.fromkeys(labels))
-    cols = {b: [k for k, lab in enumerate(labels) if lab == b] for b in nest_names}
-    mus = {b: (1.0 if b == OUTSIDE_NEST else economy.mu) for b in nest_names}
-    alpha = _nested_share_rows(u, cols, mus)
+    groups = _nest_columns([economy.nests[pid] for pid in economy.order[:-1]])
+    alpha = _nested_share_rows(u, groups, economy.mu)
     alpha[~mask] = 0.0
     return ShareTable(tuple(c.id for c in economy.consumers), economy.order, alpha)
 
 
+def _invert(cid: str, sh: Mapping[str, float]) -> dict[str, float]:
+    """Softmax inversion of one consumer's shares: u_j = log a_j - log a_OUTSIDE."""
+    if OUTSIDE not in sh:
+        raise InputValidationError(f"consumer {cid}: shares must include {OUTSIDE}")
+    total = sum(sh.values())
+    if abs(total - 1.0) > 1e-6:
+        raise InputValidationError(f"consumer {cid}: shares sum to {total:.8f}, not 1")
+    a0 = sh[OUTSIDE]
+    if a0 <= 0.0 or any(v <= 0.0 for v in sh.values()):
+        raise InputValidationError(f"consumer {cid}: inversion requires interior shares")
+    return {pid: float(np.log(v) - np.log(a0)) for pid, v in sh.items()}
+
+
 def invert_shares(table: ShareTable) -> dict[str, dict[str, float]]:
     """Recover utility indices from interior shares: u_ij = log a_ij - log a_i,OUTSIDE,
-    so the outside option is normalized to zero. Requires every considered
-    share (and in particular the outside share) to be strictly positive."""
-    out: dict[str, dict[str, float]] = {}
-    k0 = table.order.index(OUTSIDE)
-    for i, cid in enumerate(table.consumer_ids):
-        row = table.values[i]
-        if row[k0] <= 0.0:
-            raise InputValidationError(
-                f"consumer {cid}: inversion requires interior shares (outside share is 0)"
-            )
-        considered = [k for k in range(len(table.order)) if row[k] > 0.0]
-        out[cid] = {table.order[k]: float(np.log(row[k]) - np.log(row[k0])) for k in considered}
-    return out
+    so the outside option is normalized to zero. Zero shares mark products a
+    consumer does not consider; the outside share must be positive."""
+    return {cid: _invert(cid, {pid: a for pid, a in zip(table.order, row.tolist()) if a > 0.0})
+            for cid, row in zip(table.consumer_ids, table.values)}
 
 
 def economy_from_shares(
@@ -238,31 +248,20 @@ def economy_from_shares(
     weights: Mapping[str, float] | None = None,
 ) -> CESEconomy:
     """Build an economy from observed expenditure shares by softmax inversion."""
-    consumers = []
-    for cid, sh in share_map.items():
-        if OUTSIDE not in sh:
-            raise InputValidationError(f"consumer {cid}: shares must include {OUTSIDE}")
-        total = sum(sh.values())
-        if abs(total - 1.0) > 1e-6:
-            raise InputValidationError(f"consumer {cid}: shares sum to {total:.8f}, not 1")
-        a0 = sh[OUTSIDE]
-        if a0 <= 0.0 or any(v <= 0.0 for v in sh.values()):
-            raise InputValidationError(f"consumer {cid}: inversion requires interior shares")
-        utils = {pid: float(np.log(v) - np.log(a0)) for pid, v in sh.items()}
-        w = 1.0 if weights is None else float(weights.get(cid, 1.0))
-        consumers.append(Consumer(cid, float(budgets[cid]), utils, w))
-    return CESEconomy(tuple(consumers), eta)
+    weights = weights or {}
+    return CESEconomy(tuple(
+        Consumer(cid, float(budgets[cid]), _invert(cid, sh), float(weights.get(cid, 1.0)))
+        for cid, sh in share_map.items()), eta)
 
 
 # ---------------------------------------------------------------------------
 # Aggregate demand objects
 # ---------------------------------------------------------------------------
 
-def revenues(economy: CESEconomy, table: ShareTable | None = None) -> dict[str, float]:
-    """Model revenue per product: R_j = sum_i weight_i * alpha_ij * B_i."""
-    table = shares(economy) if table is None else table
+def revenues(economy: CESEconomy) -> dict[str, float]:
+    """Model revenue per product: R_j = sum_i weight_i * alpha_ij * B_i (:func:`shares`)."""
     _, wb, _ = economy._dense
-    r = wb @ table.values
+    r = wb @ shares(economy).values
     return {pid: float(r[k]) for k, pid in enumerate(economy.order)}
 
 
@@ -288,14 +287,13 @@ def _diversion_from_share_values(
     return full[:, :n], full[:, n]
 
 
-def revenue_diversion(economy: CESEconomy, table: ShareTable | None = None) -> DiversionMatrix:
-    """Revenue diversion ratios implied by the economy's shares: the weighted
+def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:
+    """Revenue diversion ratios implied by the softmax shares: the weighted
     sum over consumers of individual expenditure diversion a_ik/(1 - a_ij),
     with weights proportional to a_ij (1 - a_ij) B_i. Rows sum to one over all
     alternatives including the outside column (fixed-budget property)."""
-    table = shares(economy) if table is None else table
-    _, wb, mask = economy._dense
-    values, outside = _diversion_from_share_values(table.values, wb, mask, economy.order)
+    u, wb, mask = economy._softmax_arrays("revenue diversion")
+    values, outside = _diversion_from_share_values(_softmax_rows(u), wb, mask, economy.order)
     return DiversionMatrix(economy.order[:-1], values, outside)
 
 
@@ -307,22 +305,17 @@ def _own_revenue_elasticity(alpha: np.ndarray, wb: np.ndarray, eta: float) -> np
         return np.where(spend > 0.0, (1.0 - eta) * (wb @ (alpha * (1.0 - alpha))) / spend, 0.0)
 
 
-def own_price_revenue_elasticity(
-    economy: CESEconomy, table: ShareTable | None = None
-) -> dict[str, float]:
+def own_price_revenue_elasticity(economy: CESEconomy) -> dict[str, float]:
     """Own-price elasticity of revenue per product:
     (1 - eta) * sum_i wbar_ij (1 - a_ij), shopper-weighted by a_ij B_i."""
-    table = shares(economy) if table is None else table
-    _, wb, _ = economy._dense
-    eps = _own_revenue_elasticity(table.values[:, :-1], wb, economy.eta)
+    u, wb, _ = economy._softmax_arrays("own-price elasticity")
+    eps = _own_revenue_elasticity(_softmax_rows(u)[:, :-1], wb, economy.eta)
     return dict(zip(economy.order[:-1], eps.tolist()))
 
 
-def own_price_elasticity_of_demand(
-    economy: CESEconomy, table: ShareTable | None = None
-) -> dict[str, float]:
+def own_price_elasticity_of_demand(economy: CESEconomy) -> dict[str, float]:
     """Quantity-side own-price elasticities, eps_jj = eps_jj^R - 1."""
-    return {pid: v - 1.0 for pid, v in own_price_revenue_elasticity(economy, table).items()}
+    return {pid: v - 1.0 for pid, v in own_price_revenue_elasticity(economy).items()}
 
 
 @dataclass(frozen=True)
@@ -359,11 +352,10 @@ def second_choice_diversion(economy: CESEconomy, removed: str) -> dict[str, floa
     """Revenue diversion from removing one product from all consideration sets:
     each surviving alternative's revenue gain divided by the removed product's
     lost revenue. Under CES this equals the marginal (price-based) diversion."""
-    require_plain(economy, "second-choice diversion")
+    u, wb, mask = economy._softmax_arrays("second-choice diversion")
     if removed == OUTSIDE:
         raise InputValidationError("cannot remove the outside option")
     k = economy.order.index(removed) if removed in economy.order else -1
-    u, wb, mask = economy._dense
     if k < 0 or not np.any(mask[:, k]):
         raise InputValidationError(f"product {removed!r} is in no consideration set")
     pre = _softmax_rows(u)
@@ -401,13 +393,15 @@ def compensating_variation(
     with u1_ij = u0_ij + (1 - eta) log(1 + pdd_j) and the outside option
     unaffected. Positive for price increases."""
     eta = economy.eta
-    u0, _, mask = economy._dense
+    u0, _, mask = economy._softmax_arrays("compensating variation")
     bump = np.zeros(len(economy.order))
     for pid, pdd in price_changes.items():
         if pid == OUTSIDE:
             if pdd != 0.0:
                 raise InputValidationError("outside option price change must be 0")
             continue
+        if pid not in economy.order:
+            raise InputValidationError(f"price change for unknown product {pid!r}")
         if pdd <= -1.0:
             raise InputValidationError(f"product {pid}: price change {pdd} <= -1")
         bump[economy.order.index(pid)] = (1.0 - eta) * np.log1p(pdd)
@@ -432,7 +426,8 @@ def compensating_variation(
 def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
     """Parse the economy JSON document. Consumers give either ``shares`` or
     ``utilities`` (mutually exclusive); an optional ``nests`` map plus ``mu``
-    upgrades the result to a :class:`NestedCESEconomy`."""
+    upgrades the result to a :class:`NestedCESEconomy`. Shares are inverted
+    with the softmax, so they are refused where the nests bind (mu < 1)."""
     if "eta" not in doc:
         raise InputValidationError(f"{where}: missing field 'eta'")
     eta = as_float(doc["eta"], "eta", where)
@@ -452,15 +447,15 @@ def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
         key = "utilities" if has_utils else "shares"
         values = {str(k): as_float(v, f"{key}[{k}]", w)
                   for k, v in as_mapping(rec[key], key, w).items()}
-        if has_utils:
-            consumers.append(Consumer(cid, budget, values, weight))
-        else:
-            econ = economy_from_shares({cid: values}, {cid: budget}, eta=max(eta, 1.0 + 1e-9))
-            consumers.append(Consumer(cid, budget, econ.consumers[0].utilities, weight))
+        utilities = values if has_utils else _invert(cid, values)
+        consumers.append(Consumer(cid, budget, utilities, weight))
     if "nests" in doc and doc["nests"]:
         nests = {str(k): str(v) for k, v in as_mapping(doc["nests"], "nests", where).items()}
         mu = as_float(doc.get("mu", 1.0), "mu", where)
-        return NestedCESEconomy(tuple(consumers), eta, nests=nests, mu=mu)
+        economy = NestedCESEconomy(tuple(consumers), eta, nests=nests, mu=mu)
+        if any("shares" in rec for rec in rows):
+            economy._softmax_arrays(f"{where}: inverting consumer 'shares'")
+        return economy
     return CESEconomy(tuple(consumers), eta)
 
 
@@ -475,7 +470,7 @@ def economy_to_dict(economy: CESEconomy) -> dict:
     }
     if isinstance(economy, NestedCESEconomy):
         doc["mu"] = economy.mu
-        doc["nests"] = {k: v for k, v in economy.nests.items() if k != OUTSIDE}
+        doc["nests"] = dict(economy.nests)
     return doc
 
 

@@ -14,16 +14,34 @@ transform so the unconstrained optimizer keeps it inside (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ces import OUTSIDE_NEST, _nested_share_rows
+from .ces import _nest_columns, _nested_share_rows
 from .errors import InputValidationError
 
 
 def _expit(x: float) -> float:
     return float(1.0 / (1.0 + np.exp(-x)))
+
+
+def _prepare(design: np.ndarray, budgets: np.ndarray, nests: Sequence[str],
+             mask: np.ndarray | None, consumer_weights: np.ndarray | None) -> tuple:
+    """Check the data against the (n_consumers, n_stores, k) design; return the model's
+    data arguments: design, mask (default all), weight * budget and nest column groups."""
+    design = np.asarray(design, dtype=float)
+    if design.ndim != 3:
+        raise InputValidationError("design must be (n_consumers, n_stores, k)")
+    n_t, n_s, _ = design.shape
+    if len(nests) != n_s:
+        raise InputValidationError("one nest label per store required")
+    mask = np.ones((n_t, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    w = np.ones(n_t) if consumer_weights is None else np.asarray(consumer_weights, dtype=float)
+    budgets = np.asarray(budgets, dtype=float)
+    if budgets.shape != (n_t,) or w.shape != (n_t,) or mask.shape != (n_t, n_s):
+        raise InputValidationError("budgets, weights and mask must match the design's shape")
+    return design, mask, w * budgets, _nest_columns(nests)
 
 
 def _model_revenues(
@@ -32,14 +50,13 @@ def _model_revenues(
     design: np.ndarray,
     mask: np.ndarray,
     wb: np.ndarray,
-    nest_cols: Mapping[str, Sequence[int]],
+    nest_cols: Sequence[Sequence[int]],
 ) -> np.ndarray:
     n_t, n_s, _ = design.shape
     u = np.full((n_t, n_s + 1), -np.inf)
     u[:, :n_s][mask] = (design @ theta)[mask]
     u[:, n_s] = 0.0  # outside option
-    mus = {b: (1.0 if b == OUTSIDE_NEST else mu) for b in nest_cols}
-    alpha = _nested_share_rows(u, nest_cols, mus)
+    alpha = _nested_share_rows(u, nest_cols, mu)
     return wb @ alpha[:, :n_s]
 
 
@@ -114,35 +131,19 @@ class NestedCESRevenueFitter:
         nests : nest label per store
         mask : (n_consumers, n_stores) consideration indicator (default all)
         """
-        design = np.asarray(design, dtype=float)
+        design, mask, wb, nest_cols = _prepare(design, budgets, nests, mask, consumer_weights)
+        _, n_s, k = design.shape
         revenues = np.asarray(revenues, dtype=float)
-        budgets = np.asarray(budgets, dtype=float)
-        if design.ndim != 3:
-            raise InputValidationError("design must be (n_consumers, n_stores, k)")
-        n_t, n_s, k = design.shape
         if revenues.shape != (n_s,):
             raise InputValidationError(f"revenues must have shape ({n_s},)")
         if np.any(revenues < 0):
             raise InputValidationError("revenues must be >= 0")
-        if len(nests) != n_s:
-            raise InputValidationError("one nest label per store required")
-        mask = np.ones((n_t, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        w = np.ones(n_t) if consumer_weights is None else np.asarray(consumer_weights, dtype=float)
-        if budgets.shape != (n_t,) or w.shape != (n_t,) or mask.shape != (n_t, n_s):
-            raise InputValidationError("budgets, weights and mask must match the design's shape")
-        wb = w * budgets
 
         x_rows = design[mask]
         if x_rows.shape[0] < k or np.linalg.matrix_rank(x_rows) < k:
             raise InputValidationError(
                 "rank-deficient design: covariates are collinear or constant on the support"
             )
-
-        labels = list(dict.fromkeys(nests))
-        nest_cols: dict[str, list[int]] = {b: [] for b in labels}
-        for j, b in enumerate(nests):
-            nest_cols[b].append(j)
-        nest_cols[OUTSIDE_NEST] = [n_s]
 
         scale = np.ones(n_s)
         if self.weighting == "revenue":
@@ -181,7 +182,7 @@ class NestedCESRevenueFitter:
         self.n_evaluations_ = int(sol.nfev)
         self.message_ = sol.message if self.converged_ else f"not converged: {sol.message}"
         self.log_ = tuple(trace)
-        self._nest_cols = nest_cols
+        self._nests = tuple(nests)
         return self
 
     def predict(
@@ -192,21 +193,12 @@ class NestedCESRevenueFitter:
         mask: np.ndarray | None = None,
         consumer_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Model revenues at the fitted parameters."""
+        """Model revenues at the fitted parameters; ``nests`` defaults to the
+        labels the fit saw. The data are checked as in :meth:`fit`."""
         if not hasattr(self, "theta_"):
             raise InputValidationError("fit before predict")
-        design = np.asarray(design, dtype=float)
-        n_t, n_s, _ = design.shape
-        mask = np.ones((n_t, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        w = np.ones(n_t) if consumer_weights is None else np.asarray(consumer_weights, dtype=float)
-        wb = w * np.asarray(budgets, dtype=float)
-        if nests is None:
-            nest_cols = self._nest_cols
-        else:
-            labels = list(dict.fromkeys(nests))
-            nest_cols = {b: [j for j, lab in enumerate(nests) if lab == b] for b in labels}
-            nest_cols[OUTSIDE_NEST] = [n_s]
-        return _model_revenues(self.theta_, self.mu_, design, mask, wb, nest_cols)
+        return _model_revenues(self.theta_, self.mu_, *_prepare(
+            design, budgets, self._nests if nests is None else nests, mask, consumer_weights))
 
     def result(self) -> FitResult:
         if not hasattr(self, "theta_"):

@@ -516,8 +516,7 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
         utils = {store_ids[j]: float(u[i, j]) for j in range(config.n_stores) if mask[i, j]}
         consumers.append(Consumer(f"t{i}", float(budgets[i]), utils, 1.0))
     economy = NestedCESEconomy(tuple(consumers), config.eta, nests=nests, mu=config.mu)
-    table = ces.nested_shares(economy)
-    model_rev = ces.revenues(economy, table)
+    model_rev = ces.revenues(economy)
     revenues = {sid: model_rev.get(sid, 0.0) for sid in store_ids}
     return SpatialFixture(
         design=design,

@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InputValidationError
+
 FD_STEP = 1e-6  # central-difference step of the Jacobian
 
 
@@ -30,9 +32,19 @@ def damped_newton(
     supplies the next point instead. Iterates are clipped at
     ``lower_bound``. Stops once the norm is under ``tolerance``, after
     ``max_iterations`` steps, or when the rescue neither moves nor improves.
-    Returns ``(x, f, iterations, converged)``; failing to converge is
-    reported in ``converged``, not raised.
+    Only the starting point may raise: elsewhere ``InputValidationError`` from
+    ``fun`` reads as a NaN residual, and a non-finite candidate is no
+    improvement (a rescue to one ends the search). Returns
+    ``(x, f, iterations, converged)``; failing to converge is reported in
+    ``converged``, not raised.
     """
+
+    def value(x):
+        try:
+            return fun(x)
+        except InputValidationError:
+            return np.full(len(x), np.nan)
+
     lo = lower_bound
     x = np.clip(x0, lo, None)
     f = fun(x)
@@ -46,9 +58,7 @@ def damped_newton(
             xp, xm = x.copy(), x.copy()
             xp[k] += FD_STEP
             xm[k] = max(xm[k] - FD_STEP, lo)
-            fp = fun(xp)
-            fm = fun(xm)
-            jac[:, k] = (fp - fm) / (xp[k] - xm[k])
+            jac[:, k] = (value(xp) - value(xm)) / (xp[k] - xm[k])
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -58,17 +68,17 @@ def damped_newton(
             t = 1.0
             for _ in range(30):
                 cand = np.clip(x + t * step, lo, None)
-                fc = fun(cand)
+                fc = value(cand)
                 norm = float(np.linalg.norm(fc, np.inf))
-                if norm < best_norm:
+                if norm < best_norm:  # False for NaN
                     x, f, best_norm, improved = cand, fc, norm, True
                     break
                 t *= 0.5
         if not improved:
             cand = np.clip(rescue(x), lo, None)
-            fc = fun(cand)
+            fc = value(cand)
             norm = float(np.linalg.norm(fc, np.inf))
-            if norm >= best_norm and np.allclose(cand, x):
+            if not np.isfinite(norm) or (norm >= best_norm and np.allclose(cand, x)):
                 break  # no progress possible
             x, f, best_norm = cand, fc, norm
     return x, f, its, best_norm < tolerance

@@ -48,7 +48,7 @@ class SimulationProblem:
     efficiencies: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        ces.require_plain(self.economy, "merger simulation")
+        self.economy._softmax_arrays("merger simulation")
         object.__setattr__(self, "post_ownership", dict(self.post_ownership))
         object.__setattr__(self, "efficiencies", dict(self.efficiencies))
         inside = [pid for pid in self.economy.order if pid != OUTSIDE]
@@ -153,7 +153,7 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     """Shares, elasticities, diversion, and margins at ``pdd``."""
     vec = _as_vector(problem, pdd)
     econ = problem.economy
-    u, wb, mask = econ._dense
+    u, wb, mask = econ._softmax_arrays("merger simulation")
     u_post = u.copy()
     u_post[:, : len(vec)] += (1.0 - econ.eta) * np.log1p(vec)
     alpha = ces._softmax_rows(u_post)
@@ -275,7 +275,10 @@ def simulate(
     unique = True
     if config.check_uniqueness and ok:
         for alt0 in (np.zeros_like(g), 2.0 * g):
-            alt, _, _, alt_ok = solve(alt0)
+            try:
+                alt, _, _, alt_ok = solve(alt0)
+            except InputValidationError:  # undefined state at the start: a failed re-solve
+                continue
             if alt_ok and float(np.linalg.norm(alt - x, np.inf)) > 1e-6:
                 unique = False
                 warnings.append("solver found a second root from a different start")

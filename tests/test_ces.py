@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uppkit import ces
+from uppkit import ces, simulation
 from uppkit.ces import CESEconomy, Consumer, NestedCESEconomy
 from uppkit.errors import InputValidationError
 from uppkit.market import OUTSIDE
@@ -339,6 +339,41 @@ class TestSecondChoice:
             ces.second_choice_diversion(staples_economy, "SP")
 
 
+def _plain_results(name, economy, bundle):
+    """One plain-CES entry point's result on ``economy``, as comparable values."""
+    if name == "revenue_diversion":
+        d = ces.revenue_diversion(economy)
+        return d.values.tolist(), d.outside.tolist()
+    if name == "own_price_revenue_elasticity":
+        return ces.own_price_revenue_elasticity(economy)
+    if name == "own_price_elasticity_of_demand":
+        return ces.own_price_elasticity_of_demand(economy)
+    if name == "compensating_variation":
+        cv = ces.compensating_variation(economy, {"SP": 0.143, "OD": 0.180})
+        return cv.per_consumer, cv.total
+    if name == "second_choice_diversion":
+        return ces.second_choice_diversion(economy, "SP")
+    problem = simulation.merger_problem(bundle.market, economy, bundle.merger)
+    return simulation.simulate(problem).price_changes
+
+
+@pytest.mark.parametrize("name", [
+    "revenue_diversion", "own_price_revenue_elasticity", "own_price_elasticity_of_demand",
+    "compensating_variation", "second_choice_diversion", "simulate",
+])
+def test_plain_ces_gate(name, staples_bundle, staples_economy):
+    """Every formula derived from the softmax refuses a nested economy whose
+    nests bind, and gives the plain economy's exact result at mu = 1."""
+    def nested(mu):
+        return NestedCESEconomy(staples_economy.consumers, staples_economy.eta,
+                                nests={"SP": "a", "OD": "a"}, mu=mu)
+
+    with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
+        _plain_results(name, nested(0.2), staples_bundle)
+    assert _plain_results(name, nested(1.0), staples_bundle) == \
+        _plain_results(name, staples_economy, staples_bundle)
+
+
 class TestCompensatingVariation:
     def test_zero_change(self, staples_economy):
         cv = ces.compensating_variation(staples_economy, {"SP": 0.0, "OD": 0.0})
@@ -391,6 +426,11 @@ class TestCompensatingVariation:
         with pytest.raises(InputValidationError):
             ces.compensating_variation(econ, {OUTSIDE: 0.1})
 
+    def test_unknown_product_rejected(self):
+        econ = single_consumer({"A": 0.1})
+        with pytest.raises(InputValidationError, match="unknown product 'Z'"):
+            ces.compensating_variation(econ, {"Z": 0.1})
+
 
 class TestNestedShares:
     def nested_fixture(self, mu, utils=None):
@@ -432,6 +472,19 @@ class TestNestedShares:
         tab = ces.nested_shares(self.nested_fixture(0.3))
         np.testing.assert_allclose(tab.values.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_shares_and_revenues_honour_nests(self):
+        """Below mu = 1, ``shares`` and ``revenues`` are the nested economy's own."""
+        econ = NestedCESEconomy(
+            (Consumer("c1", 2.0, {"A": 0.8, "B": 0.4, "C": -0.2}, weight=0.5),
+             Consumer("c2", 3.0, {"B": -0.1, "C": 0.6})), eta=5.0,
+            nests={"A": "n1", "B": "n1", "C": "n2"}, mu=0.3,
+        )
+        nested = ces.nested_shares(econ).values
+        np.testing.assert_array_equal(ces.shares(econ).values, nested)
+        implied = np.array([0.5 * 2.0, 3.0]) @ nested
+        assert ces.revenues(econ) == dict(zip(econ.order, implied.tolist()))
+        assert not np.allclose(nested, ces.shares(CESEconomy(econ.consumers, 5.0)).values)
+
     def test_invalid_mu(self):
         with pytest.raises(InputValidationError, match="mu"):
             self.nested_fixture(0.0)
@@ -464,6 +517,18 @@ class TestEconomyIO:
             assert a.budget == b.budget
             for pid, u in b.utilities.items():
                 assert a.utilities[pid] == pytest.approx(u, abs=1e-15)
+
+    def test_shares_refused_where_nests_bind(self, staples_economy):
+        """Shares are inverted with the softmax, which nests with mu < 1 contradict;
+        utilities load at any mu, and shares load at mu = 1."""
+        doc = {"eta": 6.0, "nests": {"SP": "a", "OD": "a"}, "mu": 0.2,
+               "consumers": [{"id": "rep", "budget": 1.0,
+                              "shares": {"SP": 0.473, "OD": 0.316, OUTSIDE: 0.211}}]}
+        with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
+            ces.economy_from_dict(doc)
+        assert ces.economy_from_dict({**doc, "mu": 1.0}).mu == 1.0
+        doc["consumers"] = ces.economy_to_dict(staples_economy)["consumers"]
+        assert ces.economy_from_dict(doc).mu == 0.2
 
     def test_nested_roundtrip(self):
         econ = NestedCESEconomy(

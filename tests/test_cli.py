@@ -114,6 +114,20 @@ class TestSimulateCommand:
         assert json.loads(result.output)["result"]["converged"] is False
 
 
+    def test_resolve_excursion_keeps_converged_root(self, runner, tmp_path):
+        """At eta = 200 the uniqueness re-solve from twice the warm start tries
+        a line-search point where SP's shares underflow; that point is no
+        improvement, and the root the main solve found is reported."""
+        path = tmp_path / "economy.json"
+        path.write_text(json.dumps(_economy_with(eta=200)))
+        result = runner.invoke(main, ["simulate", MARKET, str(path), "--format", "json", "--quiet"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)["result"]
+        assert payload["converged"] is True
+        assert payload["price_changes"]["SP"] == pytest.approx(-0.01667, abs=1e-5)
+        assert payload["price_changes"]["OD"] == pytest.approx(0.01513, abs=1e-5)
+
+
 @pytest.mark.parametrize("argv", [["simulate", MARKET, "ECON"], ["second-choice", "ECON", "--remove", "SP"]])
 def test_nested_economy_exits_2(runner, tmp_path, argv):
     """Simulation and removal diversion use plain CES shares, so a nested

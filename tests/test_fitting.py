@@ -104,6 +104,19 @@ class TestEstimatorSurface:
                            mask=fixture.mask, consumer_weights=fixture.weights)
         np.testing.assert_allclose(pred, rev, rtol=1e-8, atol=1e-8)
 
+    @pytest.mark.parametrize("bad", ["budgets", "mask", "consumer_weights", "nests"])
+    def test_predict_checks_data_like_fit(self, fixture, bad):
+        """predict refuses data that do not match the design, as fit does."""
+        est = fitting.NestedCESRevenueFitter(max_iterations=1)
+        rev = np.array([fixture.revenues[s] for s in fixture.store_ids])
+        nests = [fixture.nests[s] for s in fixture.store_ids]
+        est.fit(fixture.design, rev, fixture.budgets, nests, mask=fixture.mask)
+        data = {"budgets": fixture.budgets, "mask": fixture.mask,
+                "consumer_weights": fixture.weights, "nests": nests}
+        data[bad] = data[bad][:-1] if bad == "nests" else data[bad][..., :1]
+        with pytest.raises(InputValidationError, match="nest label|must match"):
+            est.predict(fixture.design, **data)
+
     def test_predict_before_fit(self, fixture):
         est = fitting.NestedCESRevenueFitter()
         with pytest.raises(InputValidationError, match="fit before"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uppkit.errors import InputValidationError
 from uppkit.newton import damped_newton
 
 
@@ -55,3 +56,23 @@ def test_iterates_respect_lower_bound():
     )
     assert not ok
     assert x[0] == -0.99
+
+
+def test_undefined_candidates_are_no_improvement():
+    """A candidate where the residual raises or is not finite never aborts the
+    solve: the line search shortens the step past it, and a rescue to such a
+    point ends the search with the best point so far."""
+    def fun(x):
+        if x[0] > 1.5:
+            raise InputValidationError("undefined state")
+        return np.array([np.nan if x[0] < -1.0 else np.arctan(x[0] - 1.0)])
+
+    x, f, _, ok = damped_newton(fun, np.array([0.0]), lambda x: x + 0.1, 1e-12, 50)
+    assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
+
+    for jump in (5.0, -5.0):  # a rescue to a raising, then to a NaN point
+        x, f, its, ok = damped_newton(
+            lambda x: np.maximum(fun(x), 0.5), np.array([0.0]), lambda x: x + jump, 1e-12, 50)
+        assert not ok and its == 1
+        np.testing.assert_array_equal(x, [0.0])
+        np.testing.assert_array_equal(f, [0.5])

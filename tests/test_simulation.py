@@ -237,6 +237,29 @@ class TestSimulate:
         assert not result.converged
         assert result.residual_norm > 0.0
 
+    def test_resolve_that_cannot_start_keeps_the_root(self, staples_bundle, staples_economy,
+                                                      monkeypatch):
+        """A uniqueness re-solve whose start has no defined state is a failed
+        re-solve; the converged main root stands."""
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        expected = simulation.simulate(problem)
+        state, seen_zero = simulation.post_merger_state, []
+
+        def undefined_at_zero_after_warm_start(prob, pdd):
+            if not np.any(pdd):
+                seen_zero.append(True)
+                if len(seen_zero) > 1:
+                    raise InputValidationError("diversion undefined")
+            return state(prob, pdd)
+
+        monkeypatch.setattr(simulation, "post_merger_state", undefined_at_zero_after_warm_start)
+        result = simulation.simulate(problem)
+        assert len(seen_zero) == 2
+        assert result.converged and result.unique
+        assert result.price_changes == expected.price_changes
+
     def test_third_firm_price_also_adjusts(self):
         """Non-merging firms re-optimize too: their price change is part of the
         system and generally nonzero."""
