@@ -1,9 +1,10 @@
 """Damped Newton root finder shared by both equilibrium solvers.
 
-``simulation.simulate`` (percentage price changes) and
-``harness.solve_bertrand`` (log prices) hand it their residual and a
-problem-specific rescue step; the Jacobian, line search and stopping rule
-live only here.
+``simulation.simulate`` (percentage price changes) hands it a residual that
+also returns its closed-form Jacobian; ``harness.solve_bertrand`` (log
+prices) hands it a bare residual, whose Jacobian is built here by central
+differences, the fallback. Both supply a problem-specific rescue step; the
+line search and stopping rule live only here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import InputValidationError
 
-FD_STEP = 1e-6  # central-difference step of the Jacobian
+FD_STEP = 1e-6  # central-difference step of the fallback Jacobian
 
 
 def damped_newton(
@@ -24,10 +25,17 @@ def damped_newton(
     tolerance: float,
     max_iterations: int,
     lower_bound: float = -np.inf,
+    jac: bool = False,
 ):
-    """Damped Newton with a central-difference Jacobian.
+    """Damped Newton on ``fun``.
 
-    Each step halves its length up to 30 times until the inf-norm of ``fun``
+    With ``jac=True``, ``fun(x)`` returns ``(f, J)`` as in
+    ``scipy.optimize.root``: every evaluated point carries its own Jacobian,
+    so a step costs one evaluation per trial point. Otherwise ``fun(x)``
+    returns ``f`` and the Jacobian at each iterate is the fallback, central
+    differences of step ``FD_STEP`` (2n more evaluations).
+
+    Each step halves its length up to 30 times until the inf-norm of ``f``
     drops; when no length does (or the Jacobian is singular), ``rescue(x)``
     supplies the next point instead. Iterates are clipped at
     ``lower_bound``. Stops once the norm is under ``tolerance``, after
@@ -38,29 +46,36 @@ def damped_newton(
     ``(x, f, iterations, converged)``; failing to converge is reported in
     ``converged``, not raised.
     """
+    lo = lower_bound
+
+    def evaluate(x):
+        """``(f, J)`` at ``x``; ``J`` is None without ``jac``."""
+        return fun(x) if jac else (fun(x), None)
 
     def value(x):
         try:
-            return fun(x)
+            return evaluate(x)
         except InputValidationError:
-            return np.full(len(x), np.nan)
+            return np.full(len(x), np.nan), None
 
-    lo = lower_bound
-    x = np.clip(x0, lo, None)
-    f = fun(x)
-    best_norm = float(np.linalg.norm(f, np.inf))
-    its = 0
-    while best_norm >= tolerance and its < max_iterations:
-        its += 1
+    def fd_jacobian(x):
         n = len(x)
-        jac = np.empty((n, n))
+        jac_fd = np.empty((n, n))
         for k in range(n):
             xp, xm = x.copy(), x.copy()
             xp[k] += FD_STEP
             xm[k] = max(xm[k] - FD_STEP, lo)
-            jac[:, k] = (value(xp) - value(xm)) / (xp[k] - xm[k])
+            jac_fd[:, k] = (value(xp)[0] - value(xm)[0]) / (xp[k] - xm[k])
+        return jac_fd
+
+    x = np.clip(x0, lo, None)
+    f, J = evaluate(x)
+    best_norm = float(np.linalg.norm(f, np.inf))
+    its = 0
+    while best_norm >= tolerance and its < max_iterations:
+        its += 1
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(fd_jacobian(x) if J is None else J, -f)
         except np.linalg.LinAlgError:
             step = None
         improved = False
@@ -68,17 +83,17 @@ def damped_newton(
             t = 1.0
             for _ in range(30):
                 cand = np.clip(x + t * step, lo, None)
-                fc = value(cand)
+                fc, Jc = value(cand)
                 norm = float(np.linalg.norm(fc, np.inf))
                 if norm < best_norm:  # False for NaN
-                    x, f, best_norm, improved = cand, fc, norm, True
+                    x, f, J, best_norm, improved = cand, fc, Jc, norm, True
                     break
                 t *= 0.5
         if not improved:
             cand = np.clip(rescue(x), lo, None)
-            fc = value(cand)
+            fc, Jc = value(cand)
             norm = float(np.linalg.norm(fc, np.inf))
             if not np.isfinite(norm) or (norm >= best_norm and np.allclose(cand, x)):
                 break  # no progress possible
-            x, f, best_norm = cand, fc, norm
+            x, f, J, best_norm = cand, fc, Jc, norm
     return x, f, its, best_norm < tolerance

@@ -13,6 +13,31 @@ The solver finds the root of the stacked ownership-aware pricing conditions
 f(pdd) = 0 with a damped Newton iteration warm-started at the GUPPI vector,
 falling back to a damped fixed point on the margin form when a Newton step
 fails to improve.
+
+The Newton Jacobian is closed-form, built from the state the residual at
+the same point computed. With L_q = log(1 + pdd_q), b = 1 - eta and consumer
+spending weights w_i = weight_i * budget_i, the softmax gives
+
+    d alpha_ik / d L_q = b alpha_ik (delta_kq - alpha_iq),
+    d m_j / d L_q      = delta_jq (1 - m_j),
+
+so the conditions differentiate into share moments: spend
+S_j = sum_i w_i a_ij, P_jq = sum_i w_i a_ij a_iq, den_j = S_j - P_jj (the
+diversion denominator, D_jk = P_jk / den_j) and T_jkq = sum_i w_i a_ij a_ik a_iq.
+Write co_jk = 1 when k != j shares j's post-merger owner,
+C_j = sum_k co_jk m_k D_jk for the co-owned pressure and
+G_jq = sum_k co_jk m_k T_jkq, so no pair (j, k) is formed explicitly. The
+pricing condition is f_j = -1/eps_j - m_j + (1 + 1/eps_j) C_j with
+eps_j = b den_j / S_j - 1, and with dX_j standing for d X_j / d L_q:
+
+    dS_j   = b (delta_jq S_j - P_jq)
+    dden_j = b (delta_jq (2 den_j - S_j) - P_jq + 2 T_jjq)
+    deps_j = (b / S_j) (dden_j - (den_j / S_j) dS_j)
+    dC_j   = co_jq D_jq (1 - m_q + b m_q) + b delta_jq C_j
+             - (2 b G_jq + C_j dden_j) / den_j
+    df_j   = (1 - C_j) deps_j / eps_j^2 - delta_jq (1 - m_j) + (1 + 1/eps_j) dC_j
+
+Column q of d f / d pdd is then column q of df divided by 1 + pdd_q.
 """
 
 from __future__ import annotations
@@ -100,13 +125,14 @@ def merger_problem(
 
 @dataclass(frozen=True)
 class PostMergerState:
-    """Demand-side arrays induced by a candidate price-change vector: shares
+    """Demand-side arrays induced by a candidate price-change vector ``pdd``: shares
     per consumer (OUTSIDE last), and per inside product the quantity own-price
     elasticities, revenue diversion (with its outside column) and margins.
     The keyed views ``shares``, ``elasticities``, ``diversion`` and
     ``margins`` are built on first use."""
 
     problem: SimulationProblem
+    pdd: np.ndarray
     alpha: np.ndarray
     eps: np.ndarray
     d: np.ndarray
@@ -161,7 +187,7 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     eps = ces._own_revenue_elasticity(alpha[:, : len(vec)], wb, econ.eta) - 1.0
     _, base, _, _ = problem._arrays
     m = 1.0 - base / (1.0 + vec)
-    return PostMergerState(problem, alpha, eps, d, d_outside, m)
+    return PostMergerState(problem, vec, alpha, eps, d, d_outside, m)
 
 
 def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
@@ -170,17 +196,46 @@ def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) ->
     return -1.0 / eps - m + pressure(eps, d, m, co_owned)
 
 
-def foc_residual(problem: SimulationProblem, pdd) -> np.ndarray:
+def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
+    """d f / d pdd of the pricing conditions at the state ``s``, in closed form
+    (the formulas in the module docstring)."""
+    econ = s.problem.economy
+    _, wb, _ = econ._softmax_arrays("merger simulation")
+    b = 1.0 - econ.eta
+    a = s.alpha[:, : len(s.m)]
+    wa = wb[:, None] * a
+    spend, den = wa.sum(axis=0), (wa * (1.0 - a)).sum(axis=0)
+    c = (co_owned * s.d) @ s.m
+    pair = wa.T @ a  # P_jq
+    third = (wa * a).T @ a  # T_jjq
+    g = (wa * (a @ (co_owned * s.m).T)).T @ a  # G_jq
+    d_spend = b * (np.diag(spend) - pair)
+    d_den = b * (np.diag(2.0 * den - spend) - pair + 2.0 * third)
+    d_eps = (b / spend)[:, None] * (d_den - (den / spend)[:, None] * d_spend)
+    d_c = (co_owned * s.d * (1.0 - s.m + b * s.m) + np.diag(b * c)
+           - (2.0 * b * g + c[:, None] * d_den) / den[:, None])
+    df = (((1.0 - c) / s.eps**2)[:, None] * d_eps + (1.0 + 1.0 / s.eps)[:, None] * d_c
+          - np.diag(1.0 - s.m))
+    return df / (1.0 + s.pdd)
+
+
+def foc_residual(problem: SimulationProblem, pdd, jacobian: bool = False):
     """Stacked post-merger pricing conditions at a candidate ``pdd`` (one entry
-    per inside product, ownership taken post-merger)."""
+    per inside product, ownership taken post-merger); with ``jacobian``, the
+    pair ``(f, d f / d pdd)`` from the same state evaluation."""
     s = post_merger_state(problem, pdd)
     *_, post = problem._arrays
-    return _foc(s.eps, s.d, s.m, post)
+    f = _foc(s.eps, s.d, s.m, post)
+    return (f, _foc_jacobian(s, post)) if jacobian else f
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Root of the post-merger pricing system plus the state it induces."""
+    """Root of the post-merger pricing system plus the state it induces.
+
+    ``unique`` means no second root was found from the re-solve starts; a
+    re-solve that failed is named in ``warnings``, not in ``unique``.
+    """
 
     order: tuple[str, ...]
     price_changes: dict[str, float]
@@ -249,8 +304,12 @@ def simulate(
 ) -> SimulationResult:
     """Solve the post-merger pricing system for the percentage price changes.
 
-    Warm-starts at the GUPPI vector; when uniqueness checking is on, re-solves
-    from 0 and from twice the warm start and flags disagreement beyond 1e-6.
+    Damped Newton on ``foc_residual`` with its closed-form Jacobian,
+    warm-started at the GUPPI vector. When uniqueness checking is on, it
+    re-solves from 0 and from twice the warm start; ``unique`` is False only
+    if a re-solve converges to a root more than 1e-6 away. So ``unique``
+    means "no second root found": a re-solve that cannot start or does not
+    converge finds none, and is reported in ``warnings`` with its start.
     A non-convergent run returns a diagnostic result with ``converged=False``
     rather than raising.
     """
@@ -266,20 +325,27 @@ def simulate(
 
     def solve(x0):
         return damped_newton(
-            lambda x: foc_residual(problem, x), x0, lambda x: _margin_rescue(problem, x),
-            config.tolerance, config.max_iterations, lower_bound=LOWER_BOUND,
+            lambda x: foc_residual(problem, x, jacobian=True), x0,
+            lambda x: _margin_rescue(problem, x),
+            config.tolerance, config.max_iterations, lower_bound=LOWER_BOUND, jac=True,
         )
 
     x, f, its, ok = solve(g)
 
     unique = True
     if config.check_uniqueness and ok:
-        for alt0 in (np.zeros_like(g), 2.0 * g):
+        for start, alt0 in (("0", np.zeros_like(g)), ("2x GUPPI", 2.0 * g)):
             try:
-                alt, _, _, alt_ok = solve(alt0)
-            except InputValidationError:  # undefined state at the start: a failed re-solve
+                alt, alt_f, alt_its, alt_ok = solve(alt0)
+            except InputValidationError as err:  # undefined state at the start
+                warnings.append(f"uniqueness re-solve from {start} could not start: {err}")
                 continue
-            if alt_ok and float(np.linalg.norm(alt - x, np.inf)) > 1e-6:
+            if not alt_ok:
+                warnings.append(
+                    f"uniqueness re-solve from {start} did not converge: residual "
+                    f"{float(np.linalg.norm(alt_f, np.inf)):.3e} after {alt_its} iterations"
+                )
+            elif float(np.linalg.norm(alt - x, np.inf)) > 1e-6:
                 unique = False
                 warnings.append("solver found a second root from a different start")
                 break

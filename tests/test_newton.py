@@ -76,3 +76,91 @@ def test_undefined_candidates_are_no_improvement():
         assert not ok and its == 1
         np.testing.assert_array_equal(x, [0.0])
         np.testing.assert_array_equal(f, [0.5])
+
+
+def coupled_system(n):
+    """A smooth n-dimensional system with a unique root and its Jacobian."""
+    a = np.eye(n) + 0.05 * np.ones((n, n))
+    c = np.linspace(0.5, 2.0, n)
+
+    def fun(x):
+        return a @ x + 0.1 * x**3 - c
+
+    def jac(x):
+        return a + np.diag(0.3 * x**2)
+
+    return fun, jac
+
+
+def test_supplied_jacobian_costs_one_evaluation_per_step():
+    n = 10
+    fun, jac = coupled_system(n)
+    calls = []
+
+    def fun_and_jac(x):
+        calls.append(x.copy())
+        return fun(x), jac(x)
+
+    def rescue(x):
+        raise AssertionError("rescue must not fire on a smooth system")
+
+    x, f, its, ok = damped_newton(fun_and_jac, np.zeros(n), rescue, 1e-12, 50, jac=True)
+    assert ok and its > 1
+    assert len(calls) <= 2 * its + 1  # O(1) per step, not the 2n = 20 of the fallback
+
+
+def test_supplied_jacobian_finds_the_fallback_root():
+    n = 10
+    fun, jac = coupled_system(n)
+
+    def rescue(x):
+        raise AssertionError("rescue must not fire on a smooth system")
+
+    x_fd, _, its_fd, ok_fd = damped_newton(fun, np.zeros(n), rescue, 1e-12, 50)
+    x, f, its, ok = damped_newton(lambda x: (fun(x), jac(x)), np.zeros(n), rescue, 1e-12, 50,
+                                  jac=True)
+    assert ok and ok_fd and its == its_fd
+    np.testing.assert_allclose(x, x_fd, rtol=0.0, atol=1e-13)
+    assert np.max(np.abs(f)) < 1e-12
+
+
+def test_supplied_jacobian_undefined_candidates_are_no_improvement():
+    """As on the fallback path: a raising or non-finite candidate is no
+    improvement, and a rescue to one ends the search at the best point."""
+    def fun(x):
+        if x[0] > 1.5:
+            raise InputValidationError("undefined state")
+        if x[0] < -1.0:
+            return np.array([np.nan]), np.array([[np.nan]])
+        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+
+    x, f, _, ok = damped_newton(fun, np.array([0.0]), lambda x: x + 0.1, 1e-12, 50, jac=True)
+    assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
+
+    def floored(x):
+        f, j = fun(x)
+        return np.maximum(f, 0.5), np.zeros_like(j)  # flat: no Newton step
+
+    for jump in (5.0, -5.0):  # a rescue to a raising, then to a NaN point
+        x, f, its, ok = damped_newton(floored, np.array([0.0]), lambda x: x + jump, 1e-12, 50,
+                                      jac=True)
+        assert not ok and its == 1
+        np.testing.assert_array_equal(x, [0.0])
+        np.testing.assert_array_equal(f, [0.5])
+
+
+def test_supplied_jacobian_rescue_stop_rule():
+    """A singular supplied Jacobian fires the rescue; a rescue that neither
+    moves nor improves ends the search unconverged after one step."""
+    x0 = np.array([0.3, -0.2])
+    rescued = []
+
+    def rescue(x):
+        rescued.append(x.copy())
+        return x.copy()
+
+    x, f, its, ok = damped_newton(lambda x: (np.ones(2), np.zeros((2, 2))), x0, rescue,
+                                  1e-10, 100, jac=True)
+    assert not ok and its == 1 and len(rescued) == 1
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(f, np.ones(2))

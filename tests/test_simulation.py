@@ -151,6 +151,128 @@ class TestFocResidual:
             assert v == pytest.approx(0.0, abs=1e-9)
 
 
+def jacobian_problems():
+    """Heterogeneous budgets and weights, consideration sets, two 2-product
+    firms merging beside a multi-product rival and a single-product firm,
+    efficiencies; then the same consumers as a nested economy with mu = 1."""
+    consumers = (
+        Consumer("c0", 2.0, {"A": 0.4, "B": -0.2, "C": 0.1, "E": 0.3, "G": -0.5}, 1.0),
+        Consumer("c1", 1.0, {"B": 0.6, "C": -0.3, "D": 0.2, "F": 0.1}, 0.5),
+        Consumer("c2", 3.0, {"A": -0.1, "D": 0.5, "E": -0.4, "F": 0.2, "G": 0.3}, 1.5),
+        Consumer("c3", 0.7, {"A": 0.2, "B": 0.1, "C": 0.5, "D": -0.2, "E": 0.0, "F": -0.3}, 2.0),
+    )
+    market = mk.Market(tuple(
+        mk.Product(pid, firm, 1.0, margin) for pid, firm, margin in (
+            ("A", "f0", 0.30), ("B", "f0", 0.25), ("C", "f1", 0.40), ("D", "f1", 0.35),
+            ("E", "f2", 0.28), ("F", "f2", 0.33), ("G", "f3", 0.31)))
+    )
+    merger = mk.MergerSpec("f0", "f1", {"A": -0.1, "C": -0.05, "D": -0.2})
+    plain = CESEconomy(consumers, eta=4.5)
+    nested = ces.NestedCESEconomy(consumers, 4.5, nests=dict(zip("ABCDEFG", "xxyyxzz")), mu=1.0)
+    return [simulation.merger_problem(market, econ, merger) for econ in (plain, nested)]
+
+
+JACOBIAN_POINTS = (
+    np.zeros(7),
+    np.array([0.05, 0.1, -0.02, 0.03, 0.2, -0.1, 0.0]),
+    np.array([-0.985, -0.9, 0.1, -0.95, 0.0, 0.3, -0.5]),  # near LOWER_BOUND
+    np.array([2.5, 4.0, 1.5, 3.0, 0.5, 6.0, 2.0]),
+)
+
+
+def complex_foc(problem, pdd):
+    """Post-merger pricing conditions in plain numpy, analytic in pdd so that a
+    complex step differentiates them; built from the consumers, not from
+    uppkit's dense arrays."""
+    econ, order = problem.economy, problem.order
+    cols = [*order, OUTSIDE]
+    u = np.array([[c.utilities.get(pid, np.nan) for pid in cols] for c in econ.consumers])
+    considered = ~np.isnan(u)
+    w = np.array([c.weight * c.budget for c in econ.consumers])
+    shift = np.append((1.0 - econ.eta) * np.log(1.0 + pdd), 0.0)
+    z = np.where(considered, np.exp(np.where(considered, u, 0.0) + shift), 0.0)
+    a = (z / z.sum(axis=1, keepdims=True))[:, : len(order)]
+    wa = w[:, None] * a
+    den = (wa * (1.0 - a)).sum(axis=0)
+    eps = (1.0 - econ.eta) * den / wa.sum(axis=0) - 1.0
+    diversion = (wa.T @ a) / den[:, None]
+    base = np.array([(1.0 - problem.market.product(pid).margin) * (1.0 + problem.efficiency(pid))
+                     for pid in order])
+    margins = 1.0 - base / (1.0 + pdd)
+    owners = np.array([problem.post_ownership[pid] for pid in order])
+    co_owned = (owners[:, None] == owners[None, :]) & ~np.eye(len(order), dtype=bool)
+    return -1.0 / eps - margins + (1.0 + 1.0 / eps) * ((co_owned * diversion) @ margins)
+
+
+class TestFocJacobian:
+    @pytest.mark.parametrize("problem", jacobian_problems(), ids=["plain", "nested_mu_1"])
+    @pytest.mark.parametrize("point", range(len(JACOBIAN_POINTS)))
+    def test_matches_central_differences(self, problem, point):
+        pdd = JACOBIAN_POINTS[point]
+        f, jac = simulation.foc_residual(problem, pdd, jacobian=True)
+        np.testing.assert_array_equal(f, simulation.foc_residual(problem, pdd))
+        fd = np.empty_like(jac)
+        for q in range(len(pdd)):
+            h = 1e-6 * (1.0 + pdd[q])
+            up, down = pdd.copy(), pdd.copy()
+            up[q] += h
+            down[q] -= h
+            fd[:, q] = (simulation.foc_residual(problem, up)
+                        - simulation.foc_residual(problem, down)) / (2.0 * h)
+        np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
+
+    @pytest.mark.parametrize("problem", jacobian_problems(), ids=["plain", "nested_mu_1"])
+    @pytest.mark.parametrize("point", range(len(JACOBIAN_POINTS)))
+    def test_matches_complex_step_of_independent_foc(self, problem, point):
+        """Complex-step derivative (Squire & Trapp 1998) of an independent
+        residual: no subtractive cancellation, so agreement to ~1e-12."""
+        pdd = JACOBIAN_POINTS[point]
+        f, jac = simulation.foc_residual(problem, pdd, jacobian=True)
+        np.testing.assert_allclose(f, complex_foc(problem, pdd), rtol=0.0, atol=1e-12)
+        h = 1e-30
+        cs = np.column_stack([complex_foc(problem, pdd + 1j * h * e).imag / h
+                              for e in np.eye(len(pdd))])
+        np.testing.assert_allclose(jac, cs, rtol=0.0, atol=1e-12 * np.max(np.abs(cs)))
+
+    def test_state_evaluations_scale_with_iterations_not_products(self, monkeypatch):
+        """With the closed-form Jacobian each Newton step evaluates the state
+        about once; a central-difference Jacobian would take 2J = 40 per step."""
+        rng = np.random.default_rng(20)
+        ids = [f"g{j}" for j in range(20)]
+        consumers = tuple(
+            Consumer(f"c{i}", float(rng.uniform(0.5, 3)),
+                     {pid: float(rng.normal(0, 0.8)) for pid in ids
+                      if pid == ids[i % 20] or rng.uniform() < 0.7},
+                     float(rng.uniform(0.5, 2)))
+            for i in range(40)
+        )
+        econ = CESEconomy(consumers, eta=5.0)
+        eps = ces.own_price_elasticity_of_demand(econ)
+        market = mk.Market(tuple(
+            mk.Product(pid, f"f{j}", 1.0, -1.0 / eps[pid]) for j, pid in enumerate(ids)))
+        problem = merged_problem(market, econ)
+
+        states, iterations = [], []
+        state, newton = simulation.post_merger_state, simulation.damped_newton
+
+        def counting(prob, pdd):
+            states.append(1)
+            return state(prob, pdd)
+
+        def recording(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(simulation, "post_merger_state", counting)
+        monkeypatch.setattr(simulation, "damped_newton", recording)
+        result = simulation.simulate(problem)
+        assert result.converged and result.unique and len(iterations) == 3
+        assert sum(iterations) > 0
+        # the zero-change state, each solve's start and steps, and the root's state
+        assert len(states) <= 2 + 3 * (sum(iterations) + len(iterations))
+
+
 class TestSimulate:
     def test_staples_solution(self, staples_bundle, staples_economy):
         """pdd* = (0.143, 0.180), residual < 1e-10, well under 5 s."""
@@ -259,6 +381,49 @@ class TestSimulate:
         assert len(seen_zero) == 2
         assert result.converged and result.unique
         assert result.price_changes == expected.price_changes
+
+    def test_failed_resolves_are_reported(self, staples_bundle, staples_economy, monkeypatch):
+        """A uniqueness re-solve that cannot start, or does not converge, is
+        named in the warnings with its start; neither finds a second root, so
+        the result still reads unique."""
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        expected = simulation.simulate(problem)
+        assert not any("re-solve" in w for w in expected.warnings)
+
+        newton, solves = simulation.damped_newton, []
+
+        def capped_resolves(fun, x0, rescue, tolerance, max_iterations, **kwargs):
+            solves.append(x0)
+            return newton(fun, x0, rescue, tolerance, max_iterations if len(solves) == 1 else 0,
+                          **kwargs)
+
+        monkeypatch.setattr(simulation, "damped_newton", capped_resolves)
+        result = simulation.simulate(problem)
+        assert len(solves) == 3 and result.converged and result.unique
+        assert result.price_changes == expected.price_changes
+        resolves = [w for w in result.warnings if "re-solve" in w]
+        assert len(resolves) == 2
+        assert resolves[0].startswith("uniqueness re-solve from 0 did not converge: residual ")
+        assert resolves[1].startswith("uniqueness re-solve from 2x GUPPI did not converge: ")
+        assert all(w.endswith("after 0 iterations") for w in resolves)
+
+        monkeypatch.setattr(simulation, "damped_newton", newton)
+        state, at_zero = simulation.post_merger_state, []
+
+        def undefined_at_zero_after_warm_start(prob, pdd):
+            if not np.any(pdd):
+                at_zero.append(True)
+                if len(at_zero) > 1:
+                    raise InputValidationError("diversion undefined")
+            return state(prob, pdd)
+
+        monkeypatch.setattr(simulation, "post_merger_state", undefined_at_zero_after_warm_start)
+        result = simulation.simulate(problem)
+        assert result.converged and result.unique
+        assert [w for w in result.warnings if "re-solve" in w] == [
+            "uniqueness re-solve from 0 could not start: diversion undefined"]
 
     def test_third_firm_price_also_adjusts(self):
         """Non-merging firms re-optimize too: their price change is part of the
