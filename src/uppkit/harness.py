@@ -2,10 +2,14 @@
 
 Everything in here knows the ground truth that the rest of the package is
 built to live without: prices, marginal costs, and full demand primitives.
-Synthetic markets (CES or logit) are generated, their true pre- and
-post-merger Bertrand equilibria solved, and the observable slice (revenues,
-margins, revenue diversion) fed to the screening toolkit so its predictions
-can be scored against the true price effects.
+Synthetic markets (CES or logit) are drawn at prices built to be their
+pre-merger Bertrand equilibrium, the observable slice (revenues, margins,
+revenue diversion) at those prices is fed to the screening toolkit, and its
+predictions are scored against the true post-merger price effects.
+
+The experiment does not re-solve the drawn equilibrium: it checks that the
+drawn prices meet the pricing conditions (one residual evaluation) and solves
+only the post-merger market.
 
 Equilibria are found by ``solve_bertrand``: one damped step of the margin
 fixed point as a warm start, then the package's damped Newton in log prices
@@ -31,6 +35,8 @@ from .market import (
     DiversionMatrix, Market, MergerSpec, Product, as_float, as_mapping, co_ownership, read_json,
 )
 from .newton import damped_newton
+
+_TOL = 1e-10  # inf-norm of the margin-form pricing conditions at a solved equilibrium
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def solve_bertrand(
     costs: np.ndarray,
     ownership: Sequence[int],
     p0: np.ndarray | None = None,
-    tol: float = 1e-10,
+    tol: float = _TOL,
     max_iterations: int = 400,
 ) -> Equilibrium:
     """Bertrand-Nash prices by damped Newton in log prices.
@@ -275,7 +281,8 @@ def observe(primitives: SyntheticPrimitives, prices: np.ndarray | None = None):
 
 
 def solve_pre_merger_equilibrium(primitives: SyntheticPrimitives, **kw) -> Equilibrium:
-    """Re-solve the pre-merger equilibrium from a cold start."""
+    """Re-solve the pre-merger equilibrium from a cold start (1.5 x cost): the
+    test oracle for drawn prices, which the accuracy experiment only checks."""
     return solve_bertrand(primitives.demand, primitives.costs, primitives.ownership, **kw)
 
 
@@ -389,9 +396,17 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Scored records, the failed trials with their ``ConvergenceError`` text
+    (prefixed by the stage, ``pre-merger:`` or ``post-merger:``), and the summary."""
+
     records: tuple[TrialRecord, ...]
-    failures: tuple[int, ...]
+    failure_reasons: dict[int, str]
     summary: dict
+
+    @property
+    def failures(self) -> tuple[int, ...]:
+        """Failed trial ids, in trial order."""
+        return tuple(self.failure_reasons)
 
     def to_csv_rows(self) -> Iterable[tuple]:
         yield ("trial_id", "model", "n_products", "product_id",
@@ -402,13 +417,25 @@ class ExperimentResult:
 
 
 def _run_trial(config: HarnessConfig, trial: int) -> list[TrialRecord]:
+    """Screen one drawn market at its drawn prices and score the predictions
+    against the true post-merger equilibrium. A ``ConvergenceError`` is
+    re-raised with its stage, ``pre-merger:`` or ``post-merger:``, in front."""
     primitives, pair = random_primitives(config, trial)
-    eq = solve_pre_merger_equilibrium(primitives)
-    market, diversion = observe(primitives, eq.prices)
-    merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
-    g = effects.guppi(market, diversion, merger)
-    c = effects.cmcr(market, diversion, merger)
-    _, pdd_true = solve_post_merger_equilibrium(primitives, pair)
+    stage = "pre-merger"
+    try:
+        res = _margin_residual(primitives.demand, primitives.prices, primitives.costs,
+                               co_ownership(primitives.ownership))
+        norm = float(np.max(np.abs(res)))
+        if not norm < _TOL:
+            raise ConvergenceError(f"drawn prices miss the pricing conditions by {norm:.3e}")
+        market, diversion = observe(primitives)
+        merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
+        g = effects.guppi(market, diversion, merger)
+        c = effects.cmcr(market, diversion, merger)
+        stage = "post-merger"
+        _, pdd_true = solve_post_merger_equilibrium(primitives, pair)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{stage}: {err}") from err
     pos = {pid: j for j, pid in enumerate(primitives.ids)}
     out = []
     for pid, g_j in g.items():
@@ -428,14 +455,14 @@ def _run_trial(config: HarnessConfig, trial: int) -> list[TrialRecord]:
 def run_accuracy_experiment(config: HarnessConfig) -> ExperimentResult:
     """Score GUPPI-based price-effect predictions against true equilibria on
     ``config.n_markets`` random markets. Deterministic given the seed; failed
-    trials are dropped and logged in ``failures``."""
+    trials are dropped and logged, with their reasons, in ``failure_reasons``."""
     records: list[TrialRecord] = []
-    failures: list[int] = []
+    failures: dict[int, str] = {}
     for trial in range(config.n_markets):
         try:
             records.extend(_run_trial(config, trial))
-        except ConvergenceError:
-            failures.append(trial)
+        except ConvergenceError as err:
+            failures[trial] = str(err)
 
     preds = np.array([r.predicted_pdd for r in records])
     trues = np.array([r.true_pdd for r in records])
@@ -450,7 +477,7 @@ def run_accuracy_experiment(config: HarnessConfig) -> ExperimentResult:
         "share_conservative": float(np.mean(trues >= preds)) if records else None,
         "median_relative_error": float(np.median(rel[np.isfinite(rel)])) if records else None,
     }
-    return ExperimentResult(tuple(records), tuple(failures), summary)
+    return ExperimentResult(tuple(records), failures, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Ground-truth equilibria and the screening-accuracy experiment."""
 
+import dataclasses
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from uppkit import ces, effects, harness
+from uppkit import ces, effects, harness, simulation
 from uppkit.diversion import quantity_to_revenue_diversion
 from uppkit.errors import ConvergenceError, InputValidationError
-from uppkit.market import MergerSpec
+from uppkit.market import MergerSpec, co_ownership
 
 
 def heterogeneous_ces():
@@ -20,6 +24,32 @@ def heterogeneous_ces():
                          [1, 1, 1, 0]], dtype=bool)
     return harness.CESGroundTruth(betas, budgets=[1.0, 2.5, 1.7], eta=5.0,
                                   weights=[0.5, 1.0, 2.0], consider=consider)
+
+
+@functools.cache
+def hard_ces_market(k):
+    """Seeded market k: weighted heterogeneous consumers with consideration
+    sets in which every product is considered by someone, firm 0 owning
+    products 0 and 1, at its pre-merger equilibrium solved from a cold start."""
+    rng = harness.trial_rng(808, k)
+    n, j = int(rng.integers(3, 9)), int(rng.integers(4, 7))
+    consider = rng.uniform(size=(n, j)) < 0.6
+    consider[rng.integers(n, size=j), np.arange(j)] = True
+    consider[np.arange(n), rng.integers(j, size=n)] = True
+    demand = harness.CESGroundTruth(
+        rng.uniform(0.6, 1.8, (n, j)), rng.uniform(0.5, 3.0, n), eta=rng.uniform(4.0, 7.0),
+        weights=rng.uniform(0.5, 2.0, n), consider=consider)
+    costs = rng.uniform(0.6, 1.4, j)
+    prim = harness.SyntheticPrimitives(tuple(f"p{q}" for q in range(j)), demand, costs,
+                                       (0, *range(j - 1)), costs * 1.5)
+    eq = harness.solve_pre_merger_equilibrium(prim)
+    return dataclasses.replace(prim, prices=eq.prices)
+
+
+def hard_merger_problem(prim):
+    market, _ = harness.observe(prim)
+    economy = prim.demand.economy(prim.prices, list(prim.ids))
+    return simulation.merger_problem(market, economy, MergerSpec("f0", "f1"))
 
 
 def ces_duopoly(eta=6.0, betas=((1.4, 1.1),), budgets=(1.0,), costs=(1.0, 1.0)):
@@ -57,14 +87,15 @@ class TestBertrandSolver:
 
     def test_generator_prices_are_equilibrium(self):
         """The inverse-design construction puts the drawn prices exactly on the
-        pricing conditions."""
-        for trial in range(5):
-            config = harness.HarnessConfig(seed=1, n_markets=5, model="ces")
-            prim, _ = harness.random_primitives(config, trial)
-            n = len(prim.ids)
-            co_owned = np.zeros((n, n), dtype=bool)  # single-product firms
-            res = harness._margin_residual(prim.demand, prim.prices, prim.costs, co_owned)
-            assert np.max(np.abs(res)) < 1e-12
+        pricing conditions, for both models and every criterion-10 draw
+        (seed 11); the experiment's check (below 1e-10) then never fires on them."""
+        for (seed, n_markets), model in itertools.product(((1, 5), (11, 200)), ("ces", "logit")):
+            config = harness.HarnessConfig(seed=seed, n_markets=n_markets, model=model)
+            for trial in range(n_markets):
+                prim, _ = harness.random_primitives(config, trial)
+                res = harness._margin_residual(prim.demand, prim.prices, prim.costs,
+                                               co_ownership(prim.ownership))
+                assert np.max(np.abs(res)) < 1e-12, (seed, model, trial)
 
 
 class TestGroundTruthDerivatives:
@@ -185,8 +216,6 @@ class TestCrossModuleEquivalence:
     def test_true_equilibrium_matches_percentage_space_simulation(self):
         """Key oracle: the percentage-space simulation on the observable slice
         reproduces the true post-merger price changes of the priced model."""
-        from uppkit import simulation
-
         eta = 6.0
         demand = harness.CESGroundTruth(np.array([[2.2, 1.5]]), np.array([2.05]), eta)
         costs = np.array([1.0, 0.9])
@@ -206,8 +235,6 @@ class TestCrossModuleEquivalence:
 
     @pytest.mark.parametrize("trial", range(4))
     def test_random_markets_agree(self, trial):
-        from uppkit import simulation
-
         config = harness.HarnessConfig(seed=71, n_markets=4, model="ces")
         prim, pair = harness.random_primitives(config, trial)
         eq = harness.solve_pre_merger_equilibrium(prim)
@@ -222,26 +249,39 @@ class TestCrossModuleEquivalence:
 
     def test_heterogeneous_multiproduct_market_agrees(self):
         """Both solvers share the root finder, so the oracle rests on the two
-        residuals: check them on a market with weighted consumers,
-        consideration sets and a two-product merging firm."""
-        from uppkit import simulation
+        residuals: check them on a seeded batch of markets with weighted
+        consumers, consideration sets and a two-product merging firm."""
+        for k in range(6):
+            prim = hard_ces_market(k)
+            _, pdd_true = harness.solve_post_merger_equilibrium(prim, (0, 1))
+            assert np.all(pdd_true[:3] > 1e-3), k
+            result = simulation.simulate(hard_merger_problem(prim))
+            assert result.converged, k
+            assert not result.warnings, k
+            for j, pid in enumerate(prim.ids):
+                assert result.price_changes[pid] == pytest.approx(pdd_true[j], abs=1e-8), (k, pid)
 
-        demand = heterogeneous_ces()
-        costs = np.array([1.0, 0.7, 1.2, 0.9])
-        ids, ownership = ("A", "B", "C", "D"), (0, 0, 1, 2)
-        pre = harness.solve_bertrand(demand, costs, ownership)
-        prim = harness.SyntheticPrimitives(ids, demand, costs, ownership, pre.prices)
+    @pytest.mark.parametrize("k", range(6))
+    def test_foc_jacobian_matches_fd_at_the_true_root(self, k):
+        """At the Bertrand post-merger root, read in percentage space, the
+        simulation's pricing conditions vanish and their closed-form Jacobian
+        matches central differences."""
+        prim = hard_ces_market(k)
         _, pdd_true = harness.solve_post_merger_equilibrium(prim, (0, 1))
-        assert np.all(pdd_true[:3] > 1e-3)
-
-        market, _ = harness.observe(prim, pre.prices)
-        economy = demand.economy(pre.prices, list(ids))
-        result = simulation.simulate(
-            simulation.merger_problem(market, economy, MergerSpec("f0", "f1")))
-        assert result.converged
-        assert not result.warnings
-        for j, pid in enumerate(ids):
-            assert result.price_changes[pid] == pytest.approx(pdd_true[j], abs=1e-8)
+        problem = hard_merger_problem(prim)
+        pos = {pid: j for j, pid in enumerate(prim.ids)}
+        pdd = pdd_true[[pos[pid] for pid in problem.order]]
+        f, jac = simulation.foc_residual(problem, pdd, jacobian=True)
+        assert np.max(np.abs(f)) < 1e-8
+        fd = np.empty_like(jac)
+        for q in range(len(pdd)):
+            h = 1e-6 * (1.0 + pdd[q])
+            up, down = pdd.copy(), pdd.copy()
+            up[q] += h
+            down[q] -= h
+            fd[:, q] = (simulation.foc_residual(problem, up)
+                        - simulation.foc_residual(problem, down)) / (2.0 * h)
+        np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
 
 
 class TestCmcrRoundTrip:
@@ -293,8 +333,6 @@ class TestMultiProductFirms:
         np.testing.assert_allclose(pdd, 0.0, atol=1e-6)
 
     def test_simulation_matches_truth(self):
-        from uppkit import simulation
-
         prim, eq = self.multiproduct_primitives()
         _, pdd_true = harness.solve_post_merger_equilibrium(prim, (0, 1))
         market, _ = harness.observe(prim, eq.prices)
@@ -343,6 +381,7 @@ class TestAccuracyExperiment:
         monkeypatch.setattr(harness, "_run_trial", fail)
         result = harness.run_accuracy_experiment(harness.HarnessConfig(seed=1, n_markets=2))
         assert result.failures == (0, 1)
+        assert result.failure_reasons == {0: "stalled", 1: "stalled"}
         assert result.summary["share_conservative"] is None
         assert result.summary["median_relative_error"] is None
 
@@ -353,6 +392,81 @@ class TestAccuracyExperiment:
         header, first = rows[0], rows[1]
         rec = dict(zip(header, first))
         assert float(rec["guppi"]) == result.records[0].guppi
+
+
+def count_bertrand_solves(monkeypatch):
+    calls = []
+    solve = harness.solve_bertrand
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(harness, "solve_bertrand", counted)
+    return calls
+
+
+class TestTrialRecipe:
+    """Each trial checks the drawn pre-merger prices and solves only the
+    post-merger market."""
+
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_one_bertrand_solve_per_trial(self, model, monkeypatch):
+        calls = count_bertrand_solves(monkeypatch)
+        result = harness.run_accuracy_experiment(
+            harness.HarnessConfig(seed=12, n_markets=10, model=model))
+        assert result.failures == ()
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_matches_the_re_solving_recipe(self, model):
+        """Oracle: re-solve the pre-merger equilibrium from a cold start,
+        observe and screen there, then solve post-merger. The post-merger
+        solve starts from the drawn prices either way, so the truth is
+        bitwise equal; the screening moves only by the re-solve's error."""
+        config = harness.HarnessConfig(seed=11, n_markets=20, model=model)
+        for trial in range(config.n_markets):
+            prim, pair = harness.random_primitives(config, trial)
+            eq = harness.solve_pre_merger_equilibrium(prim)
+            market, diversion = harness.observe(prim, eq.prices)
+            merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
+            g = effects.guppi(market, diversion, merger)
+            c = effects.cmcr(market, diversion, merger).efficiencies
+            _, pdd_true = harness.solve_post_merger_equilibrium(prim, pair)
+            records = harness._run_trial(config, trial)
+            assert [r.product_id for r in records] == list(g)
+            for r in records:
+                j = prim.ids.index(r.product_id)
+                assert r.true_pdd == float(pdd_true[j])
+                assert r.guppi == pytest.approx(g[r.product_id], rel=0.0, abs=1e-9)
+                assert r.predicted_pdd == pytest.approx(g[r.product_id], rel=0.0, abs=1e-9)
+                assert r.cmcr == pytest.approx(c[r.product_id], rel=0.0, abs=1e-9)
+
+    def test_off_equilibrium_draw_fails_pre_merger(self, monkeypatch):
+        draw = harness.random_primitives
+
+        def off_equilibrium(config, trial):
+            prim, pair = draw(config, trial)
+            return dataclasses.replace(prim, prices=prim.prices * 1.01), pair
+
+        monkeypatch.setattr(harness, "random_primitives", off_equilibrium)
+        calls = count_bertrand_solves(monkeypatch)
+        result = harness.run_accuracy_experiment(harness.HarnessConfig(seed=3, n_markets=2))
+        assert result.records == ()
+        assert result.failures == (0, 1)
+        assert all(reason.startswith("pre-merger: drawn prices miss the pricing conditions by ")
+                   for reason in result.failure_reasons.values())
+        assert calls == []
+
+    def test_post_merger_failure_reason(self, monkeypatch):
+        def stall(*args, **kw):
+            raise ConvergenceError("Bertrand solver stalled at residual 1.000e-03")
+
+        monkeypatch.setattr(harness, "solve_bertrand", stall)
+        result = harness.run_accuracy_experiment(harness.HarnessConfig(seed=3, n_markets=2))
+        assert result.failure_reasons == {
+            t: "post-merger: Bertrand solver stalled at residual 1.000e-03" for t in (0, 1)}
+        assert result.summary["n_failed"] == 2
 
 
 class TestSpatialFixture:
