@@ -291,7 +291,7 @@ def welfare(market_file, passthrough):
 @_command("passthrough", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
 def passthrough(market_file):
-    """Closed-form CES merger pass-through matrix (2x2)."""
+    """CES merger pass-through M = -J^-1 for two single-product firms."""
     from .passthrough import passthrough_matrix_from_market
 
     bundle = _load_bundle_with_merger(market_file)

@@ -181,13 +181,10 @@ def naive_guppi(
 
 
 def price_effects(
-    guppis: Mapping[str, float], passthrough: PassThroughMatrix | None = None
+    guppis: Mapping[str, float], passthrough: PassThroughMatrix
 ) -> dict[str, float]:
     """First-order percentage price changes: matrix-vector product of the
-    pass-through matrix with the GUPPI vector. ``None`` means the identity
-    approximation and returns the GUPPIs unchanged."""
-    if passthrough is None:
-        return dict(guppis)
+    pass-through matrix with the GUPPI vector."""
     if set(passthrough.order) != set(guppis):
         raise InputValidationError(
             f"pass-through order {passthrough.order} does not match GUPPI keys {sorted(guppis)}"
@@ -370,7 +367,6 @@ def effects_report(
 
     caveats: list[str] = []
     mode = merger.passthrough_mode
-    passthrough = None
     if mode == "matrix":
         passthrough = PassThroughMatrix(order, merger.passthrough)
     elif mode == "ces":
@@ -384,6 +380,8 @@ def effects_report(
     if mode == "identity":
         passthrough = PassThroughMatrix.identity(order)
         caveats.append("identity pass-through: price effects approximated by GUPPI")
+    elif mode not in ("matrix", "ces"):
+        raise InputValidationError(f"unknown passthrough mode {mode!r}")
 
     pdd = price_effects(g, passthrough)
     wf = welfare(market, pdd, merger, eps)

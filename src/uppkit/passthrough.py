@@ -1,31 +1,36 @@
-"""Closed-form 2x2 merger pass-through under single-consumer CES demand.
+"""Merger pass-through for two single-product firms under CES demand.
 
-The merging firms' post-merger pricing conditions, written in log prices as
-h(p) = 0, respond to a small cost-like wedge t via the implicit function
-theorem: M = -(dh/dp)^(-1) evaluated at the pre-merger point. With CES shares
-every partial derivative of h has a closed form in (alpha, m, eps, D^R, eta),
-so the matrix is computable from the same inputs as the GUPPIs.
+The merging firms' post-merger pricing conditions f(p) = 0, in log prices,
+respond to a small cost-like wedge t via the implicit function theorem:
+M = -J^(-1), with J = df/dp at the pre-merger point. J is
+``simulation._foc_jacobian``, the package's one derivative of the pricing
+conditions, so this module only wires observables into it:
 
-Scope is deliberately the two-single-product-firm case with one
-representative consumer; anything larger routes to the identity
-approximation upstream.
+- the levels in J are observed: own-price elasticities implied by the
+  margins (eps_jj = -1/m_j) and the supplied diversion pair D^R;
+- the slopes come from the one-consumer CES economy calibrated to the
+  inside shares (recovered from the diversion pair) and eta.
+
+Scope is still two single-product firms with one representative consumer;
+anything larger routes to the identity approximation upstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ces import identify_eta
+from .ces import economy_from_shares, identify_eta
 from .effects import PassThroughMatrix, own_price_elasticities, single_product_pair
 from .errors import InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
+from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, Product
+from .simulation import SimulationProblem, _foc_jacobian, post_merger_state
 
 
 @dataclass(frozen=True)
 class PassthroughInputs:
-    """Everything the 2x2 closed form needs, for products j and k."""
+    """Everything the pass-through needs, for products j and k."""
 
     alpha_j: float
     alpha_k: float
@@ -50,37 +55,22 @@ class PassthroughInputs:
             raise InputValidationError("diversion ratios must be non-negative")
 
 
-def _dh_row(alpha_j, alpha_k, m_j, m_k, eps_jj, d_jk, d_kj, eta):
-    """(dh_j/dp_j, dh_j/dp_k) for one merging product's pricing condition.
-
-    The diversion-response term alpha_j (1/D_kj - D_jk) D_jk is evaluated in
-    the equivalent form ((1 - alpha_k) - alpha_j D_jk) D_jk, which stays
-    defined as the diversion pair approaches zero.
-    """
-    q = (1.0 - eta) ** 2 / eps_jj**2
-    own = -q * alpha_j * (1.0 - alpha_j) * (1.0 - m_k * d_jk) - (1.0 - m_j)
-    cross = (
-        q * alpha_k * alpha_j * (1.0 - m_k * d_jk)
-        + (1.0 + 1.0 / eps_jj) * (1.0 - m_k) * d_jk
-        + (1.0 + 1.0 / eps_jj) * m_k * (1.0 - eta) * d_jk * ((1.0 - alpha_k) - alpha_j * d_jk)
-    )
-    return own, cross
-
-
 def passthrough_matrix(
     inputs: PassthroughInputs, order: tuple[str, str] = ("j", "k")
 ) -> PassThroughMatrix:
-    """Assemble the 2x2 Jacobian of the merged firm's pricing conditions from
-    its closed-form partials and return M = -J^(-1)."""
-    jj, jk = _dh_row(
-        inputs.alpha_j, inputs.alpha_k, inputs.m_j, inputs.m_k,
-        inputs.eps_jj, inputs.d_jk, inputs.d_kj, inputs.eta,
-    )
-    kk, kj = _dh_row(
-        inputs.alpha_k, inputs.alpha_j, inputs.m_k, inputs.m_j,
-        inputs.eps_kk, inputs.d_kj, inputs.d_jk, inputs.eta,
-    )
-    jac = np.array([[jj, jk], [kj, kk]])
+    """M = -J^(-1), with J the Jacobian of the merged firm's pricing conditions
+    at pdd = 0 (``simulation._foc_jacobian``): its levels are the observed
+    elasticities and diversion pair, its slopes those of the one-consumer CES
+    economy with shares (alpha_j, alpha_k) and ``eta``."""
+    a_j, a_k = inputs.alpha_j, inputs.alpha_k
+    economy = economy_from_shares(
+        {"i": {"j": a_j, "k": a_k, OUTSIDE: 1.0 - a_j - a_k}}, {"i": 1.0}, inputs.eta)
+    market = Market((Product("j", "f", 1.0, inputs.m_j), Product("k", "f", 1.0, inputs.m_k)))
+    problem = SimulationProblem(market, economy, {"j": "f", "k": "f"})
+    state = replace(post_merger_state(problem, np.zeros(2)),
+                    eps=np.array([inputs.eps_jj, inputs.eps_kk]),
+                    d=np.array([[-1.0, inputs.d_jk], [inputs.d_kj, -1.0]]))
+    jac = _foc_jacobian(state, problem._arrays[3])
     det = float(np.linalg.det(jac))
     scale = float(np.max(np.abs(jac))) ** 2
     if abs(det) < 1e-8 * max(scale, 1e-300):

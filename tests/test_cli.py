@@ -145,12 +145,39 @@ def test_nested_economy_exits_2(runner, tmp_path, argv):
     assert run(nests={"SP": "a", "OD": "a"}, mu=1.0).output == plain.output
 
 
+def _three_product_market(firms):
+    """Products A, B, C owned by ``firms``; the merger joins f1 and f2."""
+    return {
+        "products": [{"id": pid, "firm": firm, "revenue": 1.0, "margin": 0.3}
+                     for pid, firm in zip("ABC", firms)],
+        "diversion": {"order": list("ABC"),
+                      "matrix": [[-1.0, 0.2, 0.1], [0.2, -1.0, 0.1], [0.1, 0.1, -1.0]]},
+        "merger": {"firm_a": "f1", "firm_b": "f2"},
+    }
+
+
+THREE_FIRMS = _three_product_market(["f1", "f2", "f3"])
+MULTI_PRODUCT = _three_product_market(["f1", "f1", "f2"])
+
+
 class TestPassthroughCommand:
     def test_matrix_rendered(self, runner):
         result = runner.invoke(main, ["passthrough", MARKET])
         assert result.exit_code == 0
         assert "1.006" in result.output
         assert "0.346" in result.output
+
+    @pytest.mark.parametrize("doc, message", [
+        (THREE_FIRMS, "ces pass-through supports two-firm markets only"),
+        (MULTI_PRODUCT, "ces pass-through supports single-product merging firms only"),
+    ], ids=["three-firms", "multi-product"])
+    def test_out_of_scope_market_exits_2(self, runner, tmp_path, doc, message):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["passthrough", str(path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
 
 
 class TestWelfareCommand:
@@ -165,6 +192,15 @@ class TestWelfareCommand:
         payload = json.loads(result.output)["result"]
         by_id = {r["id"]: r for r in payload["products"]}
         assert by_id["SP"]["price_change"] == pytest.approx(by_id["SP"]["guppi"])
+
+    def test_ces_falls_back_to_identity_beyond_two_firms(self, runner, tmp_path):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(THREE_FIRMS))
+        result = runner.invoke(main, ["welfare", str(path), "--passthrough", "ces"])
+        assert result.exit_code == 0, result.output
+        assert ("note: ces passthrough unavailable (ces pass-through supports two-firm "
+                "markets only); using identity") in result.output
+        assert "note: identity pass-through: price effects approximated by GUPPI" in result.output
 
 
 class TestSecondChoiceCommand:

@@ -212,7 +212,6 @@ class TestPriceEffects:
 
     def test_identity_returns_guppi(self):
         g = {"A": 0.1, "B": 0.2}
-        assert effects.price_effects(g, None) == g
         pt = effects.PassThroughMatrix.identity(("A", "B"))
         assert effects.price_effects(g, pt) == pytest.approx(g)
 
@@ -426,6 +425,11 @@ class TestEffectsReport:
         report = effects.effects_report(market, div, mk.MergerSpec("f1", "f2", passthrough="ces"))
         assert report.passthrough_mode == "identity"
         assert any("unavailable" in c for c in report.caveats)
+
+    def test_unknown_mode_rejected(self):
+        market, div, _ = two_firm_market()
+        with pytest.raises(InputValidationError, match="unknown passthrough mode 'foo'"):
+            effects.effects_report(market, div, mk.MergerSpec("f1", "f2", passthrough="foo"))
 
     def test_serialization_complete(self, staples_bundle):
         m, d, mg = staples_bundle.market, staples_bundle.diversion, staples_bundle.merger

@@ -1,4 +1,7 @@
-"""Closed-form CES merger pass-through vs the implicit-function oracle."""
+"""CES merger pass-through vs two oracles: the implicit-function derivative of
+a re-solved taxed pricing system, and the hand-derived 2x2 closed form."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,11 @@ STAPLES = dict(
     eps_jj=-1.0 / 0.258, eps_kk=-1.0 / 0.234,
     d_jk=0.316 / 0.527, d_kj=0.473 / 0.684,
     eta=6.121535812935443,
+)
+
+VANISHING = dict(
+    alpha_j=1e-9, alpha_k=1e-9, m_j=0.3, m_k=0.3,
+    eps_jj=-3.0, eps_kk=-3.0, d_jk=1e-9, d_kj=1e-9, eta=4.0,
 )
 
 
@@ -93,6 +101,59 @@ def oracle_passthrough(inputs: PassthroughInputs, step: float = 1e-6) -> np.ndar
     return np.column_stack(cols)
 
 
+def closed_form_passthrough(inputs: PassthroughInputs) -> np.ndarray:
+    """M = -J^(-1) from hand-derived partials of the two pricing conditions.
+
+    Independent of ``simulation``'s Jacobian: each row (dh_j/dp_j, dh_j/dp_k)
+    is written out in (alpha, m, eps, D^R, eta), with the single consumer's
+    share slopes and the observed eps and D^R as levels. The diversion-response
+    term alpha_j (1/D_kj - D_jk) D_jk is evaluated in the equivalent form
+    ((1 - alpha_k) - alpha_j D_jk) D_jk, which stays defined as the diversion
+    pair approaches zero.
+    """
+    eta = inputs.eta
+
+    def row(alpha_j, alpha_k, m_j, m_k, eps_jj, d_jk):
+        q = (1.0 - eta) ** 2 / eps_jj**2
+        own = -q * alpha_j * (1.0 - alpha_j) * (1.0 - m_k * d_jk) - (1.0 - m_j)
+        cross = (
+            q * alpha_k * alpha_j * (1.0 - m_k * d_jk)
+            + (1.0 + 1.0 / eps_jj) * (1.0 - m_k) * d_jk
+            + (1.0 + 1.0 / eps_jj) * m_k * (1.0 - eta) * d_jk
+            * ((1.0 - alpha_k) - alpha_j * d_jk)
+        )
+        return own, cross
+
+    jj, jk = row(inputs.alpha_j, inputs.alpha_k, inputs.m_j, inputs.m_k,
+                 inputs.eps_jj, inputs.d_jk)
+    kk, kj = row(inputs.alpha_k, inputs.alpha_j, inputs.m_k, inputs.m_j,
+                 inputs.eps_kk, inputs.d_kj)
+    return -np.linalg.inv(np.array([[jj, jk], [kj, kk]]))
+
+
+def perturbed_inputs(seed: int) -> PassthroughInputs:
+    """A consistent draw whose elasticities are moved off the values its
+    economy implies, so the observed levels and the economy's slopes disagree.
+
+    D^R stays the shares' own, as on the market path, which recovers the
+    shares from D^R. Moved off them, the two derivations place the observed D^R
+    differently in its own slope and part by up to 0.3 when D^R is scaled
+    by 0.8-1.2.
+    """
+    base = consistent_inputs(np.random.default_rng(seed))
+    f = np.random.default_rng(1000 + seed).uniform(0.8, 1.25, size=2)
+    return replace(base, eps_jj=base.eps_jj * f[0], eps_kk=base.eps_kk * f[1])
+
+
+CLOSED_FORM_CASES = (
+    [pytest.param(consistent_inputs(np.random.default_rng(s)), id=f"consistent-{s}")
+     for s in range(100)]
+    + [pytest.param(PassthroughInputs(**STAPLES), id="staples"),
+       pytest.param(PassthroughInputs(**VANISHING), id="vanishing")]
+    + [pytest.param(perturbed_inputs(s), id=f"perturbed-{s}") for s in range(5)]
+)
+
+
 class TestClosedForm:
     def test_staples_matrix(self):
         """Reproduces [[1.005, 0.345], [0.347, 1.098]] entrywise to 5e-3."""
@@ -108,11 +169,7 @@ class TestClosedForm:
     def test_vanishing_interaction(self):
         """As the rival's share (hence both diversion ratios) goes to zero the
         off-diagonals die out and the row decouples."""
-        inputs = PassthroughInputs(
-            alpha_j=1e-9, alpha_k=1e-9, m_j=0.3, m_k=0.3,
-            eps_jj=-3.0, eps_kk=-3.0, d_jk=1e-9, d_kj=1e-9, eta=4.0,
-        )
-        m = passthrough_matrix(inputs).values
+        m = passthrough_matrix(PassthroughInputs(**VANISHING)).values
         assert abs(m[0, 1]) < 1e-8
         assert abs(m[1, 0]) < 1e-8
         assert m[0, 0] == pytest.approx(1.0 / 0.7, rel=1e-6)  # 1/(1 - m_j)
@@ -143,6 +200,15 @@ class TestClosedForm:
         numeric = oracle_passthrough(inputs)
         scale = np.max(np.abs(numeric))
         np.testing.assert_allclose(closed, numeric, atol=1e-4 * scale)
+
+    @pytest.mark.parametrize("inputs", CLOSED_FORM_CASES)
+    def test_matches_hand_derived_closed_form(self, inputs):
+        """The simulation Jacobian with observed levels reproduces the 2x2
+        closed form, also where eps is not the economy's own (Staples, the
+        perturbed draws)."""
+        np.testing.assert_allclose(
+            passthrough_matrix(inputs).values, closed_form_passthrough(inputs),
+            rtol=0, atol=1e-12)
 
     def test_singular_jacobian_rejected(self):
         """Symmetric inputs engineered so the cross partial cancels the own
