@@ -13,7 +13,8 @@ only the post-merger market.
 
 Equilibria are found by ``solve_bertrand``: one damped step of the margin
 fixed point as a warm start, then the package's damped Newton in log prices
-on the margin-form pricing conditions.
+on the margin-form pricing conditions, whose Jacobian comes in closed form
+from each demand model's ``quantity_jacobian`` and ``quantity_hessian``.
 
 Per-trial randomness uses counter-based Philox streams keyed by
 (experiment seed, trial index), so a trial's market does not depend on the
@@ -94,6 +95,23 @@ class CESGroundTruth:
         np.fill_diagonal(jac, (slope * (s0 - np.diag(cross)) - s0) / prices**2)
         return jac
 
+    def quantity_hessian(self, prices: np.ndarray) -> np.ndarray:
+        """d2q_l/dp_j dp_q as [l, j, q]. With b = 1 - eta and the spending
+        moments S_l = sum_i wb_i a_il, P_lj = sum_i wb_i a_il a_ij and T_ljq =
+        sum_i wb_i a_il a_ij a_iq, Q_lj = ((b - 1) delta_lj S_l - b P_lj) / (p_l p_j),
+        and p_q dS_l/dp_q = b (delta_lq S_l - P_lq) and
+        p_q dP_lj/dp_q = b ((delta_lq + delta_jq) P_lj - 2 T_ljq)."""
+        alpha = self.share_rows(prices)
+        wb = self.weights * self.budgets
+        b, eye, pp = 1.0 - self.eta, np.eye(len(prices)), np.outer(prices, prices)
+        s, pair = wb @ alpha, (alpha * wb[:, None]).T @ alpha
+        third = np.einsum("il,ij,iq->ljq", alpha * wb[:, None], alpha, alpha)
+        jac = ((b - 1.0) * np.diag(s) - b * pair) / pp  # Q_lj
+        lq_jq = eye[:, None, :] + eye  # [l, j, q] = delta_lq + delta_jq
+        d_num = ((b - 1.0) * eye[:, :, None] * (np.diag(s) - pair)[:, None, :]
+                 - b * (lq_jq * pair[:, :, None] - 2.0 * third))
+        return (b * d_num / pp[:, :, None] - lq_jq * jac[:, :, None]) / prices
+
     def economy(self, prices: np.ndarray, ids: Sequence[str]) -> CESEconomy:
         """The observable economy at given prices (utility indices, not primitives)."""
         consumers = []
@@ -145,6 +163,14 @@ class LogitGroundTruth:
         np.fill_diagonal(jac, -self.mass * self.price_coef * s * (1.0 - s))
         return jac
 
+    def quantity_hessian(self, prices: np.ndarray) -> np.ndarray:
+        """d2q_l/dp_j dp_q as [l, j, q]: a^2 s_l ((delta_lj - s_j)(delta_lq - s_q)
+        - s_j (delta_jq - s_q)) per unit mass."""
+        s = self.share_rows(prices)[0]
+        e = np.eye(len(s)) - s  # [l, q] = delta_lq - s_q
+        return self.mass * self.price_coef**2 * s[:, None, None] * (
+            e[:, :, None] * e[:, None, :] - s[:, None] * e)
+
 
 # ---------------------------------------------------------------------------
 # True Bertrand equilibria
@@ -156,7 +182,6 @@ class Equilibrium:
 
     prices: np.ndarray
     margins: np.ndarray
-    shares: np.ndarray        # inside shares summed over consumers' budgets (revenue weights)
     residual: float
     iterations: int           # the warm-start step plus the Newton steps
 
@@ -173,11 +198,22 @@ def _cross_weights(demand, prices, co_owned):
     return eps, np.where(co_owned, a, 0.0)
 
 
-def _margin_residual(demand, prices, costs, co_owned) -> np.ndarray:
-    """Pricing conditions normalized to be quasilinear in margins."""
+def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
+    """Pricing conditions normalized to be quasilinear in margins; with
+    ``jacobian``, the pair ``(r, d r / d log p)``. With Q the quantity Jacobian
+    and own = co-ownership including the diagonal, r_j = -N_j / Den_j for
+    N_j = q_j + sum_l own_jl (p_l - c_l) Q_lj and Den_j = p_j Q_jj, whose price
+    derivatives come from ``quantity_hessian``."""
     eps, a = _cross_weights(demand, prices, co_owned)
     m = (prices - costs) / prices
-    return -1.0 / eps - m + a @ m
+    r = -1.0 / eps - m + a @ m
+    if not jacobian:
+        return r
+    jac, hess = demand.quantity_jacobian(prices), demand.quantity_hessian(prices)
+    own = co_owned | np.eye(len(prices), dtype=bool)
+    d_num = jac + own * jac.T + np.einsum("jl,ljq->jq", own * (prices - costs), hess)
+    d_den = np.diag(np.diag(jac)) + prices[:, None] * np.einsum("jjq->jq", hess)
+    return r, -(d_num + r[:, None] * d_den) / (prices * np.diag(jac))[:, None] * prices
 
 
 def _implied_margins(demand, prices, co_owned) -> np.ndarray:
@@ -204,7 +240,6 @@ def solve_bertrand(
     costs: np.ndarray,
     ownership: Sequence[int],
     p0: np.ndarray | None = None,
-    tol: float = _TOL,
     max_iterations: int = 400,
 ) -> Equilibrium:
     """Bertrand-Nash prices by damped Newton in log prices.
@@ -213,7 +248,7 @@ def solve_bertrand(
     warm start, and the same step rescues Newton when its line search fails.
     The root is that of the margin-form pricing conditions; ``max_iterations``
     caps the Newton steps. ``ownership`` assigns a firm index to each product.
-    Raises ConvergenceError when the residual cannot be brought under ``tol``.
+    Raises ConvergenceError when the residual cannot be brought under ``_TOL``.
     """
     costs = np.asarray(costs, dtype=float)
     co_owned = co_ownership(ownership)
@@ -223,16 +258,14 @@ def solve_bertrand(
         return _margin_step(demand, log_p, costs, co_owned)
 
     x, res, its, ok = damped_newton(
-        lambda x: _margin_residual(demand, np.exp(x), costs, co_owned),
-        step(np.log(p)), step, tol, max_iterations,
+        lambda x: _margin_residual(demand, np.exp(x), costs, co_owned, jacobian=True),
+        step(np.log(p)), step, _TOL, max_iterations,
     )
     norm = float(np.max(np.abs(res)))
     if not ok:
         raise ConvergenceError(f"Bertrand solver stalled at residual {norm:.3e}")
     p = np.exp(x)
-    margins = (p - costs) / p
-    shares = demand.revenues(p)
-    return Equilibrium(p, margins, shares, norm, its + 1)
+    return Equilibrium(p, (p - costs) / p, norm, its + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +313,10 @@ def observe(primitives: SyntheticPrimitives, prices: np.ndarray | None = None):
     return market, diversion
 
 
-def solve_pre_merger_equilibrium(primitives: SyntheticPrimitives, **kw) -> Equilibrium:
+def solve_pre_merger_equilibrium(primitives: SyntheticPrimitives) -> Equilibrium:
     """Re-solve the pre-merger equilibrium from a cold start (1.5 x cost): the
     test oracle for drawn prices, which the accuracy experiment only checks."""
-    return solve_bertrand(primitives.demand, primitives.costs, primitives.ownership, **kw)
+    return solve_bertrand(primitives.demand, primitives.costs, primitives.ownership)
 
 
 def solve_post_merger_equilibrium(

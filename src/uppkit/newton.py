@@ -1,9 +1,8 @@
 """Damped Newton root finder shared by both equilibrium solvers.
 
-``simulation.simulate`` (percentage price changes) hands it a residual that
-also returns its closed-form Jacobian; ``harness.solve_bertrand`` (log
-prices) hands it a bare residual, whose Jacobian is built here by central
-differences, the fallback. Both supply a problem-specific rescue step; the
+``simulation.simulate`` (percentage price changes) and
+``harness.solve_bertrand`` (log prices) each hand it a residual that also
+returns its closed-form Jacobian, and a problem-specific rescue step; the
 line search and stopping rule live only here.
 """
 
@@ -15,25 +14,20 @@ import numpy as np
 
 from .errors import InputValidationError
 
-FD_STEP = 1e-6  # central-difference step of the fallback Jacobian
-
 
 def damped_newton(
-    fun: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     rescue: Callable[[np.ndarray], np.ndarray],
     tolerance: float,
     max_iterations: int,
     lower_bound: float = -np.inf,
-    jac: bool = False,
 ):
     """Damped Newton on ``fun``.
 
-    With ``jac=True``, ``fun(x)`` returns ``(f, J)`` as in
-    ``scipy.optimize.root``: every evaluated point carries its own Jacobian,
-    so a step costs one evaluation per trial point. Otherwise ``fun(x)``
-    returns ``f`` and the Jacobian at each iterate is the fallback, central
-    differences of step ``FD_STEP`` (2n more evaluations).
+    ``fun(x)`` returns ``(f, J)`` as in ``scipy.optimize.root`` with
+    ``jac=True``: every evaluated point carries its own Jacobian, so a step
+    costs one evaluation per trial point.
 
     Each step halves its length up to 30 times until the inf-norm of ``f``
     drops; when no length does (or the Jacobian is singular), ``rescue(x)``
@@ -48,34 +42,20 @@ def damped_newton(
     """
     lo = lower_bound
 
-    def evaluate(x):
-        """``(f, J)`` at ``x``; ``J`` is None without ``jac``."""
-        return fun(x) if jac else (fun(x), None)
-
     def value(x):
         try:
-            return evaluate(x)
+            return fun(x)
         except InputValidationError:
             return np.full(len(x), np.nan), None
 
-    def fd_jacobian(x):
-        n = len(x)
-        jac_fd = np.empty((n, n))
-        for k in range(n):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += FD_STEP
-            xm[k] = max(xm[k] - FD_STEP, lo)
-            jac_fd[:, k] = (value(xp)[0] - value(xm)[0]) / (xp[k] - xm[k])
-        return jac_fd
-
     x = np.clip(x0, lo, None)
-    f, J = evaluate(x)
+    f, J = fun(x)
     best_norm = float(np.linalg.norm(f, np.inf))
     its = 0
     while best_norm >= tolerance and its < max_iterations:
         its += 1
         try:
-            step = np.linalg.solve(fd_jacobian(x) if J is None else J, -f)
+            step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
             step = None
         improved = False

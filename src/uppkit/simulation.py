@@ -327,7 +327,7 @@ def simulate(
         return damped_newton(
             lambda x: foc_residual(problem, x, jacobian=True), x0,
             lambda x: _margin_rescue(problem, x),
-            config.tolerance, config.max_iterations, lower_bound=LOWER_BOUND, jac=True,
+            config.tolerance, config.max_iterations, lower_bound=LOWER_BOUND,
         )
 
     x, f, its, ok = solve(g)

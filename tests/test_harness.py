@@ -46,6 +46,17 @@ def hard_ces_market(k):
     return dataclasses.replace(prim, prices=eq.prices)
 
 
+def central_differences(fun, x, h):
+    """d fun / d x_k by central differences of step h_k, stacked on a last axis."""
+    cols = []
+    for k in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[k] += h[k]
+        down[k] -= h[k]
+        cols.append((fun(up) - fun(down)) / (2.0 * h[k]))
+    return np.stack(cols, axis=-1)
+
+
 def hard_merger_problem(prim):
     market, _ = harness.observe(prim)
     economy = prim.demand.economy(prim.prices, list(prim.ids))
@@ -85,6 +96,24 @@ class TestBertrandSolver:
         assert eq.residual < 1e-10
         np.testing.assert_allclose(eq.prices, prim.prices, rtol=1e-8)
 
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_residual_evaluations_scale_with_iterations_not_products(self, model, monkeypatch):
+        """With the analytic Jacobian each Newton step evaluates the pricing
+        conditions about once; central differences would take 2J = 12 more."""
+        config = harness.HarnessConfig(seed=11, n_markets=1, model=model, n_products=(6, 6))
+        prim, pair = harness.random_primitives(config, 0)
+        calls, residual = [], harness._margin_residual
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return residual(*args, **kw)
+
+        monkeypatch.setattr(harness, "_margin_residual", counting)
+        eq, _ = harness.solve_post_merger_equilibrium(prim, pair)
+        newton_steps = eq.iterations - 1
+        assert newton_steps > 0
+        assert len(calls) <= 1 + 3 * newton_steps
+
     def test_generator_prices_are_equilibrium(self):
         """The inverse-design construction puts the drawn prices exactly on the
         pricing conditions, for both models and every criterion-10 draw
@@ -99,26 +128,50 @@ class TestBertrandSolver:
 
 
 class TestGroundTruthDerivatives:
-    """Analytic CES derivatives against central differences in price."""
+    """Analytic ground-truth derivatives against central differences."""
 
     def test_quantity_jacobian_and_outside_slope_match_fd(self):
-        demand = heterogeneous_ces()
+        """In price, on weighted CES consumers with consideration sets and on
+        logit: the quantity Jacobian and Hessian, and the CES outside slope."""
         p = np.array([1.3, 0.9, 1.6, 1.1])
-        jac = demand.quantity_jacobian(p)
-        slope = demand.outside_revenue_slope(p)
-        fd_jac, fd_slope = np.empty((4, 4)), np.empty(4)
-        wb = demand.weights * demand.budgets
-        for k in range(4):
-            h = 1e-6 * p[k]
-            up, dn = p.copy(), p.copy()
-            up[k] += h
-            dn[k] -= h
-            fd_jac[:, k] = (demand.quantities(up) - demand.quantities(dn)) / (2 * h)
-            outside_up = wb @ (1.0 - demand.share_rows(up).sum(axis=1))
-            outside_dn = wb @ (1.0 - demand.share_rows(dn).sum(axis=1))
-            fd_slope[k] = (outside_up - outside_dn) / (2 * h)
-        np.testing.assert_allclose(jac, fd_jac, rtol=1e-7, atol=1e-10)
-        np.testing.assert_allclose(slope, fd_slope, rtol=1e-7, atol=1e-10)
+        h = 1e-6 * p
+        ces_demand = heterogeneous_ces()
+        logit = harness.LogitGroundTruth(np.array([1.0, 0.4, 1.5, 0.2]), 1.3, mass=2.0)
+        for demand in (ces_demand, logit):
+            np.testing.assert_allclose(demand.quantity_jacobian(p),
+                                       central_differences(demand.quantities, p, h),
+                                       rtol=1e-7, atol=1e-10)
+            hess = demand.quantity_hessian(p)
+            np.testing.assert_allclose(hess, central_differences(demand.quantity_jacobian, p, h),
+                                       rtol=0.0, atol=1e-7 * np.max(np.abs(hess)))
+        wb = ces_demand.weights * ces_demand.budgets
+        fd_slope = central_differences(
+            lambda x: wb @ (1.0 - ces_demand.share_rows(x).sum(axis=1)), p, h)
+        np.testing.assert_allclose(ces_demand.outside_revenue_slope(p), fd_slope,
+                                   rtol=1e-7, atol=1e-10)
+
+    @pytest.mark.parametrize("source", ["ces", "logit", "hard_ces"])
+    def test_margin_residual_jacobian_matches_fd(self, source):
+        """d r / d log p of the margin-form pricing conditions under post-merger
+        ownership, at log prices moved 0.05 off the drawn (or solved) ones: 20
+        seed-11 draws per model and the six hard CES markets."""
+        if source == "hard_ces":
+            markets = [(hard_ces_market(k), (0, 1)) for k in range(6)]
+        else:
+            config = harness.HarnessConfig(seed=11, n_markets=20, model=source)
+            markets = [harness.random_primitives(config, t) for t in range(20)]
+        for prim, (a, b) in markets:
+            co_owned = co_ownership([a if f == b else f for f in prim.ownership])
+            x = np.log(prim.prices) + 0.05 * (-1.0) ** np.arange(len(prim.ids))
+
+            def residual(x, prim=prim, co_owned=co_owned):
+                return harness._margin_residual(prim.demand, np.exp(x), prim.costs, co_owned)
+
+            r, jac = harness._margin_residual(prim.demand, np.exp(x), prim.costs, co_owned,
+                                              jacobian=True)
+            np.testing.assert_array_equal(r, residual(x))
+            np.testing.assert_allclose(jac, central_differences(residual, x, np.full(len(x), 1e-6)),
+                                       rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
 
 
 class TestPostMerger:

@@ -9,7 +9,8 @@ from uppkit.newton import damped_newton
 
 def test_converges_on_smooth_system():
     def fun(x):
-        return np.array([x[0] ** 2 + x[1] - 3.0, x[0] - x[1] + 1.0])
+        f = np.array([x[0] ** 2 + x[1] - 3.0, x[0] - x[1] + 1.0])
+        return f, np.array([[2.0 * x[0], 1.0], [1.0, -1.0]])
 
     def rescue(x):
         raise AssertionError("rescue must not fire on a smooth system")
@@ -30,7 +31,8 @@ def test_singular_jacobian_fires_rescue_then_converges():
         return x + 0.5
 
     x, f, its, ok = damped_newton(
-        lambda x: np.maximum(x, 0.1) - 1.0, np.array([0.0]), rescue, 1e-12, 20
+        lambda x: (np.maximum(x, 0.1) - 1.0, np.diag((x > 0.1).astype(float))),
+        np.array([0.0]), rescue, 1e-12, 20,
     )
     assert ok
     assert len(calls) == 1 and calls[0][0] == 0.0
@@ -39,12 +41,20 @@ def test_singular_jacobian_fires_rescue_then_converges():
 
 
 def test_no_progress_returns_unconverged_without_raising():
+    """A singular Jacobian fires the rescue; a rescue that neither moves nor
+    improves ends the search unconverged after one step."""
     x0 = np.array([0.3, -0.2])
+    rescued = []
+
+    def rescue(x):
+        rescued.append(x.copy())
+        return x.copy()
+
     x, f, its, ok = damped_newton(
-        lambda x: np.ones(2), x0, lambda x: x.copy(), 1e-10, 100
+        lambda x: (np.ones(2), np.zeros((2, 2))), x0, rescue, 1e-10, 100
     )
     assert not ok
-    assert its == 1
+    assert its == 1 and len(rescued) == 1
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(f, np.ones(2))
 
@@ -52,7 +62,8 @@ def test_no_progress_returns_unconverged_without_raising():
 def test_iterates_respect_lower_bound():
     # root at -2 lies below the bound; the solver stops at the bound unconverged
     x, _, _, ok = damped_newton(
-        lambda x: x + 2.0, np.array([0.0]), lambda x: x - 1.0, 1e-10, 20, lower_bound=-0.99
+        lambda x: (x + 2.0, np.eye(1)), np.array([0.0]), lambda x: x - 1.0, 1e-10, 20,
+        lower_bound=-0.99,
     )
     assert not ok
     assert x[0] == -0.99
@@ -65,14 +76,19 @@ def test_undefined_candidates_are_no_improvement():
     def fun(x):
         if x[0] > 1.5:
             raise InputValidationError("undefined state")
-        return np.array([np.nan if x[0] < -1.0 else np.arctan(x[0] - 1.0)])
+        if x[0] < -1.0:
+            return np.array([np.nan]), np.array([[np.nan]])
+        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
 
     x, f, _, ok = damped_newton(fun, np.array([0.0]), lambda x: x + 0.1, 1e-12, 50)
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
 
+    def floored(x):
+        f, j = fun(x)
+        return np.maximum(f, 0.5), np.zeros_like(j)  # flat: no Newton step
+
     for jump in (5.0, -5.0):  # a rescue to a raising, then to a NaN point
-        x, f, its, ok = damped_newton(
-            lambda x: np.maximum(fun(x), 0.5), np.array([0.0]), lambda x: x + jump, 1e-12, 50)
+        x, f, its, ok = damped_newton(floored, np.array([0.0]), lambda x: x + jump, 1e-12, 50)
         assert not ok and its == 1
         np.testing.assert_array_equal(x, [0.0])
         np.testing.assert_array_equal(f, [0.5])
@@ -104,63 +120,7 @@ def test_supplied_jacobian_costs_one_evaluation_per_step():
     def rescue(x):
         raise AssertionError("rescue must not fire on a smooth system")
 
-    x, f, its, ok = damped_newton(fun_and_jac, np.zeros(n), rescue, 1e-12, 50, jac=True)
+    x, f, its, ok = damped_newton(fun_and_jac, np.zeros(n), rescue, 1e-12, 50)
     assert ok and its > 1
-    assert len(calls) <= 2 * its + 1  # O(1) per step, not the 2n = 20 of the fallback
-
-
-def test_supplied_jacobian_finds_the_fallback_root():
-    n = 10
-    fun, jac = coupled_system(n)
-
-    def rescue(x):
-        raise AssertionError("rescue must not fire on a smooth system")
-
-    x_fd, _, its_fd, ok_fd = damped_newton(fun, np.zeros(n), rescue, 1e-12, 50)
-    x, f, its, ok = damped_newton(lambda x: (fun(x), jac(x)), np.zeros(n), rescue, 1e-12, 50,
-                                  jac=True)
-    assert ok and ok_fd and its == its_fd
-    np.testing.assert_allclose(x, x_fd, rtol=0.0, atol=1e-13)
-    assert np.max(np.abs(f)) < 1e-12
-
-
-def test_supplied_jacobian_undefined_candidates_are_no_improvement():
-    """As on the fallback path: a raising or non-finite candidate is no
-    improvement, and a rescue to one ends the search at the best point."""
-    def fun(x):
-        if x[0] > 1.5:
-            raise InputValidationError("undefined state")
-        if x[0] < -1.0:
-            return np.array([np.nan]), np.array([[np.nan]])
-        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
-
-    x, f, _, ok = damped_newton(fun, np.array([0.0]), lambda x: x + 0.1, 1e-12, 50, jac=True)
-    assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
-
-    def floored(x):
-        f, j = fun(x)
-        return np.maximum(f, 0.5), np.zeros_like(j)  # flat: no Newton step
-
-    for jump in (5.0, -5.0):  # a rescue to a raising, then to a NaN point
-        x, f, its, ok = damped_newton(floored, np.array([0.0]), lambda x: x + jump, 1e-12, 50,
-                                      jac=True)
-        assert not ok and its == 1
-        np.testing.assert_array_equal(x, [0.0])
-        np.testing.assert_array_equal(f, [0.5])
-
-
-def test_supplied_jacobian_rescue_stop_rule():
-    """A singular supplied Jacobian fires the rescue; a rescue that neither
-    moves nor improves ends the search unconverged after one step."""
-    x0 = np.array([0.3, -0.2])
-    rescued = []
-
-    def rescue(x):
-        rescued.append(x.copy())
-        return x.copy()
-
-    x, f, its, ok = damped_newton(lambda x: (np.ones(2), np.zeros((2, 2))), x0, rescue,
-                                  1e-10, 100, jac=True)
-    assert not ok and its == 1 and len(rescued) == 1
-    np.testing.assert_array_equal(x, x0)
-    np.testing.assert_array_equal(f, np.ones(2))
+    assert len(calls) <= 2 * its + 1  # O(1) per step, not the 2n = 20 of central differences
+    np.testing.assert_allclose(fun(x), 0.0, rtol=0.0, atol=1e-12)
