@@ -41,8 +41,9 @@ def test_singular_jacobian_fires_rescue_then_converges():
 
 
 def test_no_progress_returns_unconverged_without_raising():
-    """A singular Jacobian fires the rescue; a rescue that neither moves nor
-    improves ends the search unconverged after one step."""
+    """A regular Jacobian whose step never lowers the residual exhausts the
+    line search; a rescue that neither moves nor improves then ends the
+    search unconverged after one step."""
     x0 = np.array([0.3, -0.2])
     rescued = []
 
@@ -51,7 +52,7 @@ def test_no_progress_returns_unconverged_without_raising():
         return x.copy()
 
     x, f, its, ok = damped_newton(
-        lambda x: (np.ones(2), np.zeros((2, 2))), x0, rescue, 1e-10, 100
+        lambda x: (np.ones(2), np.eye(2)), x0, rescue, 1e-10, 100
     )
     assert not ok
     assert its == 1 and len(rescued) == 1
@@ -72,16 +73,20 @@ def test_iterates_respect_lower_bound():
 def test_undefined_candidates_are_no_improvement():
     """A candidate where the residual raises or is not finite never aborts the
     solve: the line search shortens the step past it, and a rescue to such a
-    point ends the search with the best point so far."""
+    point ends the search with the best point so far. Here an undefined
+    point's residual is NaN while its Jacobian stays finite."""
+    tried = []
+
     def fun(x):
+        tried.append(x[0])
         if x[0] > 1.5:
             raise InputValidationError("undefined state")
-        if x[0] < -1.0:
-            return np.array([np.nan]), np.array([[np.nan]])
-        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+        j = np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+        return np.array([np.nan if x[0] < -1.0 else np.arctan(x[0] - 1.0)]), j
 
     x, f, _, ok = damped_newton(fun, np.array([0.0]), lambda x: x + 0.1, 1e-12, 50)
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
+    assert max(tried) > 1.5  # the first full step was undefined and got halved
 
     def floored(x):
         f, j = fun(x)
@@ -124,3 +129,44 @@ def test_supplied_jacobian_costs_one_evaluation_per_step():
     assert ok and its > 1
     assert len(calls) <= 2 * its + 1  # O(1) per step, not the 2n = 20 of central differences
     np.testing.assert_allclose(fun(x), 0.0, rtol=0.0, atol=1e-12)
+
+
+def test_supplied_jacobian_undefined_candidates_are_no_improvement():
+    """A raising candidate, or one whose residual and Jacobian are both NaN,
+    is no improvement, and a rescue to one ends the search at the best point."""
+    def fun(x):
+        if x[0] > 1.5:
+            raise InputValidationError("undefined state")
+        if x[0] < -1.0:
+            return np.array([np.nan]), np.array([[np.nan]])
+        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+
+    x, f, _, ok = damped_newton(fun, np.array([0.0]), lambda x: x + 0.1, 1e-12, 50)
+    assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
+
+    def floored(x):
+        f, j = fun(x)
+        return np.maximum(f, 0.5), np.zeros_like(j)  # flat: no Newton step
+
+    for jump in (5.0, -5.0):  # a rescue to a raising, then to a NaN point
+        x, f, its, ok = damped_newton(floored, np.array([0.0]), lambda x: x + jump, 1e-12, 50)
+        assert not ok and its == 1
+        np.testing.assert_array_equal(x, [0.0])
+        np.testing.assert_array_equal(f, [0.5])
+
+
+def test_supplied_jacobian_rescue_stop_rule():
+    """A singular supplied Jacobian fires the rescue; a rescue that neither
+    moves nor improves ends the search unconverged after one step."""
+    x0 = np.array([0.3, -0.2])
+    rescued = []
+
+    def rescue(x):
+        rescued.append(x.copy())
+        return x.copy()
+
+    x, f, its, ok = damped_newton(lambda x: (np.ones(2), np.zeros((2, 2))), x0, rescue,
+                                  1e-10, 100)
+    assert not ok and its == 1 and len(rescued) == 1
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(f, np.ones(2))
