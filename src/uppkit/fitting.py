@@ -7,8 +7,10 @@ consumers' expenditures. The fitter minimizes
 
     sum_j (R_j_observed - R_j_model(theta, mu))^2
 
-with Levenberg-Marquardt (numeric Jacobian). mu rides through a logistic
-transform so the unconstrained optimizer keeps it inside (0, 1).
+with Levenberg-Marquardt on the closed-form Jacobian of the model revenues
+(formulas in :func:`_model_revenues`), built from the same share evaluation
+as the residual. mu rides through a logistic transform so the unconstrained
+optimizer keeps it inside (0, 1).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def _prepare(design: np.ndarray, budgets: np.ndarray, nests: Sequence[str],
     budgets = np.asarray(budgets, dtype=float)
     if budgets.shape != (n_t,) or w.shape != (n_t,) or mask.shape != (n_t, n_s):
         raise InputValidationError("budgets, weights and mask must match the design's shape")
+    if not np.isfinite(design).all():  # unread off the consideration sets, but 0 * NaN is NaN
+        design = np.where(mask[:, :, None], design, 0.0)
     return design, mask, w * budgets, _nest_columns(nests)
 
 
@@ -51,13 +55,42 @@ def _model_revenues(
     mask: np.ndarray,
     wb: np.ndarray,
     nest_cols: Sequence[Sequence[int]],
-) -> np.ndarray:
+    jacobian: bool = False,
+):
+    """Model revenue per store, R_j = sum_i wb_i a_ij; with ``jacobian``, the pair
+    ``(R, dR/d(theta, mu))`` of shape (n_stores, k + 1), from the same shares.
+
+    The two-level nested-logit derivative (Train 2009, ch. 4) on expenditure
+    shares, with x_i,outside = 0, wa_ij = wb_i a_ij, xbar_i = sum_k a_ik x_ik,
+    xbar_ib and ubar_ib the means of x and u over nest b under a_{k|b}, N_ib the
+    nest share and V_ib = I_ib - ubar_ib/mu (the entropy of a_{.|b}; 0 for the
+    outside nest):
+
+        dR_j/dtheta = sum_i wa_ij (x_ij/mu + (1 - 1/mu) xbar_i,b(j) - xbar_i)
+        dR_j/dmu    = sum_i wa_ij (-(u_ij - ubar_ib)/mu^2 + V_ib - sum_c N_ic V_ic)
+    """
     n_t, n_s, _ = design.shape
     u = np.full((n_t, n_s + 1), -np.inf)
     u[:, :n_s][mask] = (design @ theta)[mask]
     u[:, n_s] = 0.0  # outside option
-    alpha = _nested_share_rows(u, nest_cols, mu)
-    return wb @ alpha[:, :n_s]
+    a = _nested_share_rows(u, nest_cols, mu)[:, :n_s]
+    r = wb @ a
+    if not jacobian:
+        return r
+    # per consumer and inside nest b: N_ib, N_ib xbar_ib, and the entropy
+    # V_ib = log N_ib - sum_{k in b} a_ik log a_ik / N_ib
+    g = np.array([np.isin(np.arange(n_s), cols) for cols in nest_cols[:-1]], dtype=float)
+    ga = a[:, None, :] * g  # zero off the consideration sets, where u is -inf
+    n, nx = ga.sum(axis=2), ga @ design
+    pos = np.where(n > 0.0, n, 1.0)
+    xbar = nx / pos[:, :, None]
+    v = np.log(pos) - (a * np.log(np.where(a > 0.0, a, 1.0))) @ g.T / pos
+    # the brackets above less x_ij/mu and -u_ij/mu^2, which enter through e
+    terms = np.dstack([(1.0 - 1.0 / mu) * xbar - nx.sum(axis=1)[:, None],
+                       xbar @ theta / mu**2 + v - (n * v).sum(axis=1)[:, None]])
+    e = np.einsum("ij,ijk->jk", wb[:, None] * a, design)  # sum_i wa_ij x_ij
+    wga = (wb[:, None, None] * ga).reshape(-1, n_s)
+    return r, np.column_stack([e / mu, -(e @ theta) / mu**2]) + wga.T @ terms.reshape(len(wga), -1)
 
 
 @dataclass(frozen=True)
@@ -70,7 +103,7 @@ class FitResult:
     residual_se: float
     n_evaluations: int
     message: str
-    log: tuple[tuple[int, float], ...]   # (function evaluations, cost) trace
+    log: tuple[tuple[int, float], ...]   # (evaluation number, cost) per residual evaluation
 
 
 class NestedCESRevenueFitter:
@@ -152,13 +185,24 @@ class NestedCESRevenueFitter:
             raise InputValidationError(f"unknown weighting {self.weighting!r}")
 
         trace: list[tuple[int, float]] = []
+        last: dict = {}
+
+        def evaluate(params: np.ndarray) -> np.ndarray:
+            theta, mu = params[:k], _expit(params[k])
+            r, jac = _model_revenues(theta, mu, design, mask, wb, nest_cols, jacobian=True)
+            jac[:, k] *= mu * (1.0 - mu)  # d mu / d params[k], the logistic slope
+            last.update(x=params.copy(), jac=jac / scale[:, None])
+            return (r - revenues) / scale
 
         def residuals(params: np.ndarray) -> np.ndarray:
-            theta, mu = params[:k], _expit(params[k])
-            r = _model_revenues(theta, mu, design, mask, wb, nest_cols)
-            res = (r - revenues) / scale
+            res = evaluate(params)
             trace.append((len(trace) + 1, float(res @ res)))
             return res
+
+        def jacobian(params: np.ndarray) -> np.ndarray:
+            if not np.array_equal(params, last["x"]):
+                evaluate(params)
+            return last["jac"]
 
         theta0 = np.zeros(k) if self.theta0 is None else np.asarray(self.theta0, dtype=float)
         if not 0.0 < self.mu0 < 1.0:
@@ -169,6 +213,7 @@ class NestedCESRevenueFitter:
         sol = least_squares(
             residuals,
             x0,
+            jac=jacobian,
             method="lm",
             gtol=self.gradient_tol,
             xtol=self.step_tol,

@@ -186,11 +186,10 @@ class Equilibrium:
     iterations: int           # the warm-start step plus the Newton steps
 
 
-def _cross_weights(demand, prices, co_owned):
+def _cross_weights(demand, prices, co_owned, jac):
     """(eps_jj, A) with A[j, l] = D_jl p_l / p_j where ``co_owned[j, l]``, else 0,
-    D_jl = -(dq_l/dp_j) / (dq_j/dp_j) being quantity diversion; the pricing
-    conditions then read -1/eps - m + A m = 0."""
-    jac = demand.quantity_jacobian(prices)
+    D_jl = -(dq_l/dp_j) / (dq_j/dp_j) being quantity diversion from ``jac``, the
+    quantity Jacobian at ``prices``; the pricing conditions then read -1/eps - m + A m = 0."""
     own = np.diag(jac)
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = own * prices / demand.quantities(prices)
@@ -204,12 +203,13 @@ def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
     and own = co-ownership including the diagonal, r_j = -N_j / Den_j for
     N_j = q_j + sum_l own_jl (p_l - c_l) Q_lj and Den_j = p_j Q_jj, whose price
     derivatives come from ``quantity_hessian``."""
-    eps, a = _cross_weights(demand, prices, co_owned)
+    jac = demand.quantity_jacobian(prices)
+    eps, a = _cross_weights(demand, prices, co_owned, jac)
     m = (prices - costs) / prices
     r = -1.0 / eps - m + a @ m
     if not jacobian:
         return r
-    jac, hess = demand.quantity_jacobian(prices), demand.quantity_hessian(prices)
+    hess = demand.quantity_hessian(prices)
     own = co_owned | np.eye(len(prices), dtype=bool)
     d_num = jac + own * jac.T + np.einsum("jl,ljq->jq", own * (prices - costs), hess)
     d_den = np.diag(np.diag(jac)) + prices[:, None] * np.einsum("jjq->jq", hess)
@@ -218,7 +218,7 @@ def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
 
 def _implied_margins(demand, prices, co_owned) -> np.ndarray:
     """Margins solving the pricing conditions at fixed prices."""
-    eps, a = _cross_weights(demand, prices, co_owned)
+    eps, a = _cross_weights(demand, prices, co_owned, demand.quantity_jacobian(prices))
     return np.linalg.solve(np.eye(len(prices)) - a, -1.0 / eps)
 
 

@@ -1,10 +1,14 @@
 """Nested-CES revenue NLS: recovery, diagnostics, estimator surface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from uppkit import fitting, harness
 from uppkit.errors import InputValidationError
+
+from tests.test_harness import central_differences
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +48,13 @@ class TestRecovery:
         assert res.converged
         np.testing.assert_allclose(res.theta, fx.theta, rtol=1e-3)
         assert res.mu == pytest.approx(0.7, abs=1e-3)
+
+    def test_design_off_the_consideration_sets_is_ignored(self, fixture):
+        """Covariates of stores a consumer does not consider (here NaN, as a
+        JSON null loads) enter neither the revenues nor their Jacobian."""
+        design = np.where(fixture.mask[:, :, None], fixture.design, np.nan)
+        res = fit_fixture(dataclasses.replace(fixture, design=design))
+        np.testing.assert_array_equal(res.theta, fit_fixture(fixture).theta)
 
     def test_revenue_weighting_also_recovers(self, fixture):
         res = fit_fixture(fixture, weighting="revenue")
@@ -129,7 +140,90 @@ class TestEstimatorSurface:
 
     def test_iteration_log_populated(self, fixture):
         res = fit_fixture(fixture)
-        # the trace also records the solver's internal Jacobian evaluations
-        assert len(res.log) >= res.n_evaluations > 0
+        # one entry per residual evaluation: the Jacobian is analytic
+        assert len(res.log) == res.n_evaluations > 0
         assert min(c for _, c in res.log) <= res.log[0][1]
         assert res.residual_se < 1e-8
+
+
+def model_inputs(fx):
+    """``_model_revenues``' data arguments for a spatial fixture."""
+    return fitting._prepare(fx.design, fx.budgets, [fx.nests[s] for s in fx.store_ids],
+                            fx.mask, fx.weights)
+
+
+def weighted_geography_missing_a_nest():
+    """Seeded 30x12 geography with non-unit consumer weights, in which one
+    consumer who shopped both nests now considers no store of one of them."""
+    fx = harness.generate_spatial_fixture(
+        harness.SpatialConfig(seed=21, n_tracts=30, n_stores=12, mu=0.6))
+    labels = np.array([fx.nests[s] for s in fx.store_ids])
+    i = next(i for i, row in enumerate(fx.mask) if len(set(labels[row])) == 2)
+    mask = fx.mask.copy()
+    mask[i] &= labels != labels[mask[i]][0]
+    weights = np.random.default_rng(21).uniform(0.3, 3.0, len(fx.budgets))
+    return model_inputs(dataclasses.replace(fx, mask=mask, weights=weights)), fx.theta
+
+
+class TestModelRevenueJacobian:
+    """``_model_revenues(..., jacobian=True)``: dR/d(theta, mu) against central
+    differences of the revenues; a RuntimeWarning (from -inf utilities or a
+    consumer without a nest) fails the suite."""
+
+    @pytest.fixture(scope="class")
+    def geographies(self, fixture):
+        return [(model_inputs(fixture), fixture.theta), weighted_geography_missing_a_nest()]
+
+    @pytest.mark.parametrize("mu", [0.2, 0.46, 0.8, 1.0])
+    def test_matches_central_differences(self, geographies, mu):
+        for data, theta in geographies:
+            r, jac = fitting._model_revenues(theta, mu, *data, jacobian=True)
+            np.testing.assert_array_equal(r, fitting._model_revenues(theta, mu, *data))
+            assert jac.shape == (len(r), len(theta) + 1)
+            fd = central_differences(lambda p: fitting._model_revenues(p[:-1], p[-1], *data),
+                                     np.append(theta, mu), np.full(len(theta) + 1, 1e-6))
+            np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(jac)))
+
+    def test_unit_mu_reduces_to_the_softmax_derivative(self, geographies):
+        """At mu = 1 the shares are one softmax, so dR_j/dtheta =
+        sum_i wb_i a_ij (x_ij - sum_k a_ik x_ik)."""
+        for (design, mask, wb, nest_cols), theta in geographies:
+            _, jac = fitting._model_revenues(theta, 1.0, design, mask, wb, nest_cols,
+                                             jacobian=True)
+            u = np.where(mask, design @ theta, -np.inf)
+            a = np.exp(u) / (1.0 + np.exp(u).sum(axis=1, keepdims=True))
+            xbar = np.einsum("ij,ijk->ik", a, design)
+            expected = np.einsum("i,ij,ijk->jk", wb, a, design - xbar[:, None, :])
+            np.testing.assert_allclose(jac[:, :-1], expected, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_fit_evaluates_revenues_once_per_residual(self, fixture, monkeypatch):
+        """The solver's Jacobian reuses the residual's share evaluation: the log
+        holds one entry per evaluation, and no finite-difference steps."""
+        calls, model_revenues = [], fitting._model_revenues
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return model_revenues(*args, **kw)
+
+        monkeypatch.setattr(fitting, "_model_revenues", counting)
+        res = fit_fixture(fixture)
+        assert res.converged
+        assert len(res.log) == res.n_evaluations == len(calls)
+
+    def test_jacobian_away_from_the_last_residual_is_recomputed(self, fixture, monkeypatch):
+        """The solver's Jacobian at x is J(x) even when the last residual was
+        evaluated elsewhere."""
+        import scipy.optimize
+        least_squares, seen = scipy.optimize.least_squares, []
+
+        def probing(fun, x0, jac, **kw):
+            fun(x0)
+            seen.append(jac(x0).copy())
+            fun(x0 + 0.1)
+            seen.append(jac(x0))
+            return least_squares(fun, x0, jac=jac, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", probing)
+        assert fit_fixture(fixture).converged
+        np.testing.assert_array_equal(seen[0], seen[1])

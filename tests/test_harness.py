@@ -173,6 +173,22 @@ class TestGroundTruthDerivatives:
             np.testing.assert_allclose(jac, central_differences(residual, x, np.full(len(x), 1e-6)),
                                        rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
 
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_margin_residual_jacobian_computes_one_quantity_jacobian(self, model, monkeypatch):
+        """The residual and its derivative share one quantity Jacobian."""
+        config = harness.HarnessConfig(seed=11, n_markets=1, model=model)
+        prim, (a, b) = harness.random_primitives(config, 0)
+        co_owned = co_ownership([a if f == b else f for f in prim.ownership])
+        calls, quantity_jacobian = [], type(prim.demand).quantity_jacobian
+
+        def counting(demand, prices):
+            calls.append(1)
+            return quantity_jacobian(demand, prices)
+
+        monkeypatch.setattr(type(prim.demand), "quantity_jacobian", counting)
+        harness._margin_residual(prim.demand, prim.prices, prim.costs, co_owned, jacobian=True)
+        assert len(calls) == 1
+
 
 class TestPostMerger:
     def test_no_ownership_change_zero_effect(self):
@@ -217,7 +233,8 @@ class TestObservation:
 
             co_owned = np.zeros((len(prim.ids),) * 2, dtype=bool)
             co_owned[pair, pair[::-1]] = True
-            _, cross = harness._cross_weights(prim.demand, eq.prices, co_owned)
+            _, cross = harness._cross_weights(prim.demand, eq.prices, co_owned,
+                                              prim.demand.quantity_jacobian(eq.prices))
             for j, k in (pair, pair[::-1]):
                 pid = prim.ids[j]
                 direct = eq.margins[k] * cross[j, k]  # m_k D_jk p_k / p_j
