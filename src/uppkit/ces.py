@@ -74,6 +74,8 @@ class CESEconomy:
                 raise InputValidationError(f"consumer {c.id}: budget {c.budget} must be >= 0")
             if not np.isfinite(c.weight) or c.weight < 0:
                 raise InputValidationError(f"consumer {c.id}: weight {c.weight} must be >= 0")
+            if not np.all(np.isfinite(list(c.utilities.values()))):
+                raise InputValidationError(f"consumer {c.id}: utilities must be finite")
         if not any(c.weight > 0 for c in self.consumers):
             raise InputValidationError("all consumer weights are zero")
 

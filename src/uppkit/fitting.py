@@ -43,8 +43,12 @@ def _prepare(design: np.ndarray, budgets: np.ndarray, nests: Sequence[str],
     budgets = np.asarray(budgets, dtype=float)
     if budgets.shape != (n_t,) or w.shape != (n_t,) or mask.shape != (n_t, n_s):
         raise InputValidationError("budgets, weights and mask must match the design's shape")
+    if not all(np.all((v >= 0) & (v < np.inf)) for v in (budgets, w)):
+        raise InputValidationError("budgets and weights must be finite and >= 0")
     if not np.isfinite(design).all():  # unread off the consideration sets, but 0 * NaN is NaN
         design = np.where(mask[:, :, None], design, 0.0)
+        if not np.isfinite(design).all():
+            raise InputValidationError("design must be finite on the consideration sets")
     return design, mask, w * budgets, _nest_columns(nests)
 
 
@@ -169,8 +173,8 @@ class NestedCESRevenueFitter:
         revenues = np.asarray(revenues, dtype=float)
         if revenues.shape != (n_s,):
             raise InputValidationError(f"revenues must have shape ({n_s},)")
-        if np.any(revenues < 0):
-            raise InputValidationError("revenues must be >= 0")
+        if not np.all((revenues >= 0) & (revenues < np.inf)):
+            raise InputValidationError("revenues must be finite and >= 0")
 
         x_rows = design[mask]
         if x_rows.shape[0] < k or np.linalg.matrix_rank(x_rows) < k:

@@ -14,7 +14,8 @@ only the post-merger market.
 Equilibria are found by ``solve_bertrand``: one damped step of the margin
 fixed point as a warm start, then the package's damped Newton in log prices
 on the margin-form pricing conditions, whose Jacobian comes in closed form
-from each demand model's ``quantity_jacobian`` and ``quantity_hessian``.
+from each demand model's ``derivatives``: quantities, their price Jacobian and
+Hessian, from one share evaluation per price vector.
 
 Per-trial randomness uses counter-based Philox streams keyed by
 (experiment seed, trial index), so a trial's market does not depend on the
@@ -23,7 +24,6 @@ number of markets or on the other trials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -64,18 +64,10 @@ class CESGroundTruth:
         if self.eta <= 1.0:
             raise InputValidationError("eta must be > 1")
 
-    @property
-    def n_products(self) -> int:
-        return self.betas.shape[1]
-
     def share_rows(self, prices: np.ndarray) -> np.ndarray:
         """Inside shares per consumer; the outside share is 1 - row sum."""
         u = np.where(self.consider, np.log(self.betas) + (1.0 - self.eta) * np.log(prices)[None, :], -np.inf)
-        m = np.maximum(np.max(u, axis=1, keepdims=True), 0.0)
-        z = np.exp(u - m)
-        z[~self.consider] = 0.0
-        denom = z.sum(axis=1, keepdims=True) + np.exp(-m)
-        return z / denom
+        return ces._softmax_rows(np.column_stack([u, np.zeros(len(u))]))[:, :-1]
 
     def revenues(self, prices: np.ndarray) -> np.ndarray:
         wb = self.weights * self.budgets
@@ -84,49 +76,34 @@ class CESGroundTruth:
     def quantities(self, prices: np.ndarray) -> np.ndarray:
         return self.revenues(prices) / prices
 
-    def quantity_jacobian(self, prices: np.ndarray) -> np.ndarray:
-        """dq_l/dp_j as [l, j]; analytic from the softmax derivatives."""
-        alpha = self.share_rows(prices)
-        wb = self.weights * self.budgets
-        slope = 1.0 - self.eta
-        cross = (alpha * wb[:, None]).T @ alpha  # sum_i wb a_il a_ij -> [l, j]
-        s0 = wb @ alpha
-        jac = -slope * cross / np.outer(prices, prices)
-        np.fill_diagonal(jac, (slope * (s0 - np.diag(cross)) - s0) / prices**2)
-        return jac
-
-    def quantity_hessian(self, prices: np.ndarray) -> np.ndarray:
-        """d2q_l/dp_j dp_q as [l, j, q]. With b = 1 - eta and the spending
-        moments S_l = sum_i wb_i a_il, P_lj = sum_i wb_i a_il a_ij and T_ljq =
-        sum_i wb_i a_il a_ij a_iq, Q_lj = ((b - 1) delta_lj S_l - b P_lj) / (p_l p_j),
+    def derivatives(self, prices: np.ndarray, hessian: bool = False):
+        """``(q, Q)`` with Q_lj = dq_l/dp_j, or with ``hessian`` ``(q, Q, H)`` with
+        H_ljq = d2q_l/dp_j dp_q, from one share evaluation. With b = 1 - eta and
+        the spending moments S_l = sum_i wb_i a_il, P_lj = sum_i wb_i a_il a_ij and
+        T_ljq = sum_i wb_i a_il a_ij a_iq, Q_lj = ((b - 1) delta_lj S_l - b P_lj) / (p_l p_j),
         and p_q dS_l/dp_q = b (delta_lq S_l - P_lq) and
         p_q dP_lj/dp_q = b ((delta_lq + delta_jq) P_lj - 2 T_ljq)."""
         alpha = self.share_rows(prices)
         wb = self.weights * self.budgets
         b, eye, pp = 1.0 - self.eta, np.eye(len(prices)), np.outer(prices, prices)
         s, pair = wb @ alpha, (alpha * wb[:, None]).T @ alpha
-        third = np.einsum("il,ij,iq->ljq", alpha * wb[:, None], alpha, alpha)
         jac = ((b - 1.0) * np.diag(s) - b * pair) / pp  # Q_lj
+        if not hessian:
+            return s / prices, jac
+        third = np.einsum("il,ij,iq->ljq", alpha * wb[:, None], alpha, alpha)
         lq_jq = eye[:, None, :] + eye  # [l, j, q] = delta_lq + delta_jq
         d_num = ((b - 1.0) * eye[:, :, None] * (np.diag(s) - pair)[:, None, :]
                  - b * (lq_jq * pair[:, :, None] - 2.0 * third))
-        return (b * d_num / pp[:, :, None] - lq_jq * jac[:, :, None]) / prices
+        return s / prices, jac, (b * d_num / pp[:, :, None] - lq_jq * jac[:, :, None]) / prices
 
     def economy(self, prices: np.ndarray, ids: Sequence[str]) -> CESEconomy:
         """The observable economy at given prices (utility indices, not primitives)."""
         consumers = []
         u = np.log(self.betas) + (1.0 - self.eta) * np.log(prices)[None, :]
         for i in range(self.betas.shape[0]):
-            utils = {ids[k]: float(u[i, k]) for k in range(self.n_products) if self.consider[i, k]}
+            utils = {pid: float(u[i, k]) for k, pid in enumerate(ids) if self.consider[i, k]}
             consumers.append(Consumer(f"c{i}", float(self.budgets[i]), utils, float(self.weights[i])))
         return CESEconomy(tuple(consumers), self.eta)
-
-    def outside_revenue_slope(self, prices: np.ndarray) -> np.ndarray:
-        """dR_outside/dp_j per product j (spending diverted to the outside)."""
-        alpha = self.share_rows(prices)
-        wb = self.weights * self.budgets
-        a0 = 1.0 - alpha.sum(axis=1)
-        return -(1.0 - self.eta) * ((wb * a0) @ alpha) / prices
 
 
 class LogitGroundTruth:
@@ -141,15 +118,9 @@ class LogitGroundTruth:
         if self.price_coef <= 0:
             raise InputValidationError("price coefficient must be positive")
 
-    @property
-    def n_products(self) -> int:
-        return self.delta.shape[0]
-
     def share_rows(self, prices: np.ndarray) -> np.ndarray:
         v = self.delta - self.price_coef * prices
-        m = max(float(np.max(v)), 0.0)
-        z = np.exp(v - m)
-        return (z / (z.sum() + math.exp(-m)))[None, :]
+        return ces._softmax_rows(np.append(v, 0.0)[None, :])[:, :-1]
 
     def quantities(self, prices: np.ndarray) -> np.ndarray:
         return self.mass * self.share_rows(prices)[0]
@@ -157,18 +128,16 @@ class LogitGroundTruth:
     def revenues(self, prices: np.ndarray) -> np.ndarray:
         return prices * self.quantities(prices)
 
-    def quantity_jacobian(self, prices: np.ndarray) -> np.ndarray:
+    def derivatives(self, prices: np.ndarray, hessian: bool = False):
+        """``(q, Q)``, or with ``hessian`` ``(q, Q, H)``, from one share evaluation:
+        Q_lj = dq_l/dp_j = -a q_l (delta_lj - s_j) and H_ljq = d2q_l/dp_j dp_q
+        = a^2 q_l ((delta_lj - s_j)(delta_lq - s_q) - s_j (delta_jq - s_q))."""
         s = self.share_rows(prices)[0]
-        jac = self.mass * self.price_coef * np.outer(s, s)
-        np.fill_diagonal(jac, -self.mass * self.price_coef * s * (1.0 - s))
-        return jac
-
-    def quantity_hessian(self, prices: np.ndarray) -> np.ndarray:
-        """d2q_l/dp_j dp_q as [l, j, q]: a^2 s_l ((delta_lj - s_j)(delta_lq - s_q)
-        - s_j (delta_jq - s_q)) per unit mass."""
-        s = self.share_rows(prices)[0]
-        e = np.eye(len(s)) - s  # [l, q] = delta_lq - s_q
-        return self.mass * self.price_coef**2 * s[:, None, None] * (
+        q, e = self.mass * s, np.eye(len(s)) - s  # e[l, q] = delta_lq - s_q
+        jac = -self.price_coef * q[:, None] * e
+        if not hessian:
+            return q, jac
+        return q, jac, self.price_coef**2 * q[:, None, None] * (
             e[:, :, None] * e[:, None, :] - s[:, None] * e)
 
 
@@ -186,13 +155,14 @@ class Equilibrium:
     iterations: int           # the warm-start step plus the Newton steps
 
 
-def _cross_weights(demand, prices, co_owned, jac):
+def _cross_weights(q, jac, prices, co_owned):
     """(eps_jj, A) with A[j, l] = D_jl p_l / p_j where ``co_owned[j, l]``, else 0,
     D_jl = -(dq_l/dp_j) / (dq_j/dp_j) being quantity diversion from ``jac``, the
-    quantity Jacobian at ``prices``; the pricing conditions then read -1/eps - m + A m = 0."""
+    quantity Jacobian at ``prices`` where the quantities are ``q``; the pricing
+    conditions then read -1/eps - m + A m = 0."""
     own = np.diag(jac)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = own * prices / demand.quantities(prices)
+        eps = own * prices / q
         a = -jac.T / own[:, None] * prices[None, :] / prices[:, None]
     return eps, np.where(co_owned, a, 0.0)
 
@@ -202,14 +172,15 @@ def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
     ``jacobian``, the pair ``(r, d r / d log p)``. With Q the quantity Jacobian
     and own = co-ownership including the diagonal, r_j = -N_j / Den_j for
     N_j = q_j + sum_l own_jl (p_l - c_l) Q_lj and Den_j = p_j Q_jj, whose price
-    derivatives come from ``quantity_hessian``."""
-    jac = demand.quantity_jacobian(prices)
-    eps, a = _cross_weights(demand, prices, co_owned, jac)
+    derivatives come from the quantity Hessian. One ``demand.derivatives`` call
+    gives q, Q and, with ``jacobian``, the Hessian."""
+    q, jac, *hess = demand.derivatives(prices, hessian=jacobian)
+    eps, a = _cross_weights(q, jac, prices, co_owned)
     m = (prices - costs) / prices
     r = -1.0 / eps - m + a @ m
     if not jacobian:
         return r
-    hess = demand.quantity_hessian(prices)
+    hess = hess[0]
     own = co_owned | np.eye(len(prices), dtype=bool)
     d_num = jac + own * jac.T + np.einsum("jl,ljq->jq", own * (prices - costs), hess)
     d_den = np.diag(np.diag(jac)) + prices[:, None] * np.einsum("jjq->jq", hess)
@@ -218,7 +189,7 @@ def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
 
 def _implied_margins(demand, prices, co_owned) -> np.ndarray:
     """Margins solving the pricing conditions at fixed prices."""
-    eps, a = _cross_weights(demand, prices, co_owned, demand.quantity_jacobian(prices))
+    eps, a = _cross_weights(*demand.derivatives(prices), prices, co_owned)
     return np.linalg.solve(np.eye(len(prices)) - a, -1.0 / eps)
 
 
@@ -293,24 +264,21 @@ def observe(primitives: SyntheticPrimitives, prices: np.ndarray | None = None):
     margins, ownership) and the revenue diversion matrix at ``prices``."""
     p = primitives.prices if prices is None else prices
     demand, ids = primitives.demand, primitives.ids
-    rev = demand.revenues(p)
+    q, jac = demand.derivatives(p)
+    rev = p * q
     margins = (p - primitives.costs) / p
     products = tuple(
         Product(ids[j], f"f{primitives.ownership[j]}", float(rev[j]), float(margins[j]))
         for j in range(len(ids))
     )
-    market = Market(products)
-    jac = demand.quantity_jacobian(p)
-    n = len(ids)
     dr_dp = jac.T * p[None, :]          # [j, l] = dq_l/dp_j * p_l
-    dr_dp[np.arange(n), np.arange(n)] += demand.quantities(p)
+    dr_dp[np.diag_indices(len(ids))] += q
     values = -dr_dp / np.diag(dr_dp)[:, None]
     np.fill_diagonal(values, -1.0)
-    outside = None
-    if hasattr(demand, "outside_revenue_slope"):
-        outside = -demand.outside_revenue_slope(p) / np.diag(dr_dp)
-    diversion = DiversionMatrix(tuple(ids), values, outside)
-    return market, diversion
+    # CES spends fixed budgets, so what product j loses and its rivals do not
+    # gain goes outside: 1 - sum_{k != j} D_jk. Logit conserves no revenue.
+    outside = -values.sum(axis=1) if demand.model == "ces" else None
+    return Market(products), DiversionMatrix(tuple(ids), values, outside)
 
 
 def solve_pre_merger_equilibrium(primitives: SyntheticPrimitives) -> Equilibrium:

@@ -192,7 +192,7 @@ def criterion_11_oracle_equivalences():
                     d_r = diversion.get(prim.ids[j], prim.ids[k])
                     assert d_r == pytest.approx(-dr[k] / dr[j], rel=1e-5, abs=1e-12)
         # (d) exact identities on analytic objects
-        jac = prim.demand.quantity_jacobian(p)
+        jac = prim.demand.derivatives(p)[1]
         for j in range(n):
             eps_q = jac[j, j] * p[j] / q[j]
             eps_r_analytic = (jac[j, j] * p[j] + q[j]) * p[j] / r[j]

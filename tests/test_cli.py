@@ -403,6 +403,25 @@ _RAGGED = [[-1.0, 0.5], [0.5]]
 _DESIGN = [[[1.0, 2.0]], [[1.0, 0.5]]]
 
 
+_FIT_GEOGRAPHY = json.dumps(harness.spatial_fixture_to_dict(harness.generate_spatial_fixture(
+    harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6))))
+
+
+def _with_entry(field, index, value):
+    """The fittable geography with one entry of ``field`` replaced; for the
+    design, a covariate of the first store a tract considers."""
+    doc = json.loads(_FIT_GEOGRAPHY)
+    if field == "design":
+        i, j = next((i, j) for i, row in enumerate(doc["mask"]) for j, m in enumerate(row) if m)
+        doc["design"][i][j][1] = value
+    else:
+        doc[field][index] = value
+    return doc
+
+
+_CONSUMER = {"id": "c", "budget": 1.0, "utilities": {"SP": 0.3, "OD": 0.1}}
+
+
 class TestMalformedJsonInput:
     @pytest.mark.parametrize("command", [["validate"], ["second-choice", "--remove", "A"], ["fit"]])
     @pytest.mark.parametrize("content", ["5", "{not json"])
@@ -428,9 +447,23 @@ class TestMalformedJsonInput:
         (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "truth": 5}),
         (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "nests": {}}),
         (["fit", "DOC"], {**_GEOGRAPHY, "design": _DESIGN, "revenues": {}}),
+        (["fit", "DOC"], _with_entry("design", None, float("nan"))),
+        (["fit", "DOC"], _with_entry("budgets", 2, float("inf"))),
+        (["fit", "DOC"], _with_entry("budgets", 2, -1.0)),
+        (["fit", "DOC"], _with_entry("weights", 0, float("nan"))),
+        (["fit", "DOC"], _with_entry("revenues", "s1", float("nan"))),
+        (["simulate", MARKET, "DOC"], _economy_with(consumers=[
+            _CONSUMER, {**_CONSUMER, "id": "d", "utilities": {"SP": float("nan"), "OD": 0.1}}])),
+        (["second-choice", "DOC", "--remove", "SP"], _economy_with(consumers=[
+            {**_CONSUMER, "utilities": {"SP": 0.3, "OD": float("inf")}}])),
+        (["second-choice", "DOC", "--remove", "SP"], _economy_with(consumers=[
+            {**_CONSUMER, "utilities": {"SP": 0.3, "OD": float("-inf")}}])),
     ], ids=["ragged-validate", "ragged-guppi", "order-int", "eta-text", "consumer-int-simulate",
             "consumer-int-second-choice", "utilities-list", "design-ragged", "budgets-length",
-            "store-ids-int", "truth-int", "nest-missing", "revenue-missing"])
+            "store-ids-int", "truth-int", "nest-missing", "revenue-missing",
+            "fit-design-nan", "fit-budget-inf", "fit-budget-negative", "fit-weight-nan",
+            "fit-revenue-nan", "simulate-utility-nan", "second-choice-utility-inf",
+            "second-choice-utility-minus-inf"])
     def test_malformed_field_exits_2(self, runner, tmp_path, argv, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -132,22 +132,29 @@ class TestGroundTruthDerivatives:
 
     def test_quantity_jacobian_and_outside_slope_match_fd(self):
         """In price, on weighted CES consumers with consideration sets and on
-        logit: the quantity Jacobian and Hessian, and the CES outside slope."""
+        logit: the quantities, quantity Jacobian and Hessian from ``derivatives``,
+        and the CES outside column of ``observe``."""
         p = np.array([1.3, 0.9, 1.6, 1.1])
         h = 1e-6 * p
         ces_demand = heterogeneous_ces()
         logit = harness.LogitGroundTruth(np.array([1.0, 0.4, 1.5, 0.2]), 1.3, mass=2.0)
         for demand in (ces_demand, logit):
-            np.testing.assert_allclose(demand.quantity_jacobian(p),
-                                       central_differences(demand.quantities, p, h),
+            q, jac = demand.derivatives(p)
+            np.testing.assert_allclose(q, demand.quantities(p), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(jac, central_differences(demand.quantities, p, h),
                                        rtol=1e-7, atol=1e-10)
-            hess = demand.quantity_hessian(p)
-            np.testing.assert_allclose(hess, central_differences(demand.quantity_jacobian, p, h),
-                                       rtol=0.0, atol=1e-7 * np.max(np.abs(hess)))
+            hess = demand.derivatives(p, hessian=True)[2]
+            np.testing.assert_allclose(
+                hess, central_differences(lambda x: demand.derivatives(x)[1], p, h),
+                rtol=0.0, atol=1e-7 * np.max(np.abs(hess)))
         wb = ces_demand.weights * ces_demand.budgets
         fd_slope = central_differences(
             lambda x: wb @ (1.0 - ces_demand.share_rows(x).sum(axis=1)), p, h)
-        np.testing.assert_allclose(ces_demand.outside_revenue_slope(p), fd_slope,
+        own_slope = np.diag(central_differences(ces_demand.revenues, p, h))
+        prim = harness.SyntheticPrimitives(("A", "B", "C", "D"), ces_demand, 0.5 * p,
+                                           (0, 0, 1, 2), p)
+        _, diversion = harness.observe(prim)
+        np.testing.assert_allclose(diversion.outside, -fd_slope / own_slope,
                                    rtol=1e-7, atol=1e-10)
 
     @pytest.mark.parametrize("source", ["ces", "logit", "hard_ces"])
@@ -173,21 +180,27 @@ class TestGroundTruthDerivatives:
             np.testing.assert_allclose(jac, central_differences(residual, x, np.full(len(x), 1e-6)),
                                        rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
 
-    @pytest.mark.parametrize("model", ["ces", "logit"])
-    def test_margin_residual_jacobian_computes_one_quantity_jacobian(self, model, monkeypatch):
-        """The residual and its derivative share one quantity Jacobian."""
-        config = harness.HarnessConfig(seed=11, n_markets=1, model=model)
-        prim, (a, b) = harness.random_primitives(config, 0)
-        co_owned = co_ownership([a if f == b else f for f in prim.ownership])
-        calls, quantity_jacobian = [], type(prim.demand).quantity_jacobian
+    def test_one_share_evaluation_per_price_vector(self, monkeypatch):
+        """``_margin_residual``, with and without its Jacobian, and ``observe``
+        each evaluate the ground-truth shares once, for both models."""
+        for model in ("ces", "logit"):
+            config = harness.HarnessConfig(seed=11, n_markets=1, model=model)
+            prim, (a, b) = harness.random_primitives(config, 0)
+            co_owned = co_ownership([a if f == b else f for f in prim.ownership])
+            calls, share_rows = [], type(prim.demand).share_rows
 
-        def counting(demand, prices):
-            calls.append(1)
-            return quantity_jacobian(demand, prices)
+            def counting(demand, prices, share_rows=share_rows):
+                calls.append(1)
+                return share_rows(demand, prices)
 
-        monkeypatch.setattr(type(prim.demand), "quantity_jacobian", counting)
-        harness._margin_residual(prim.demand, prim.prices, prim.costs, co_owned, jacobian=True)
-        assert len(calls) == 1
+            monkeypatch.setattr(type(prim.demand), "share_rows", counting)
+            for jacobian in (True, False):
+                harness._margin_residual(prim.demand, prim.prices, prim.costs, co_owned,
+                                         jacobian=jacobian)
+                assert len(calls) == 1, (model, jacobian)
+                calls.clear()
+            harness.observe(prim)
+            assert len(calls) == 1, model
 
 
 class TestPostMerger:
@@ -233,8 +246,8 @@ class TestObservation:
 
             co_owned = np.zeros((len(prim.ids),) * 2, dtype=bool)
             co_owned[pair, pair[::-1]] = True
-            _, cross = harness._cross_weights(prim.demand, eq.prices, co_owned,
-                                              prim.demand.quantity_jacobian(eq.prices))
+            _, cross = harness._cross_weights(*prim.demand.derivatives(eq.prices), eq.prices,
+                                              co_owned)
             for j, k in (pair, pair[::-1]):
                 pid = prim.ids[j]
                 direct = eq.margins[k] * cross[j, k]  # m_k D_jk p_k / p_j
@@ -388,8 +401,7 @@ class TestMultiProductFirms:
         market, diversion = harness.observe(prim, eq.prices)
         merger = MergerSpec("f0", "f1")
         eps_hat = effects.own_price_elasticities(market, diversion, merger)
-        jac = prim.demand.quantity_jacobian(eq.prices)
-        q = prim.demand.quantities(eq.prices)
+        q, jac = prim.demand.derivatives(eq.prices)
         for j, pid in enumerate(prim.ids):
             eps_true = jac[j, j] * eq.prices[j] / q[j]
             assert eps_hat[pid] == pytest.approx(eps_true, rel=1e-9)
