@@ -113,7 +113,8 @@ class FitResult:
 class NestedCESRevenueFitter:
     """Estimator-style wrapper around the revenue NLS problem.
 
-    Parameters mirror the solver knobs; data enters through :meth:`fit`.
+    ``mu0`` starts the nesting parameter (theta starts at zero) and
+    ``max_iterations`` caps the solver; data enters through :meth:`fit`.
     ``weighting="revenue"`` divides residuals by observed revenues (unweighted
     by default).
     """
@@ -121,25 +122,16 @@ class NestedCESRevenueFitter:
     def __init__(
         self,
         mu0: float = 0.5,
-        theta0: Sequence[float] | None = None,
-        gradient_tol: float = 1e-8,
-        step_tol: float = 1e-10,
         max_iterations: int = 500,
         weighting: str = "none",
     ):
         self.mu0 = mu0
-        self.theta0 = theta0
-        self.gradient_tol = gradient_tol
-        self.step_tol = step_tol
         self.max_iterations = max_iterations
         self.weighting = weighting
 
     def get_params(self, deep: bool = True) -> dict:
         return {
             "mu0": self.mu0,
-            "theta0": self.theta0,
-            "gradient_tol": self.gradient_tol,
-            "step_tol": self.step_tol,
             "max_iterations": self.max_iterations,
             "weighting": self.weighting,
         }
@@ -208,19 +200,18 @@ class NestedCESRevenueFitter:
                 evaluate(params)
             return last["jac"]
 
-        theta0 = np.zeros(k) if self.theta0 is None else np.asarray(self.theta0, dtype=float)
         if not 0.0 < self.mu0 < 1.0:
             raise InputValidationError("mu0 must be inside (0, 1)")
         from scipy.optimize import least_squares  # deferred: slow to import
 
-        x0 = np.concatenate([theta0, [np.log(self.mu0 / (1.0 - self.mu0))]])
+        x0 = np.concatenate([np.zeros(k), [np.log(self.mu0 / (1.0 - self.mu0))]])
         sol = least_squares(
             residuals,
             x0,
             jac=jacobian,
             method="lm",
-            gtol=self.gradient_tol,
-            xtol=self.step_tol,
+            gtol=1e-8,
+            xtol=1e-10,
             max_nfev=self.max_iterations * (len(x0) + 1),
         )
         dof = max(n_s - (k + 1), 1)

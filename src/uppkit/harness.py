@@ -216,21 +216,17 @@ def solve_bertrand(
     """Bertrand-Nash prices by damped Newton in log prices.
 
     One damped margin fixed-point step from ``p0`` (default 1.5 x cost) is the
-    warm start, and the same step rescues Newton when its line search fails.
-    The root is that of the margin-form pricing conditions; ``max_iterations``
-    caps the Newton steps. ``ownership`` assigns a firm index to each product.
-    Raises ConvergenceError when the residual cannot be brought under ``_TOL``.
+    warm start. The root is that of the margin-form pricing conditions;
+    ``max_iterations`` caps the Newton steps. ``ownership`` assigns a firm
+    index to each product. Raises ConvergenceError when the residual cannot be
+    brought under ``_TOL``: the steps ran out or the line search failed.
     """
     costs = np.asarray(costs, dtype=float)
     co_owned = co_ownership(ownership)
     p = np.array(costs * 1.5 if p0 is None else p0, dtype=float)
-
-    def step(log_p):
-        return _margin_step(demand, log_p, costs, co_owned)
-
     x, res, its, ok = damped_newton(
         lambda x: _margin_residual(demand, np.exp(x), costs, co_owned, jacobian=True),
-        step(np.log(p)), step, _TOL, max_iterations,
+        _margin_step(demand, np.log(p), costs, co_owned), _TOL, max_iterations,
     )
     norm = float(np.max(np.abs(res)))
     if not ok:
@@ -496,6 +492,10 @@ class SpatialConfig:
     extent: float = 25.0           # square side, miles
     theta: tuple[float, ...] = (1.5, -0.3, 0.5, -0.8)  # 1, distance, log size, discount
     budget_range: tuple[float, float] = (50.0, 150.0)
+
+    def __post_init__(self):
+        if self.n_tracts < 1 or self.n_stores < 1:
+            raise InputValidationError("n_tracts and n_stores must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 ``simulation.simulate`` (percentage price changes) and
 ``harness.solve_bertrand`` (log prices) each hand it a residual that also
-returns its closed-form Jacobian, and a problem-specific rescue step; the
-line search and stopping rule live only here.
+returns its closed-form Jacobian; the line search and the stop rule live only
+here, and a solve whose line search fails stops there, unconverged.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import InputValidationError
 def damped_newton(
     fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
-    rescue: Callable[[np.ndarray], np.ndarray],
     tolerance: float,
     max_iterations: int,
     lower_bound: float = -np.inf,
@@ -30,15 +29,15 @@ def damped_newton(
     costs one evaluation per trial point.
 
     Each step halves its length up to 30 times until the inf-norm of ``f``
-    drops; when no length does (or the Jacobian is singular), ``rescue(x)``
-    supplies the next point instead. Iterates are clipped at
-    ``lower_bound``. Stops once the norm is under ``tolerance``, after
-    ``max_iterations`` steps, or when the rescue neither moves nor improves.
-    Only the starting point may raise: elsewhere ``InputValidationError`` from
-    ``fun`` reads as a NaN residual, and a non-finite candidate is no
-    improvement (a rescue to one ends the search). Returns
-    ``(x, f, iterations, converged)``; failing to converge is reported in
-    ``converged``, not raised.
+    drops; iterates are clipped at ``lower_bound``. A Newton step s gives
+    f(x + t s) = (1 - t) f(x) + O(t^2), so some length improves unless J is
+    singular or f is at round-off. The solve stops once the norm is under
+    ``tolerance``, after ``max_iterations`` steps, or, at the best point so
+    far, when J is singular, the step is not finite or no length improves.
+    Only the starting point may raise: elsewhere ``InputValidationError``
+    from ``fun`` reads as a NaN residual, and a non-finite candidate is no
+    improvement. Returns ``(x, f, iterations, converged)``; failing to
+    converge is reported in ``converged``, not raised.
     """
     lo = lower_bound
 
@@ -57,23 +56,18 @@ def damped_newton(
         try:
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
-            step = None
-        improved = False
-        if step is not None and np.all(np.isfinite(step)):
-            t = 1.0
-            for _ in range(30):
-                cand = np.clip(x + t * step, lo, None)
-                fc, Jc = value(cand)
-                norm = float(np.linalg.norm(fc, np.inf))
-                if norm < best_norm:  # False for NaN
-                    x, f, J, best_norm, improved = cand, fc, Jc, norm, True
-                    break
-                t *= 0.5
-        if not improved:
-            cand = np.clip(rescue(x), lo, None)
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        t = 1.0
+        for _ in range(30):
+            cand = np.clip(x + t * step, lo, None)
             fc, Jc = value(cand)
             norm = float(np.linalg.norm(fc, np.inf))
-            if not np.isfinite(norm) or (norm >= best_norm and np.allclose(cand, x)):
-                break  # no progress possible
-            x, f, J, best_norm = cand, fc, Jc, norm
+            if norm < best_norm:  # False for NaN
+                x, f, J, best_norm = cand, fc, Jc, norm
+                break
+            t *= 0.5
+        else:
+            break  # no step length improves
     return x, f, its, best_norm < tolerance

@@ -10,9 +10,7 @@ function of the percentage price changes pdd:
     m_j(pdd)    = 1 - (1 - m_j) (1 + cdd_j) / (1 + pdd_j)
 
 The solver finds the root of the stacked ownership-aware pricing conditions
-f(pdd) = 0 with a damped Newton iteration warm-started at the GUPPI vector,
-falling back to a damped fixed point on the margin form when a Newton step
-fails to improve.
+f(pdd) = 0 with a damped Newton iteration warm-started at the GUPPI vector.
 
 The Newton Jacobian is closed-form, built from the state the residual at
 the same point computed. With L_q = log(1 + pdd_q), b = 1 - eta and consumer
@@ -56,6 +54,7 @@ from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, co_ownership
 from .newton import damped_newton
 
 LOWER_BOUND = -0.99  # floor on every iterate's price change
+MAX_ITERATIONS = 200  # Newton steps per solve
 
 
 @dataclass(frozen=True)
@@ -273,9 +272,11 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tolerance: float = 1e-10
-    max_iterations: int = 200
-    check_uniqueness: bool = True
+    tolerance: float = 1e-10  # inf-norm of the pricing conditions at a root
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise InputValidationError(f"tolerance {self.tolerance} must be finite and > 0")
 
 
 def _gaps_and_warm_start(problem: SimulationProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -289,25 +290,15 @@ def _gaps_and_warm_start(problem: SimulationProblem) -> tuple[np.ndarray, np.nda
     return -_foc(s.eps, s.d, m0, pre), pressure(s.eps, s.d, m0, post & ~pre) + base - (1.0 - m0)
 
 
-def _margin_rescue(problem: SimulationProblem, x: np.ndarray) -> np.ndarray:
-    """Half a step of the margin-form fixed point: towards the price changes
-    at which each margin equals its FOC-implied value f(x) + m(x)."""
-    s = post_merger_state(problem, x)
-    _, base, _, post = problem._arrays
-    implied = _foc(s.eps, s.d, s.m, post) + s.m
-    target = base / np.maximum(1.0 - implied, 1e-9) - 1.0
-    return x + 0.5 * (target - x)
-
-
 def simulate(
     problem: SimulationProblem, config: SolverConfig | None = None
 ) -> SimulationResult:
     """Solve the post-merger pricing system for the percentage price changes.
 
     Damped Newton on ``foc_residual`` with its closed-form Jacobian,
-    warm-started at the GUPPI vector. When uniqueness checking is on, it
-    re-solves from 0 and from twice the warm start; ``unique`` is False only
-    if a re-solve converges to a root more than 1e-6 away. So ``unique``
+    warm-started at the GUPPI vector. A converged solve is re-solved from 0
+    and from twice the warm start; ``unique`` is False only if a re-solve
+    converges to a root more than 1e-6 away. So ``unique``
     means "no second root found": a re-solve that cannot start or does not
     converge finds none, and is reported in ``warnings`` with its start.
     A non-convergent run returns a diagnostic result with ``converged=False``
@@ -326,14 +317,13 @@ def simulate(
     def solve(x0):
         return damped_newton(
             lambda x: foc_residual(problem, x, jacobian=True), x0,
-            lambda x: _margin_rescue(problem, x),
-            config.tolerance, config.max_iterations, lower_bound=LOWER_BOUND,
+            config.tolerance, MAX_ITERATIONS, lower_bound=LOWER_BOUND,
         )
 
     x, f, its, ok = solve(g)
 
     unique = True
-    if config.check_uniqueness and ok:
+    if ok:
         for start, alt0 in (("0", np.zeros_like(g)), ("2x GUPPI", 2.0 * g)):
             try:
                 alt, alt_f, alt_its, alt_ok = solve(alt0)

@@ -108,7 +108,7 @@ class TestSimulateCommand:
     def test_nonconverged_writes_output_then_exits_3(self, runner, monkeypatch):
         solve = simulation.simulate
         monkeypatch.setattr(simulation, "simulate", lambda problem, config: solve(
-            problem, simulation.SolverConfig(max_iterations=0, check_uniqueness=False)))
+            problem, simulation.SolverConfig(tolerance=1e-300)))
         result = runner.invoke(main, ["simulate", MARKET, ECONOMY, "--format", "json"])
         assert result.exit_code == 3
         assert json.loads(result.output)["result"]["converged"] is False
@@ -143,6 +143,20 @@ def test_nested_economy_exits_2(runner, tmp_path, argv):
     plain = run()
     assert plain.exit_code == 0
     assert run(nests={"SP": "a", "OD": "a"}, mu=1.0).output == plain.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", MARKET, ECONOMY, "--tolerance", "-1"],
+    ["simulate", MARKET, ECONOMY, "--tolerance", "nan"],
+    ["fit", "--synthetic-seed", "1", "--tracts", "-5"],
+    ["fit", "--synthetic-seed", "1", "--stores", "-1"],
+], ids=["tolerance-negative", "tolerance-nan", "tracts-negative", "stores-negative"])
+def test_option_out_of_range_exits_2(runner, argv):
+    """A solver tolerance that is not finite and positive, or a synthetic
+    geography without tracts or stores, is refused before any work."""
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.stderr
 
 
 def _three_product_market(firms):
