@@ -7,9 +7,10 @@ consumers' expenditures. The fitter minimizes
 
     sum_j (R_j_observed - R_j_model(theta, mu))^2
 
-with Levenberg-Marquardt on the closed-form Jacobian of the model revenues
-(formulas in :func:`_model_revenues`), built from the same share evaluation
-as the residual. mu rides through a logistic transform so the unconstrained
+with Levenberg-Marquardt (:func:`newton.levenberg_marquardt`) on the
+closed-form Jacobian of the model revenues (formulas in
+:func:`_model_revenues`), built from the same share evaluation as the
+residual. mu rides through a logistic transform so the unconstrained
 optimizer keeps it inside (0, 1).
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .ces import _nest_columns, _nested_share_rows
 from .errors import InputValidationError
+from .newton import levenberg_marquardt
 
 
 def _expit(x: float) -> float:
@@ -114,7 +116,9 @@ class NestedCESRevenueFitter:
     """Estimator-style wrapper around the revenue NLS problem.
 
     ``mu0`` starts the nesting parameter (theta starts at zero) and
-    ``max_iterations`` caps the solver; data enters through :meth:`fit`.
+    ``max_iterations`` (default 500) caps the Levenberg-Marquardt trial steps,
+    accepted or rejected, each one residual-and-Jacobian evaluation; data
+    enters through :meth:`fit`.
     ``weighting="revenue"`` divides residuals by observed revenues (unweighted
     by default).
     """
@@ -181,46 +185,26 @@ class NestedCESRevenueFitter:
             raise InputValidationError(f"unknown weighting {self.weighting!r}")
 
         trace: list[tuple[int, float]] = []
-        last: dict = {}
 
-        def evaluate(params: np.ndarray) -> np.ndarray:
+        def evaluate(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             theta, mu = params[:k], _expit(params[k])
             r, jac = _model_revenues(theta, mu, design, mask, wb, nest_cols, jacobian=True)
             jac[:, k] *= mu * (1.0 - mu)  # d mu / d params[k], the logistic slope
-            last.update(x=params.copy(), jac=jac / scale[:, None])
-            return (r - revenues) / scale
-
-        def residuals(params: np.ndarray) -> np.ndarray:
-            res = evaluate(params)
+            res = (r - revenues) / scale
             trace.append((len(trace) + 1, float(res @ res)))
-            return res
-
-        def jacobian(params: np.ndarray) -> np.ndarray:
-            if not np.array_equal(params, last["x"]):
-                evaluate(params)
-            return last["jac"]
+            return res, jac / scale[:, None]
 
         if not 0.0 < self.mu0 < 1.0:
             raise InputValidationError("mu0 must be inside (0, 1)")
-        from scipy.optimize import least_squares  # deferred: slow to import
-
         x0 = np.concatenate([np.zeros(k), [np.log(self.mu0 / (1.0 - self.mu0))]])
-        sol = least_squares(
-            residuals,
-            x0,
-            jac=jacobian,
-            method="lm",
-            gtol=1e-8,
-            xtol=1e-10,
-            max_nfev=self.max_iterations * (len(x0) + 1),
-        )
+        x, res, _, converged, reason = levenberg_marquardt(evaluate, x0, self.max_iterations)
         dof = max(n_s - (k + 1), 1)
-        self.theta_ = sol.x[:k]
-        self.mu_ = _expit(sol.x[k])
-        self.converged_ = bool(sol.status > 0)
-        self.residual_se_ = float(np.sqrt(2.0 * sol.cost / dof))
-        self.n_evaluations_ = int(sol.nfev)
-        self.message_ = sol.message if self.converged_ else f"not converged: {sol.message}"
+        self.theta_ = x[:k]
+        self.mu_ = _expit(x[k])
+        self.converged_ = converged
+        self.residual_se_ = float(np.sqrt(res @ res / dof))
+        self.n_evaluations_ = len(trace)
+        self.message_ = reason if converged else f"not converged: {reason}"
         self.log_ = tuple(trace)
         self._nests = tuple(nests)
         return self

@@ -487,10 +487,17 @@ class TestMalformedJsonInput:
 
 
 def test_cli_import_leaves_scipy_out():
-    """scipy is only needed by the fitter, which imports it when it runs."""
-    code = "import sys, uppkit.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    """No uppkit code imports scipy: not the CLI, and not ``uppkit fit``,
+    whose Levenberg-Marquardt is uppkit's own."""
+    no_scipy = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    fit = ("from uppkit.cli import main\ntry:\n    main(['fit', '--synthetic-seed', '1', "
+           "'--tracts', '20', '--stores', '8', '--format', 'json'])\n"
+           "except SystemExit as end:\n    assert not end.code\n")
     src = str(Path(uppkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    for code in ("import uppkit.cli\n", fit):
+        out = subprocess.run([sys.executable, "-c", "import sys\n" + code + no_scipy], env=env,
+                             capture_output=True, text=True, check=True)
+        *doc, flag = out.stdout.splitlines()
+        assert flag == "False"
+    assert json.loads("\n".join(doc))["result"]["converged"]

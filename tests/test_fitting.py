@@ -56,6 +56,15 @@ class TestRecovery:
         res = fit_fixture(dataclasses.replace(fixture, design=design))
         np.testing.assert_array_equal(res.theta, fit_fixture(fixture).theta)
 
+    @pytest.mark.parametrize("mu0", [0.2, 0.5, 0.8])
+    def test_recovery_from_any_start(self, fixture, mu0):
+        """No start stalls short of the optimum: ftol and xtol end a solve only
+        after an accepted step, never after a rejected one."""
+        res = fit_fixture(fixture, mu0=mu0)
+        assert res.converged
+        np.testing.assert_allclose(res.theta, fixture.theta, rtol=1e-8)
+        assert res.mu == pytest.approx(0.46, rel=1e-8)
+
     def test_revenue_weighting_also_recovers(self, fixture):
         res = fit_fixture(fixture, weighting="revenue")
         assert res.converged
@@ -211,19 +220,47 @@ class TestModelRevenueJacobian:
         assert res.converged
         assert len(res.log) == res.n_evaluations == len(calls)
 
-    def test_jacobian_away_from_the_last_residual_is_recomputed(self, fixture, monkeypatch):
-        """The solver's Jacobian at x is J(x) even when the last residual was
-        evaluated elsewhere."""
-        import scipy.optimize
-        least_squares, seen = scipy.optimize.least_squares, []
 
-        def probing(fun, x0, jac, **kw):
-            fun(x0)
-            seen.append(jac(x0).copy())
-            fun(x0 + 0.1)
-            seen.append(jac(x0))
-            return least_squares(fun, x0, jac=jac, **kw)
+def fit_with_oracle(fx, revenues, monkeypatch):
+    """Fit, then run scipy's MINPACK Levenberg-Marquardt on the fitter's own
+    residual and Jacobian from the same start; return both results and
+    scipy's (theta, mu)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    seen, solver = {}, fitting.levenberg_marquardt
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", probing)
-        assert fit_fixture(fixture).converged
-        np.testing.assert_array_equal(seen[0], seen[1])
+    def capturing(fun, x0, max_iterations):
+        seen.update(fun=fun, x0=x0)
+        return solver(fun, x0, max_iterations)
+
+    monkeypatch.setattr(fitting, "levenberg_marquardt", capturing)
+    res = fitting.fit_nested_ces(revenues, fx.design, fx.budgets,
+                                 [fx.nests[s] for s in fx.store_ids],
+                                 mask=fx.mask, consumer_weights=fx.weights)
+    fun = seen["fun"]
+    sol = optimize.least_squares(lambda p: fun(p)[0], seen["x0"], jac=lambda p: fun(p)[1],
+                                 method="lm", gtol=1e-8, xtol=1e-10)
+    return res, sol, sol.x[:-1], fitting._expit(sol.x[-1])
+
+
+class TestScipyOracle:
+    """The fitter's Levenberg-Marquardt reaches the optimum that MINPACK's
+    (``least_squares(method="lm")``) reaches on the same problem."""
+
+    def test_noiseless_fit_matches(self, fixture, monkeypatch):
+        rev = np.array([fixture.revenues[s] for s in fixture.store_ids])
+        res, _, theta, mu = fit_with_oracle(fixture, rev, monkeypatch)
+        np.testing.assert_allclose(res.theta, theta, rtol=1e-10)
+        assert res.mu == pytest.approx(mu, rel=1e-10)
+
+    def test_noisy_fit_matches(self, monkeypatch):
+        """200x40 geography, observed revenues under 5% log-normal noise."""
+        fx = harness.generate_spatial_fixture(
+            harness.SpatialConfig(seed=11, n_tracts=200, n_stores=40))
+        clean = np.array([fx.revenues[s] for s in fx.store_ids])
+        noisy = clean * np.exp(np.random.default_rng(11).normal(0.0, 0.05, clean.shape))
+        res, sol, theta, mu = fit_with_oracle(fx, noisy, monkeypatch)
+        assert res.converged and sol.status > 0
+        # a converged solve ends on the accepted point, the last one evaluated
+        assert res.log[-1][1] == pytest.approx(2.0 * sol.cost, rel=1e-9)
+        np.testing.assert_allclose(res.theta, theta, rtol=1e-5)
+        assert res.mu == pytest.approx(mu, rel=1e-5)

@@ -1,10 +1,11 @@
-"""The damped Newton driver shared by simulate and solve_bertrand, on toy systems."""
+"""The damped Newton driver shared by simulate and solve_bertrand, and the
+fitter's Levenberg-Marquardt, on toy systems."""
 
 import numpy as np
 import pytest
 
 from uppkit.errors import InputValidationError
-from uppkit.newton import damped_newton
+from uppkit.newton import damped_newton, levenberg_marquardt
 
 
 def test_converges_on_smooth_system():
@@ -114,3 +115,67 @@ def test_supplied_jacobian_undefined_candidates_are_no_improvement():
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
     assert max(tried) > 1.5  # the first full step was undefined and got halved
 
+
+def rosenbrock(x):
+    f = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return f, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+def test_lm_solves_rosenbrock():
+    x, f, steps, ok, reason = levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]), 500)
+    assert ok, reason
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=0.0, atol=1e-8)
+    assert steps < 100
+
+
+def test_lm_linear_zero_residual_accepts_every_step():
+    """On a linear system the quadratic model is exact (rho = 1), so no trial
+    step is rejected. A damped step leaves about lam / (1 + lam) of the
+    residual, so the root takes a few steps, as lam falls by 3 at each."""
+    a = np.array([[3.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
+    root = np.array([0.7, -1.3])
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return a @ (x - root), a
+
+    x, f, steps, ok, _ = levenberg_marquardt(fun, np.zeros(2), 500)
+    assert ok
+    assert len(calls) == steps + 1 < 10
+    costs = [np.sum((a @ (c - root)) ** 2) for c in calls]
+    assert all(later < earlier for earlier, later in zip(costs, costs[1:]))
+    np.testing.assert_allclose(x, root, rtol=0.0, atol=1e-12)
+
+
+def test_lm_step_cap_returns_unconverged_without_raising():
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return rosenbrock(x)
+
+    x, f, steps, ok, reason = levenberg_marquardt(fun, np.array([-1.2, 1.0]), 3)
+    assert not ok and steps == 3 and len(calls) == 4
+    assert "cap" in reason
+    np.testing.assert_array_equal(f, rosenbrock(x)[0])
+
+
+@pytest.mark.parametrize("undefined", ["raise", "nan"])
+def test_lm_undefined_candidates_are_rejected_steps(undefined):
+    """A candidate where the residual raises, or is not finite, is rejected:
+    lam grows and the next trial step is shorter."""
+    tried = []
+
+    def fun(x):
+        tried.append(x[0])
+        if x[0] > 1.5:
+            if undefined == "raise":
+                raise InputValidationError("undefined state")
+            return np.array([np.nan]), np.array([[np.nan]])
+        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+
+    x, f, steps, ok, _ = levenberg_marquardt(fun, np.array([0.0]), 100)
+    assert ok and x[0] == pytest.approx(1.0, abs=1e-10)
+    assert tried[1] > 1.5  # the first trial step was undefined
+    assert steps == len(tried) - 1
