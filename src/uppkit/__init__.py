@@ -7,6 +7,21 @@ diversion ratios themselves and make full merger simulation feasible in
 percentage-price-change space.
 """
 
+import os as _os
+import sys as _sys
+
+# uppkit's arrays are small (J <= 40, N <= 1000, a 1000x100 fit): a second
+# OpenBLAS thread speeds up no call and only spins, burning CPU. OpenBLAS reads
+# the variable once, when numpy loads, so it is dropped again and no child
+# process inherits it. A thread variable the caller set, or numpy imported first, wins.
+if "numpy" not in _sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .ces import (
     CESEconomy,
     CompensatingVariation,

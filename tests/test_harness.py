@@ -330,6 +330,25 @@ class TestCrossModuleEquivalence:
         for j, pid in enumerate(prim.ids):
             assert result.price_changes[pid] == pytest.approx(pdd_true[j], abs=1e-8)
 
+    def test_every_criterion_10_ces_trial_agrees(self):
+        """The same oracle on the full criterion-10 CES experiment (seed 11):
+        every trial that did not fail, every scored product."""
+        config = harness.HarnessConfig(seed=11, n_markets=200, model="ces")
+        experiment = harness.run_accuracy_experiment(config)
+        scored = {}
+        for r in experiment.records:
+            scored.setdefault(r.trial_id, {})[r.product_id] = r.true_pdd
+        assert len(scored) + len(experiment.failures) == config.n_markets
+        for trial, true_pdd in scored.items():
+            prim, pair = harness.random_primitives(config, trial)
+            market, _ = harness.observe(prim)
+            economy = prim.demand.economy(prim.prices, list(prim.ids))
+            merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
+            result = simulation.simulate(simulation.merger_problem(market, economy, merger))
+            assert result.converged, trial
+            for pid, pdd in true_pdd.items():
+                assert result.price_changes[pid] == pytest.approx(pdd, abs=1e-8), (trial, pid)
+
     def test_heterogeneous_multiproduct_market_agrees(self):
         """Both solvers share the root finder, so the oracle rests on the two
         residuals: check them on a seeded batch of markets with weighted
