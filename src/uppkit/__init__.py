@@ -32,7 +32,6 @@ from .ces import (
     economy_from_dict,
     economy_from_shares,
     identify_eta,
-    invert_shares,
     load_economy,
     nested_shares,
     own_price_elasticity_of_demand,
@@ -41,24 +40,16 @@ from .ces import (
     second_choice_diversion,
     shares,
 )
-from .diversion import (
-    ElasticityBundle,
-    elasticity_bundle_from_derivatives,
-    quantity_to_revenue_diversion,
-    revenue_to_quantity_term,
-)
 from .effects import (
     CmcrResult,
     EffectsReport,
     PassThroughMatrix,
     WelfareReport,
     cmcr,
-    compensating_efficiency,
     effects_report,
     guppi,
     naive_cmcr,
     naive_guppi,
-    own_price_elasticity,
     price_effects,
     welfare,
 )
@@ -73,7 +64,6 @@ from .market import (
     Product,
     Violation,
     load_market,
-    save_market,
     validate,
 )
 from .passthrough import PassthroughInputs, passthrough_matrix, passthrough_matrix_from_market

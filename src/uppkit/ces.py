@@ -43,10 +43,6 @@ class Consumer:
         u.setdefault(OUTSIDE, 0.0)
         object.__setattr__(self, "utilities", u)
 
-    @property
-    def consideration(self) -> frozenset[str]:
-        return frozenset(self.utilities)
-
 
 def _product_order(consumers: Sequence[Consumer]) -> tuple[str, ...]:
     seen: dict[str, None] = {}
@@ -67,17 +63,21 @@ class CESEconomy:
     def __post_init__(self):
         if not self.consumers:
             raise InputValidationError("economy has no consumers")
-        if not self.eta > 1.0:
-            raise InputValidationError(f"eta must be > 1, got {self.eta}")
+        if not 1.0 < self.eta < np.inf:
+            raise InputValidationError(f"eta must be finite and > 1, got {self.eta}")
         for c in self.consumers:
             if not np.isfinite(c.budget) or c.budget < 0:
                 raise InputValidationError(f"consumer {c.id}: budget {c.budget} must be >= 0")
             if not np.isfinite(c.weight) or c.weight < 0:
                 raise InputValidationError(f"consumer {c.id}: weight {c.weight} must be >= 0")
+            if not np.isfinite(float(c.weight) * float(c.budget)):
+                raise InputValidationError(f"consumer {c.id}: weight x budget overflows")
             if not np.all(np.isfinite(list(c.utilities.values()))):
                 raise InputValidationError(f"consumer {c.id}: utilities must be finite")
         if not any(c.weight > 0 for c in self.consumers):
             raise InputValidationError("all consumer weights are zero")
+        if not np.isfinite(sum(float(c.weight) * float(c.budget) for c in self.consumers)):
+            raise InputValidationError("total weight x budget across consumers overflows")
 
     @cached_property
     def order(self) -> tuple[str, ...]:
@@ -235,14 +235,6 @@ def _invert(cid: str, sh: Mapping[str, float]) -> dict[str, float]:
     return {pid: float(np.log(v) - np.log(a0)) for pid, v in sh.items()}
 
 
-def invert_shares(table: ShareTable) -> dict[str, dict[str, float]]:
-    """Recover utility indices from interior shares: u_ij = log a_ij - log a_i,OUTSIDE,
-    so the outside option is normalized to zero. Zero shares mark products a
-    consumer does not consider; the outside share must be positive."""
-    return {cid: _invert(cid, {pid: a for pid, a in zip(table.order, row.tolist()) if a > 0.0})
-            for cid, row in zip(table.consumer_ids, table.values)}
-
-
 def economy_from_shares(
     share_map: Mapping[str, Mapping[str, float]],
     budgets: Mapping[str, float],
@@ -330,14 +322,14 @@ class EtaIdentification:
     inconsistent: bool
 
 
-def identify_eta(
-    share_map: Mapping[str, float],
-    eps: Mapping[str, float],
-    spread_warning: float = 1.0,
-) -> EtaIdentification:
+#: Spread of the per-product eta estimates above which they count as inconsistent.
+ETA_SPREAD_WARNING = 1.0
+
+
+def identify_eta(share_map: Mapping[str, float], eps: Mapping[str, float]) -> EtaIdentification:
     """Back out eta per product from eta = 1 - (1 + eps_jj)/(1 - alpha_j) and
     average. ``share_map`` holds aggregate expenditure shares; products in
-    ``eps`` must appear in it. A spread above ``spread_warning`` sets the
+    ``eps`` must appear in it. A spread above ``ETA_SPREAD_WARNING`` sets the
     ``inconsistent`` flag."""
     per: dict[str, float] = {}
     for pid, e in eps.items():
@@ -347,7 +339,7 @@ def identify_eta(
         per[pid] = 1.0 - (1.0 + e) / (1.0 - a)
     vals = list(per.values())
     spread = max(vals) - min(vals) if len(vals) > 1 else 0.0
-    return EtaIdentification(per, float(np.mean(vals)), spread, spread > spread_warning)
+    return EtaIdentification(per, float(np.mean(vals)), spread, spread > ETA_SPREAD_WARNING)
 
 
 def second_choice_diversion(economy: CESEconomy, removed: str) -> dict[str, float]:
@@ -459,21 +451,6 @@ def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
             economy._softmax_arrays(f"{where}: inverting consumer 'shares'")
         return economy
     return CESEconomy(tuple(consumers), eta)
-
-
-def economy_to_dict(economy: CESEconomy) -> dict:
-    doc: dict = {
-        "eta": economy.eta,
-        "consumers": [
-            {"id": c.id, "budget": c.budget, "weight": c.weight,
-             "utilities": dict(c.utilities)}
-            for c in economy.consumers
-        ],
-    }
-    if isinstance(economy, NestedCESEconomy):
-        doc["mu"] = economy.mu
-        doc["nests"] = dict(economy.nests)
-    return doc
 
 
 def load_economy(path: str | Path) -> CESEconomy:

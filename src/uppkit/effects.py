@@ -118,7 +118,7 @@ def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _
     prods = [market.product(pid) for pid in order]
     m = np.array([p.margin for p in prods])
     idx = np.array([diversion._pos[pid] for pid in order], dtype=int)
-    d = diversion.values[idx[:, None], idx]  # not aligned(): no new object per call
+    d = diversion.values[idx[:, None], idx]
     is_a = np.array([p.firm == merger.firm_a for p in prods], dtype=bool)
     s = (co_ownership(is_a) * d) @ m
     denom = m - s
@@ -134,20 +134,6 @@ def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _
     push = pressure(eps, d, m, rival)
     c = np.array([merger.efficiency(pid) for pid in order])
     return _Screen(order, m, d, eps, (rival * d) @ m, push, c * (1.0 - m) + push)
-
-
-def own_price_elasticity(
-    market: Market, diversion: DiversionMatrix, firm: str
-) -> dict[str, float]:
-    """Own-price demand elasticities implied by one firm's margins and
-    within-firm revenue diversion.
-
-    For a single-product firm this reduces to the Lerner rule -1/m_j. Raises
-    when the implied elasticity would not be in the elastic region (< -1), in
-    which case the margins are not consistent with Bertrand pricing.
-    """
-    # a firm "merging" with itself: all its products co-owned, none a rival
-    return own_price_elasticities(market, diversion, MergerSpec(firm, firm))
 
 
 def own_price_elasticities(
@@ -285,14 +271,6 @@ def naive_cmcr(
         d_kj = diversion.get(k.id, j.id)
         out[j.id] = (j.margin * d_jk * d_kj + k.margin * d_jk) / ((1.0 - j.margin) * (1.0 - d_jk * d_kj))
     return out
-
-
-def compensating_efficiency(guppi_no_credit: float, margin: float) -> float:
-    """Percentage marginal-cost reduction that zeroes out a product's upward
-    pricing pressure: GUPPI (with no efficiency credit) divided by 1 - m."""
-    if not 0.0 < margin < 1.0:
-        raise InputValidationError(f"margin {margin} outside (0, 1)")
-    return guppi_no_credit / (1.0 - margin)
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,6 @@ class Market:
     def products_of(self, firm: str) -> tuple[Product, ...]:
         return tuple(p for p in self.products if p.firm == firm)
 
-    def margins(self) -> dict[str, float]:
-        return {p.id: p.margin for p in self.products}
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -102,12 +99,6 @@ class DiversionMatrix:
                 raise KeyError("diversion matrix has no outside column")
             return float(self.outside[self._pos[src]])
         return float(self.values[self._pos[src], self._pos[dst]])
-
-    def aligned(self, order: Sequence[str]) -> "DiversionMatrix":
-        """Return a copy with rows/columns permuted to ``order``."""
-        idx = [self._pos[pid] for pid in order]
-        out = None if self.outside is None else self.outside[idx]
-        return DiversionMatrix(tuple(order), self.values[np.ix_(idx, idx)], out)
 
 
 def co_ownership(owners: Sequence) -> np.ndarray:
@@ -466,36 +457,3 @@ def _load_csv(path: Path) -> MarketBundle:
     diversion = DiversionMatrix(tuple(order), values, outside if has_outside else None)
     return MarketBundle(market, diversion, None)
 
-
-def market_bundle_to_dict(bundle: MarketBundle) -> dict:
-    """Inverse of :func:`market_bundle_from_dict`; numeric fields round-trip bit-exactly."""
-    doc: dict = {
-        "products": [
-            {"id": p.id, "firm": p.firm, "revenue": p.revenue, "margin": p.margin}
-            for p in bundle.market.products
-        ],
-        "currency": bundle.market.currency,
-        "diversion": {
-            "order": list(bundle.diversion.order),
-            "matrix": bundle.diversion.values.tolist(),
-        },
-    }
-    if bundle.diversion.outside is not None:
-        doc["diversion"]["outside"] = bundle.diversion.outside.tolist()
-    if bundle.merger is not None:
-        m = bundle.merger
-        pt = m.passthrough if isinstance(m.passthrough, str) else {"matrix": m.passthrough.tolist()}
-        doc["merger"] = {
-            "firm_a": m.firm_a,
-            "firm_b": m.firm_b,
-            "efficiencies": dict(m.efficiencies),
-            "passthrough": pt,
-        }
-    return doc
-
-
-def save_market(bundle: MarketBundle, path: str | Path) -> None:
-    """Write a bundle back to the canonical JSON format."""
-    with open(path, "w") as fh:
-        json.dump(market_bundle_to_dict(bundle), fh, indent=2)
-        fh.write("\n")

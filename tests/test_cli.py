@@ -436,6 +436,13 @@ def _with_entry(field, index, value):
 _CONSUMER = {"id": "c", "budget": 1.0, "utilities": {"SP": 0.3, "OD": 0.1}}
 
 
+def _with_weight(weight):
+    """The Staples economy with its one consumer's weight replaced."""
+    doc = _economy_with()
+    doc["consumers"][0]["weight"] = weight
+    return doc
+
+
 class TestMalformedJsonInput:
     @pytest.mark.parametrize("command", [["validate"], ["second-choice", "--remove", "A"], ["fit"]])
     @pytest.mark.parametrize("content", ["5", "{not json"])
@@ -472,12 +479,18 @@ class TestMalformedJsonInput:
             {**_CONSUMER, "utilities": {"SP": 0.3, "OD": float("inf")}}])),
         (["second-choice", "DOC", "--remove", "SP"], _economy_with(consumers=[
             {**_CONSUMER, "utilities": {"SP": 0.3, "OD": float("-inf")}}])),
+        (["simulate", MARKET, "DOC"], _economy_with(eta=float("inf"))),
+        (["simulate", MARKET, "DOC"], _with_weight(1e300)),
+        (["second-choice", "DOC", "--remove", "SP"], _with_weight(1e300)),
+        (["simulate", MARKET, "DOC"], _economy_with(consumers=[
+            {**_CONSUMER, "id": cid, "budget": 1e308} for cid in "cd"])),
     ], ids=["ragged-validate", "ragged-guppi", "order-int", "eta-text", "consumer-int-simulate",
             "consumer-int-second-choice", "utilities-list", "design-ragged", "budgets-length",
             "store-ids-int", "truth-int", "nest-missing", "revenue-missing",
             "fit-design-nan", "fit-budget-inf", "fit-budget-negative", "fit-weight-nan",
             "fit-revenue-nan", "simulate-utility-nan", "second-choice-utility-inf",
-            "second-choice-utility-minus-inf"])
+            "second-choice-utility-minus-inf", "simulate-eta-inf", "simulate-weight-overflow",
+            "second-choice-weight-overflow", "simulate-total-overflow"])
     def test_malformed_field_exits_2(self, runner, tmp_path, argv, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -88,9 +88,6 @@ class TestMultiProductScreen:
                     assert stats[name].keys() == expected.keys()
                     for pid, value in expected.items():
                         assert stats[name][pid] == pytest.approx(value, abs=1e-13), (name, pid)
-        for firm in ("f1", "f2"):
-            for pid, value in effects.own_price_elasticity(market, div, firm).items():
-                assert value == pytest.approx(ref["elasticities"][pid], abs=1e-13)
 
     def test_first_firm_named_first(self):
         """Both products sit outside the elastic region; as before, firm_a's
@@ -122,8 +119,8 @@ class TestOwnPriceElasticity:
         assert eps["OD"] == pytest.approx(-4.273, abs=0.01)
 
     def test_lerner_half_margin(self):
-        market, div, _ = two_firm_market(m1=0.5)
-        eps = effects.own_price_elasticity(market, div, "f1")
+        market, div, merger = two_firm_market(m1=0.5)
+        eps = effects.own_price_elasticities(market, div, merger)
         assert eps["A"] == pytest.approx(-2.0)
 
     def test_two_product_firm_hand_value(self):
@@ -138,7 +135,7 @@ class TestOwnPriceElasticity:
             ("A", "B", "C"),
             np.array([[-1.0, 0.2, 0.1], [0.2, -1.0, 0.1], [0.1, 0.1, -1.0]]),
         )
-        eps = effects.own_price_elasticity(market, div, "f1")
+        eps = effects.own_price_elasticities(market, div, mk.MergerSpec("f1", "f2"))
         assert eps["A"] == pytest.approx(-0.94 / 0.24)
 
     def test_inconsistent_margins_rejected(self):
@@ -146,10 +143,14 @@ class TestOwnPriceElasticity:
         market = mk.Market((
             mk.Product("A", "f1", 1.0, 0.3),
             mk.Product("B", "f1", 1.0, 0.9),
+            mk.Product("C", "f2", 1.0, 0.3),
         ))
-        div = mk.DiversionMatrix(("A", "B"), np.array([[-1.0, 0.9], [0.9, -1.0]]))
+        div = mk.DiversionMatrix(
+            ("A", "B", "C"),
+            np.array([[-1.0, 0.9, 0.05], [0.9, -1.0, 0.05], [0.1, 0.1, -1.0]]),
+        )
         with pytest.raises(InputValidationError, match="margins inconsistent with Bertrand FOC"):
-            effects.own_price_elasticity(market, div, "f1")
+            effects.own_price_elasticities(market, div, mk.MergerSpec("f1", "f2"))
 
     def test_foc_fixed_point(self, staples_bundle):
         """Plugging the returned elasticity back into the pricing condition
@@ -347,17 +348,6 @@ class TestNaiveCmcr:
 
 
 class TestCompensatingEfficiency:
-    def test_reference_values(self):
-        assert effects.compensating_efficiency(0.05, 0.27) == pytest.approx(0.0685, abs=1e-4)
-        assert effects.compensating_efficiency(0.052, 0.27) == pytest.approx(0.0712, abs=1e-4)
-
-    def test_zero(self):
-        assert effects.compensating_efficiency(0.0, 0.5) == 0.0
-
-    def test_margin_validated(self):
-        with pytest.raises(InputValidationError):
-            effects.compensating_efficiency(0.1, 1.0)
-
     def test_credit_zeroes_pressure(self):
         """Crediting cdd = -GUPPI/(1-m) drives every GUPPI to exactly zero;
         checked across a batch of random markets, along with the quantile
@@ -368,10 +358,7 @@ class TestCompensatingEfficiency:
             m1, m2 = rng.uniform(0.1, 0.6, size=2)
             d12, d21 = rng.uniform(0.05, 0.8, size=2)
             market, div, merger = two_firm_market(m1=m1, m2=m2, d12=d12, d21=d21)
-            g = effects.guppi(market, div, merger)
-            comp = {pid: effects.compensating_efficiency(g[pid],
-                                                         market.product(pid).margin)
-                    for pid in g}
+            comp = effects.effects_report(market, div, merger).compensating_efficiencies
             comp_all.extend(comp.values())
             credited = mk.MergerSpec(merger.firm_a, merger.firm_b,
                                      {pid: -c for pid, c in comp.items()})

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from uppkit import ces, effects, harness, simulation
-from uppkit.diversion import quantity_to_revenue_diversion
 from uppkit.errors import ConvergenceError, InputValidationError
 from uppkit.market import MergerSpec, co_ownership
 
@@ -283,9 +282,8 @@ class TestObservation:
                     assert diversion.get(prim.ids[j], prim.ids[k]) == pytest.approx(
                         d_r_fd, rel=1e-5, abs=1e-12
                     )
-                    assert quantity_to_revenue_diversion(
-                        d_q_fd, p[j], p[k], eps_q
-                    ) == pytest.approx(d_r_fd, rel=1e-5, abs=1e-12)
+                    assert d_q_fd * p[k] / p[j] / (1 + 1 / eps_q) == pytest.approx(
+                        d_r_fd, rel=1e-5, abs=1e-12)
 
     def test_ces_outside_column_completes_rows(self):
         prim = ces_duopoly()
