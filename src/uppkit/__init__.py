@@ -26,7 +26,6 @@ from .ces import (
     CESEconomy,
     CompensatingVariation,
     Consumer,
-    NestedCESEconomy,
     ShareTable,
     compensating_variation,
     economy_from_dict,

@@ -9,9 +9,11 @@ reduce to simple share formulas in the single-consumer case:
     D_{j->k}^R = alpha_k / (1 - alpha_j),
     eps_jj^R   = (1 - eta)(1 - alpha_j).
 
-A :class:`NestedCESEconomy` with mu < 1 has two-level shares: :func:`shares`,
-:func:`revenues` and :func:`nested_shares` honour them, and everything derived
-from the softmax refuses it at one gate, ``_softmax_arrays``.
+One :class:`CESEconomy` type carries optional ``nests`` and ``mu`` fields.
+Where the nests bind (mu < 1), :func:`shares`, :func:`revenues` and
+:func:`nested_shares` give two-level shares, and everything derived from the
+softmax refuses the economy at one gate, ``_softmax_arrays``. Off a consumer's
+consideration set its utility is -inf, so its share is exactly 0.
 """
 
 from __future__ import annotations
@@ -55,10 +57,15 @@ def _product_order(consumers: Sequence[Consumer]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class CESEconomy:
-    """Consumers plus the substitution elasticity eta > 1."""
+    """Consumers plus the substitution elasticity eta > 1, and optionally a
+    two-level nest structure: ``nests`` labels each inside product, ``mu`` in
+    (0, 1] is the common nesting parameter, and the outside option is its own
+    nest with mu = 1. Without nests, or at mu = 1, the shares are plain CES."""
 
     consumers: tuple[Consumer, ...]
     eta: float
+    nests: Mapping[str, str] = field(default_factory=dict)
+    mu: float = 1.0
 
     def __post_init__(self):
         if not self.consumers:
@@ -78,6 +85,13 @@ class CESEconomy:
             raise InputValidationError("all consumer weights are zero")
         if not np.isfinite(sum(float(c.weight) * float(c.budget) for c in self.consumers)):
             raise InputValidationError("total weight x budget across consumers overflows")
+        if not 0.0 < self.mu <= 1.0:
+            raise InputValidationError(f"mu must be in (0, 1], got {self.mu}")
+        object.__setattr__(self, "nests", dict(self.nests))
+        if self.nests or self.mu < 1.0:
+            for pid in self.order[:-1]:
+                if pid not in self.nests:
+                    raise InputValidationError(f"product {pid} has no nest label")
 
     @cached_property
     def order(self) -> tuple[str, ...]:
@@ -85,8 +99,8 @@ class CESEconomy:
         return _product_order(self.consumers)
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(utilities with -inf off-consideration, weight*budget vector, mask)."""
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(utilities with -inf off-consideration, weight*budget vector)."""
         pos = {pid: k for k, pid in enumerate(self.order)}
         n, m = len(self.consumers), len(self.order)
         u = np.full((n, m), -np.inf)
@@ -95,32 +109,11 @@ class CESEconomy:
             wb[i] = c.weight * c.budget
             for pid, val in c.utilities.items():
                 u[i, pos[pid]] = val
-        return u, wb, np.isfinite(u)
+        return u, wb
 
-    def _softmax_arrays(self, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_dense`` for ``what``, a formula derived from the softmax shares."""
-        return self._dense
-
-
-@dataclass(frozen=True)
-class NestedCESEconomy(CESEconomy):
-    """CES economy with a two-level nest structure and common nesting
-    parameter mu in (0, 1]; the outside option is its own nest with mu = 1."""
-
-    nests: Mapping[str, str] = field(default_factory=dict)
-    mu: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.mu <= 1.0:
-            raise InputValidationError(f"mu must be in (0, 1], got {self.mu}")
-        object.__setattr__(self, "nests", dict(self.nests))
-        for pid in self.order[:-1]:
-            if pid not in self.nests:
-                raise InputValidationError(f"product {pid} has no nest label")
-
-    def _softmax_arrays(self, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The plain-CES gate: refuses ``what`` while the nests bind (mu < 1)."""
+    def _softmax_arrays(self, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """``_dense`` for ``what``, a formula derived from the softmax shares:
+        the plain-CES gate, which refuses it while the nests bind (mu < 1)."""
         if self.mu < 1.0:
             raise InputValidationError(
                 f"{what} assumes plain CES shares; nested economy with mu = {self.mu} < 1")
@@ -153,10 +146,9 @@ class ShareTable:
 
 
 def _softmax_rows(u: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps exp() in range for |u| up to ~700; -inf rows entries -> 0
+    # max-subtraction keeps exp() in range for |u| up to ~700; exp(-inf) is exactly 0
     m = np.max(u, axis=1, keepdims=True)
     z = np.exp(u - m)
-    z[~np.isfinite(u)] = 0.0
     return z / z.sum(axis=1, keepdims=True)
 
 
@@ -168,10 +160,9 @@ def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
 
 def shares(economy: CESEconomy) -> ShareTable:
     """The economy's own shares: the softmax, or :func:`nested_shares` where nests bind."""
-    try:
-        u, _, _ = economy._softmax_arrays("softmax shares")
-    except InputValidationError:
+    if economy.mu < 1.0:
         return nested_shares(economy)
+    u, _ = economy._dense
     return ShareTable(tuple(c.id for c in economy.consumers), economy.order, _softmax_rows(u))
 
 
@@ -203,7 +194,6 @@ def _nested_share_rows(u: np.ndarray, groups: Sequence[Sequence[int]], mu: float
         nest_logits[:, bi] = np.where(present, mu_b * iv, -np.inf)
         with np.errstate(invalid="ignore"):
             w = np.exp(ub - iv[:, None])
-        w[~np.isfinite(ub)] = 0.0
         w[~present] = 0.0
         within[:, cols] = w
     nest_share = _softmax_rows(nest_logits)
@@ -212,13 +202,16 @@ def _nested_share_rows(u: np.ndarray, groups: Sequence[Sequence[int]], mu: float
     return alpha
 
 
-def nested_shares(economy: NestedCESEconomy) -> ShareTable:
+def nested_shares(economy: CESEconomy) -> ShareTable:
     """Two-level shares: within-nest softmax of u/mu, nest chosen by softmax of
-    mu times the nest's inclusive value. Collapses to the softmax at mu = 1."""
-    u, _, mask = economy._dense
-    groups = _nest_columns([economy.nests[pid] for pid in economy.order[:-1]])
-    alpha = _nested_share_rows(u, groups, economy.mu)
-    alpha[~mask] = 0.0
+    mu times the nest's inclusive value. Collapses to the softmax at mu = 1;
+    an economy without nests gets its softmax shares."""
+    u, _ = economy._dense
+    if economy.nests:
+        groups = _nest_columns([economy.nests[pid] for pid in economy.order[:-1]])
+        alpha = _nested_share_rows(u, groups, economy.mu)
+    else:
+        alpha = _softmax_rows(u)
     return ShareTable(tuple(c.id for c in economy.consumers), economy.order, alpha)
 
 
@@ -254,13 +247,13 @@ def economy_from_shares(
 
 def revenues(economy: CESEconomy) -> dict[str, float]:
     """Model revenue per product: R_j = sum_i weight_i * alpha_ij * B_i (:func:`shares`)."""
-    _, wb, _ = economy._dense
+    _, wb = economy._dense
     r = wb @ shares(economy).values
     return {pid: float(r[k]) for k, pid in enumerate(economy.order)}
 
 
 def _diversion_from_share_values(
-    alpha: np.ndarray, wb: np.ndarray, mask: np.ndarray, order: Sequence[str]
+    alpha: np.ndarray, wb: np.ndarray, order: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Revenue diversion ``(values, outside)`` computed from a dense share block.
 
@@ -271,7 +264,7 @@ def _diversion_from_share_values(
     n = len(order) - 1  # OUTSIDE is last
     inside = alpha[:, :n]
     den = wb @ (inside * (1.0 - inside))
-    undefined = [order[j] for j in np.flatnonzero(~mask[:, :n].any(axis=0) | (den <= 0.0))]
+    undefined = [order[j] for j in np.flatnonzero(den <= 0.0)]
     if undefined:
         raise InputValidationError(
             f"diversion undefined for products considered by no consumer: {undefined}"
@@ -286,8 +279,8 @@ def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:
     sum over consumers of individual expenditure diversion a_ik/(1 - a_ij),
     with weights proportional to a_ij (1 - a_ij) B_i. Rows sum to one over all
     alternatives including the outside column (fixed-budget property)."""
-    u, wb, mask = economy._softmax_arrays("revenue diversion")
-    values, outside = _diversion_from_share_values(_softmax_rows(u), wb, mask, economy.order)
+    u, wb = economy._softmax_arrays("revenue diversion")
+    values, outside = _diversion_from_share_values(_softmax_rows(u), wb, economy.order)
     return DiversionMatrix(economy.order[:-1], values, outside)
 
 
@@ -302,7 +295,7 @@ def _own_revenue_elasticity(alpha: np.ndarray, wb: np.ndarray, eta: float) -> np
 def own_price_revenue_elasticity(economy: CESEconomy) -> dict[str, float]:
     """Own-price elasticity of revenue per product:
     (1 - eta) * sum_i wbar_ij (1 - a_ij), shopper-weighted by a_ij B_i."""
-    u, wb, _ = economy._softmax_arrays("own-price elasticity")
+    u, wb = economy._softmax_arrays("own-price elasticity")
     eps = _own_revenue_elasticity(_softmax_rows(u)[:, :-1], wb, economy.eta)
     return dict(zip(economy.order[:-1], eps.tolist()))
 
@@ -346,12 +339,12 @@ def second_choice_diversion(economy: CESEconomy, removed: str) -> dict[str, floa
     """Revenue diversion from removing one product from all consideration sets:
     each surviving alternative's revenue gain divided by the removed product's
     lost revenue. Under CES this equals the marginal (price-based) diversion."""
-    u, wb, mask = economy._softmax_arrays("second-choice diversion")
+    u, wb = economy._softmax_arrays("second-choice diversion")
     if removed == OUTSIDE:
         raise InputValidationError("cannot remove the outside option")
-    k = economy.order.index(removed) if removed in economy.order else -1
-    if k < 0 or not np.any(mask[:, k]):
+    if removed not in economy.order:
         raise InputValidationError(f"product {removed!r} is in no consideration set")
+    k = economy.order.index(removed)
     pre = _softmax_rows(u)
     u_post = u.copy()
     u_post[:, k] = -np.inf
@@ -387,7 +380,7 @@ def compensating_variation(
     with u1_ij = u0_ij + (1 - eta) log(1 + pdd_j) and the outside option
     unaffected. Positive for price increases."""
     eta = economy.eta
-    u0, _, mask = economy._softmax_arrays("compensating variation")
+    u0, _ = economy._softmax_arrays("compensating variation")
     bump = np.zeros(len(economy.order))
     for pid, pdd in price_changes.items():
         if pid == OUTSIDE:
@@ -400,7 +393,6 @@ def compensating_variation(
             raise InputValidationError(f"product {pid}: price change {pdd} <= -1")
         bump[economy.order.index(pid)] = (1.0 - eta) * np.log1p(pdd)
     u1 = u0 + bump[None, :]
-    u1[~mask] = -np.inf
     log_s0 = _logsumexp_rows(u0)
     log_s1 = _logsumexp_rows(u1)
     ratio = np.exp((log_s0 - log_s1) / (1.0 - eta))
@@ -420,8 +412,8 @@ def compensating_variation(
 def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
     """Parse the economy JSON document. Consumers give either ``shares`` or
     ``utilities`` (mutually exclusive); an optional ``nests`` map plus ``mu``
-    upgrades the result to a :class:`NestedCESEconomy`. Shares are inverted
-    with the softmax, so they are refused where the nests bind (mu < 1)."""
+    gives the economy its nests. Shares are inverted with the softmax, so they
+    are refused where the nests bind (mu < 1)."""
     if "eta" not in doc:
         raise InputValidationError(f"{where}: missing field 'eta'")
     eta = as_float(doc["eta"], "eta", where)
@@ -443,14 +435,14 @@ def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
                   for k, v in as_mapping(rec[key], key, w).items()}
         utilities = values if has_utils else _invert(cid, values)
         consumers.append(Consumer(cid, budget, utilities, weight))
-    if "nests" in doc and doc["nests"]:
+    nests, mu = {}, 1.0
+    if doc.get("nests"):
         nests = {str(k): str(v) for k, v in as_mapping(doc["nests"], "nests", where).items()}
         mu = as_float(doc.get("mu", 1.0), "mu", where)
-        economy = NestedCESEconomy(tuple(consumers), eta, nests=nests, mu=mu)
-        if any("shares" in rec for rec in rows):
-            economy._softmax_arrays(f"{where}: inverting consumer 'shares'")
-        return economy
-    return CESEconomy(tuple(consumers), eta)
+    economy = CESEconomy(tuple(consumers), eta, nests, mu)
+    if any("shares" in rec for rec in rows):
+        economy._softmax_arrays(f"{where}: inverting consumer 'shares'")
+    return economy
 
 
 def load_economy(path: str | Path) -> CESEconomy:

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -106,6 +107,17 @@ def _doc_to_csv(doc: dict) -> list[list]:
     return [headers] + [[rec[h] for h in headers] for rec in rows]
 
 
+def _non_finite(doc, path: str = "result") -> str | None:
+    """Path of the first NaN or infinite number in a result document, else None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else path
+    if isinstance(doc, list):
+        doc = dict(enumerate(doc))
+    if not isinstance(doc, dict):
+        return None
+    return next(filter(None, (_non_finite(v, f"{path}/{k}") for k, v in doc.items())), None)
+
+
 def _emit(res: Result, fmt: str, out: str | None, quiet: bool, manifest: dict) -> None:
     """Write ``res`` in ``fmt`` to stdout, or to ``out`` with the manifest beside it."""
     if fmt == "json":
@@ -138,13 +150,17 @@ def _command(name: str, inputs: tuple[str, ...] = (), seed: str | None = None):
     its input paths, the ``seed`` parameter its seed, every other parameter a
     flag), writes the output and exits with the result's code; a validation
     error, non-convergence or I/O error, output writing included, exits 2, 3
-    or 4.
+    or 4. A result holding a NaN or infinite number is a validation error: the
+    inputs lie outside the range the formulas can represent.
     """
     def register(fn):
         @functools.wraps(fn)
         def run(fmt, out, quiet, **params):
             try:
                 res = fn(**params)
+                bad = _non_finite(res.doc)
+                if bad:
+                    raise InputValidationError(f"{bad} is not finite: inputs out of numeric range")
                 flags = {k: v for k, v in params.items() if k not in (*inputs, seed)}
                 manifest = _manifest(name, [params[k] for k in inputs if params[k] is not None],
                                      {"format": fmt, **flags}, params[seed] if seed else None)
@@ -201,14 +217,13 @@ def main():
 @_command("validate", inputs=("market_file",))
 @click.argument("market_file", type=click.Path(exists=True))
 def validate(market_file):
-    """Check a market file against every data invariant."""
+    """Check a market file against every data invariant; list each finding."""
     try:
-        bundle = mk.load_market(market_file)
+        bundle = mk._parse_market(market_file)
         violations = [str(v) for v in mk.validate(bundle.market, bundle.diversion, bundle.merger)]
-        text = "\n".join(["INVALID:"] + [f"  {v}" for v in violations])
-    except InputValidationError as exc:
+    except InputValidationError as exc:  # the file does not parse
         violations = [str(exc)]
-        text = f"INVALID: {exc}"
+    text = "\n".join(["INVALID:"] + [f"  {v}" for v in violations])
     return Result({"valid": not violations, "violations": violations},
                   text if violations else "OK", [["violation"]] + [[v] for v in violations],
                   EXIT_VALIDATION if violations else 0)

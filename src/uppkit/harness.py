@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import ces, effects
-from .ces import CESEconomy, Consumer, NestedCESEconomy
+from .ces import CESEconomy, Consumer
 from .errors import ConvergenceError, InputValidationError
 from .market import (
     DiversionMatrix, Market, MergerSpec, Product, as_float, as_mapping, co_ownership, read_json,
@@ -543,7 +543,7 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
     for i in range(config.n_tracts):
         utils = {store_ids[j]: float(u[i, j]) for j in range(config.n_stores) if mask[i, j]}
         consumers.append(Consumer(f"t{i}", float(budgets[i]), utils, 1.0))
-    economy = NestedCESEconomy(tuple(consumers), config.eta, nests=nests, mu=config.mu)
+    economy = CESEconomy(tuple(consumers), config.eta, nests=nests, mu=config.mu)
     model_rev = ces.revenues(economy)
     revenues = {sid: model_rev.get(sid, 0.0) for sid in store_ids}
     return SpatialFixture(

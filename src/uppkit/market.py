@@ -297,16 +297,19 @@ def load_market(path: str | Path, format: str | None = None) -> MarketBundle:
         Schema violations (naming the field and row), margins outside (0,1),
         self-diversion != -1, unknown firm references.
     """
+    return _raise_if_invalid(_parse_market(path, format))
+
+
+def _parse_market(path: str | Path, format: str | None = None) -> MarketBundle:
+    """:func:`load_market` without the data invariants: only the schema is checked."""
     path = Path(path)
     if format is None:
         format = "csv" if (path.is_dir() or path.suffix.lower() == ".csv") else "json"
     if format == "json":
-        bundle = market_bundle_from_dict(read_json(path), where=str(path))
-    elif format == "csv":
-        bundle = _load_csv(path)
-    else:
-        raise InputValidationError(f"unknown format {format!r} (expected json or csv)")
-    return _raise_if_invalid(bundle)
+        return market_bundle_from_dict(read_json(path), where=str(path))
+    if format == "csv":
+        return _load_csv(path)
+    raise InputValidationError(f"unknown format {format!r} (expected json or csv)")
 
 
 def as_float(obj, field_name: str, where: str, ndim: int = 0):
@@ -408,52 +411,35 @@ def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:
     return MarketBundle(market, diversion, merger)
 
 
+def _read_csv(path: Path) -> list[dict]:
+    """The rows of a CSV file, without the fields a short row leaves empty."""
+    try:
+        with open(path, newline="") as fh:
+            return [{k: v for k, v in rec.items() if v is not None} for rec in csv.DictReader(fh)]
+    except OSError as exc:
+        raise InputValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_csv(path: Path) -> MarketBundle:
+    """The CSV pair as the canonical JSON document: the product rows as they
+    are, the ``from,to,value`` rows as its diversion matrix."""
     if path.is_dir():
         prod_path, div_path = path / "products.csv", path / "diversion.csv"
     else:
         prod_path, div_path = path, path.with_name("diversion.csv")
-    products = []
-    try:
-        with open(prod_path, newline="") as fh:
-            for row, rec in enumerate(csv.DictReader(fh)):
-                w = f"{prod_path}: row {row + 1}"
-                for f in ("id", "firm", "revenue", "margin"):
-                    if rec.get(f) is None:
-                        raise InputValidationError(f"{w}: missing field {f!r}")
-                products.append(Product(rec["id"], rec["firm"],
-                                        as_float(rec["revenue"], "revenue", w),
-                                        as_float(rec["margin"], "margin", w)))
-    except OSError as exc:
-        raise InputValidationError(f"cannot read {prod_path}: {exc}") from exc
-    if not products:
-        raise InputValidationError(f"{prod_path}: no products")
-    market = Market(tuple(products))
-    order = [p.id for p in products if p.id != OUTSIDE]
-    pos = {pid: i for i, pid in enumerate(order)}
-    values = -np.eye(len(order))
-    outside = np.zeros(len(order))
-    has_outside = False
-    try:
-        with open(div_path, newline="") as fh:
-            for row, rec in enumerate(csv.DictReader(fh)):
-                w = f"{div_path}: row {row + 1}"
-                for f in ("from", "to", "value"):
-                    if rec.get(f) is None:
-                        raise InputValidationError(f"{w}: missing field {f!r}")
-                src, dst = rec["from"], rec["to"]
-                if src not in pos:
-                    raise InputValidationError(f"{w}: unknown product {src!r} in 'from'")
-                v = as_float(rec["value"], "value", w)
-                if dst == OUTSIDE:
-                    outside[pos[src]] = v
-                    has_outside = True
-                elif dst not in pos:
-                    raise InputValidationError(f"{w}: unknown product {dst!r} in 'to'")
-                else:
-                    values[pos[src], pos[dst]] = v
-    except OSError as exc:
-        raise InputValidationError(f"cannot read {div_path}: {exc}") from exc
-    diversion = DiversionMatrix(tuple(order), values, outside if has_outside else None)
-    return MarketBundle(market, diversion, None)
-
+    products, rows = _read_csv(prod_path), _read_csv(div_path)
+    order = [rec.get("id") for rec in products if rec.get("id") != OUTSIDE]
+    pos = {pid: i for i, pid in enumerate([*order, OUTSIDE])}
+    matrix = np.pad(-np.eye(len(order)), (0, 1))  # OUTSIDE's row and column last
+    for row, rec in enumerate(rows):
+        w = f"{div_path}: row {row + 1}"
+        for f in ("from", "to", "value"):
+            if f not in rec:
+                raise InputValidationError(f"{w}: missing field {f!r}")
+        for f, known in (("from", order), ("to", pos)):
+            if rec[f] not in known:
+                raise InputValidationError(f"{w}: unknown product {rec[f]!r} in {f!r}")
+        matrix[pos[rec["from"]], pos[rec["to"]]] = as_float(rec["value"], "value", w)
+    n = len(order) + any(rec["to"] == OUTSIDE for rec in rows)  # OUTSIDE last if named
+    return market_bundle_from_dict({"products": products, "diversion": {
+        "order": [*order, OUTSIDE][:n], "matrix": matrix[:n, :n]}}, where=str(prod_path))

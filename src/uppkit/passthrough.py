@@ -70,7 +70,11 @@ def passthrough_matrix(
     state = replace(post_merger_state(problem, np.zeros(2)),
                     eps=np.array([inputs.eps_jj, inputs.eps_kk]),
                     d=np.array([[-1.0, inputs.d_jk], [inputs.d_kj, -1.0]]))
-    jac = _foc_jacobian(state, problem._arrays[3])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            jac = _foc_jacobian(state, problem._arrays[3])
+    except FloatingPointError as exc:
+        raise InputValidationError(f"pass-through Jacobian not finite ({exc})") from None
     det = float(np.linalg.det(jac))
     scale = float(np.max(np.abs(jac))) ** 2
     if abs(det) < 1e-8 * max(scale, 1e-300):

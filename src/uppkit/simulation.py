@@ -178,11 +178,11 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     """Shares, elasticities, diversion, and margins at ``pdd``."""
     vec = _as_vector(problem, pdd)
     econ = problem.economy
-    u, wb, mask = econ._softmax_arrays("merger simulation")
+    u, wb = econ._dense  # the problem passed the plain-CES gate when it was built
     u_post = u.copy()
     u_post[:, : len(vec)] += (1.0 - econ.eta) * np.log1p(vec)
     alpha = ces._softmax_rows(u_post)
-    d, d_outside = ces._diversion_from_share_values(alpha, wb, mask, econ.order)
+    d, d_outside = ces._diversion_from_share_values(alpha, wb, econ.order)
     eps = ces._own_revenue_elasticity(alpha[:, : len(vec)], wb, econ.eta) - 1.0
     _, base, _, _ = problem._arrays
     m = 1.0 - base / (1.0 + vec)
@@ -199,7 +199,7 @@ def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
     """d f / d pdd of the pricing conditions at the state ``s``, in closed form
     (the formulas in the module docstring)."""
     econ = s.problem.economy
-    _, wb, _ = econ._softmax_arrays("merger simulation")
+    _, wb = econ._dense
     b = 1.0 - econ.eta
     a = s.alpha[:, : len(s.m)]
     wa = wb[:, None] * a

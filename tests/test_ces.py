@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uppkit import ces, simulation
-from uppkit.ces import CESEconomy, Consumer, NestedCESEconomy
+from uppkit.ces import CESEconomy, Consumer
 from uppkit.errors import InputValidationError
 from uppkit.market import OUTSIDE
 
@@ -173,8 +173,7 @@ class TestRevenueDiversion:
         tab = ces.shares(bad)
         with pytest.raises(InputValidationError, match="considered by no consumer"):
             ces._diversion_from_share_values(
-                np.array([[0.5, 0.0, 0.5]]), np.array([0.0]),
-                np.array([[True, True, True]]), ("A", "B", OUTSIDE),
+                np.array([[0.5, 0.0, 0.5]]), np.array([0.0]), ("A", "B", OUTSIDE),
             )
 
     def test_heterogeneous_vs_finite_difference(self):
@@ -324,8 +323,8 @@ class TestSecondChoice:
         """Removal diversion uses plain CES shares: a nested economy with
         mu < 1 is refused, and at mu = 1 it gives the plain economy's numbers."""
         def nested(mu):
-            return NestedCESEconomy(staples_economy.consumers, staples_economy.eta,
-                                    nests={"SP": "a", "OD": "a"}, mu=mu)
+            return CESEconomy(staples_economy.consumers, staples_economy.eta,
+                              nests={"SP": "a", "OD": "a"}, mu=mu)
 
         with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
             ces.second_choice_diversion(nested(0.2), "SP")
@@ -359,8 +358,8 @@ def test_plain_ces_gate(name, staples_bundle, staples_economy):
     """Every formula derived from the softmax refuses a nested economy whose
     nests bind, and gives the plain economy's exact result at mu = 1."""
     def nested(mu):
-        return NestedCESEconomy(staples_economy.consumers, staples_economy.eta,
-                                nests={"SP": "a", "OD": "a"}, mu=mu)
+        return CESEconomy(staples_economy.consumers, staples_economy.eta,
+                          nests={"SP": "a", "OD": "a"}, mu=mu)
 
     with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
         _plain_results(name, nested(0.2), staples_bundle)
@@ -429,7 +428,7 @@ class TestCompensatingVariation:
 class TestNestedShares:
     def nested_fixture(self, mu, utils=None):
         utils = utils or {"A": 0.8, "B": 0.4, "C": -0.2}
-        return NestedCESEconomy(
+        return CESEconomy(
             (Consumer("c", 1.0, utils),), eta=5.0,
             nests={"A": "n1", "B": "n1", "C": "n2"}, mu=mu,
         )
@@ -440,6 +439,10 @@ class TestNestedShares:
         np.testing.assert_allclose(
             ces.nested_shares(econ).values, ces.shares(plain).values, atol=1e-12
         )
+
+    def test_economy_without_nests_gets_softmax(self):
+        plain = single_consumer({"A": 0.8, "B": 0.4, "C": -0.2}, eta=5.0)
+        np.testing.assert_array_equal(ces.nested_shares(plain).values, ces.shares(plain).values)
 
     def test_small_mu_within_nest_winner(self):
         econ = self.nested_fixture(1e-3)
@@ -468,7 +471,7 @@ class TestNestedShares:
 
     def test_shares_and_revenues_honour_nests(self):
         """Below mu = 1, ``shares`` and ``revenues`` are the nested economy's own."""
-        econ = NestedCESEconomy(
+        econ = CESEconomy(
             (Consumer("c1", 2.0, {"A": 0.8, "B": 0.4, "C": -0.2}, weight=0.5),
              Consumer("c2", 3.0, {"B": -0.1, "C": 0.6})), eta=5.0,
             nests={"A": "n1", "B": "n1", "C": "n2"}, mu=0.3,
@@ -487,7 +490,7 @@ class TestNestedShares:
 
     def test_missing_nest_label(self):
         with pytest.raises(InputValidationError, match="nest"):
-            NestedCESEconomy(
+            CESEconomy(
                 (Consumer("c", 1.0, {"A": 0.1, "B": 0.2}),), eta=4.0,
                 nests={"A": "n1"}, mu=0.5,
             )

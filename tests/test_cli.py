@@ -90,6 +90,22 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", "/nope/nothing.json"])
         assert result.exit_code == 2
 
+    def test_lists_each_finding(self, runner, tmp_path):
+        """A bad margin, a negative revenue and a negative diversion are three
+        findings, one per line and one per JSON entry."""
+        doc = _market_with(matrix=[[-1.0, -0.1], [0.69, -1.0]])
+        doc["products"][0]["margin"] = 1.5
+        doc["products"][1]["revenue"] = -1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path), "--format", "json"])
+        assert result.exit_code == 2, result.output
+        violations = json.loads(result.output)["result"]["violations"]
+        assert [v.split("]")[0] for v in violations] == [
+            "[margin-range", "[revenue-negative", "[negative-diversion"]
+        table = runner.invoke(main, ["validate", str(path)])
+        assert table.output.splitlines()[:4] == ["INVALID:", *(f"  {v}" for v in violations)]
+
 
 class TestSimulateCommand:
     def test_table_values(self, runner):
@@ -215,6 +231,25 @@ class TestWelfareCommand:
         assert ("note: ces passthrough unavailable (ces pass-through supports two-firm "
                 "markets only); using identity") in result.output
         assert "note: identity pass-through: price effects approximated by GUPPI" in result.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["welfare", "DOC", "--format", "json"],
+    ["welfare", "DOC", "--format", "json", "--passthrough", "ces"],
+    ["passthrough", "DOC"],
+], ids=["welfare", "welfare-ces", "passthrough"])
+def test_non_finite_result_exits_2(runner, tmp_path, argv):
+    """A margin of 1e-300 makes the elasticity -1e300: the pass-through
+    Jacobian and the welfare terms overflow. That is a validation error
+    naming what overflowed, not a traceback or a bare -inf."""
+    doc = json.loads(Path(MARKET).read_text())
+    doc["products"][0]["margin"] = 1e-300
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [str(path) if a == "DOC" else a for a in argv])
+    assert result.exit_code == 2, result.output
+    assert "not finite" in result.output
+    assert "Traceback" not in result.output
 
 
 class TestSecondChoiceCommand:

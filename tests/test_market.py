@@ -118,6 +118,16 @@ class TestLoading:
         assert bundle.diversion.get("A", "B") == 0.4
         assert bundle.diversion.get("A", mk.OUTSIDE) == 0.6
 
+    @pytest.mark.parametrize("products, diversion, where", [
+        ("id,firm,revenue\nA,f1,100\n", "from,to,value\n", "products.csv"),
+        ("id,firm,revenue,margin\nA,f1,100,0.3\n", "from,to\nA,OUTSIDE\n", "diversion.csv"),
+    ], ids=["product-margin", "diversion-value"])
+    def test_csv_missing_field(self, tmp_path, products, diversion, where):
+        (tmp_path / "products.csv").write_text(products)
+        (tmp_path / "diversion.csv").write_text(diversion)
+        with pytest.raises(InputValidationError, match=f"{where}.*missing field"):
+            mk.load_market(tmp_path)
+
     def test_csv_unknown_product(self, tmp_path):
         (tmp_path / "products.csv").write_text("id,firm,revenue,margin\nA,f1,100,0.3\n")
         (tmp_path / "diversion.csv").write_text("from,to,value\nZ,A,0.4\n")

@@ -168,7 +168,7 @@ def jacobian_problems():
     )
     merger = mk.MergerSpec("f0", "f1", {"A": -0.1, "C": -0.05, "D": -0.2})
     plain = CESEconomy(consumers, eta=4.5)
-    nested = ces.NestedCESEconomy(consumers, 4.5, nests=dict(zip("ABCDEFG", "xxyyxzz")), mu=1.0)
+    nested = ces.CESEconomy(consumers, 4.5, nests=dict(zip("ABCDEFG", "xxyyxzz")), mu=1.0)
     return [simulation.merger_problem(market, econ, merger) for econ in (plain, nested)]
 
 
@@ -543,8 +543,8 @@ class TestConsistencyCheck:
             return simulation.merger_problem(staples_bundle.market, economy, staples_bundle.merger)
 
         def nested(mu):
-            return ces.NestedCESEconomy(staples_economy.consumers, staples_economy.eta,
-                                        nests={"SP": "a", "OD": "a"}, mu=mu)
+            return ces.CESEconomy(staples_economy.consumers, staples_economy.eta,
+                                  nests={"SP": "a", "OD": "a"}, mu=mu)
 
         with pytest.raises(InputValidationError, match="mu = 0.2 < 1"):
             problem(nested(0.2))
