@@ -252,26 +252,28 @@ def revenues(economy: CESEconomy) -> dict[str, float]:
     return {pid: float(r[k]) for k, pid in enumerate(economy.order)}
 
 
-def _diversion_from_share_values(
-    alpha: np.ndarray, wb: np.ndarray, order: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Revenue diversion ``(values, outside)`` computed from a dense share block.
+def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Sequence[str]):
+    """Revenue diversion ``(values, outside, moments)`` from a dense share block.
 
-    Row j: numerator sum_i wb_i a_ij a_ik, denominator sum_i wb_i a_ij (1 - a_ij);
-    shares are zero off consideration sets, so only shoppers of both j and k
-    count, and the common per-consumer slope factor cancels between the two.
+    Row j: numerator P_jk = sum_i wb_i a_ij a_ik, denominator den_j = sum_i
+    wb_i a_ij (1 - a_ij); shares are zero off consideration sets, so only
+    shoppers of both j and k count, and the common per-consumer slope factor
+    cancels between the two. ``moments`` is ``(wa, S, den, P)``: the inside
+    spending block wa_ij = wb_i a_ij, its column sums S_j, den, and P with
+    the outside column last.
     """
     n = len(order) - 1  # OUTSIDE is last
     inside = alpha[:, :n]
-    den = wb @ (inside * (1.0 - inside))
+    wa, spend, den = wb[:, None] * inside, wb @ inside, wb @ (inside * (1.0 - inside))
     undefined = [order[j] for j in np.flatnonzero(den <= 0.0)]
     if undefined:
         raise InputValidationError(
             f"diversion undefined for products considered by no consumer: {undefined}"
         )
-    full = (wb[:, None] * inside).T @ alpha / den[:, None]
+    pair = wa.T @ alpha
+    full = pair / den[:, None]
     np.fill_diagonal(full, -1.0)
-    return full[:, :n], full[:, n]
+    return full[:, :n], full[:, n], (wa, spend, den, pair)
 
 
 def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:
@@ -280,7 +282,7 @@ def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:
     with weights proportional to a_ij (1 - a_ij) B_i. Rows sum to one over all
     alternatives including the outside column (fixed-budget property)."""
     u, wb = economy._softmax_arrays("revenue diversion")
-    values, outside = _diversion_from_share_values(_softmax_rows(u), wb, economy.order)
+    values, outside, _ = _diversion_from_share_values(_softmax_rows(u), wb, economy.order)
     return DiversionMatrix(economy.order[:-1], values, outside)
 
 
@@ -389,8 +391,8 @@ def compensating_variation(
             continue
         if pid not in economy.order:
             raise InputValidationError(f"price change for unknown product {pid!r}")
-        if pdd <= -1.0:
-            raise InputValidationError(f"product {pid}: price change {pdd} <= -1")
+        if not (np.isfinite(pdd) and pdd > -1.0):
+            raise InputValidationError(f"product {pid}: price change {pdd} must be finite and > -1")
         bump[economy.order.index(pid)] = (1.0 - eta) * np.log1p(pdd)
     u1 = u0 + bump[None, :]
     log_s0 = _logsumexp_rows(u0)
@@ -435,10 +437,10 @@ def economy_from_dict(doc: Mapping, where: str = "economy") -> CESEconomy:
                   for k, v in as_mapping(rec[key], key, w).items()}
         utilities = values if has_utils else _invert(cid, values)
         consumers.append(Consumer(cid, budget, utilities, weight))
-    nests, mu = {}, 1.0
+    nests = {}
     if doc.get("nests"):
         nests = {str(k): str(v) for k, v in as_mapping(doc["nests"], "nests", where).items()}
-        mu = as_float(doc.get("mu", 1.0), "mu", where)
+    mu = as_float(doc.get("mu", 1.0), "mu", where)  # mu < 1 without nests is refused
     economy = CESEconomy(tuple(consumers), eta, nests, mu)
     if any("shares" in rec for rec in rows):
         economy._softmax_arrays(f"{where}: inverting consumer 'shares'")

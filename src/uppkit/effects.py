@@ -111,8 +111,9 @@ def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _
     the diversion block of the merging products.
 
     The elasticities use the owner's sum S = (same∘D) m. One that would not
-    be in the elastic region (< -1) raises, naming the first such product,
-    firm_a's first: the margins are then not consistent with Bertrand pricing.
+    be finite and in the elastic region (< -1) raises, naming the first such
+    product, firm_a's first: the margins are then not consistent with Bertrand
+    pricing (a subnormal margin overflows the elasticity to -inf).
     """
     order = tuple(merging_products(market, merger))
     prods = [market.product(pid) for pid in order]
@@ -122,13 +123,14 @@ def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _
     is_a = np.array([p.firm == merger.firm_a for p in prods], dtype=bool)
     s = (co_ownership(is_a) * d) @ m
     denom = m - s
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eps = -(1.0 - s) / denom
-    bad = np.flatnonzero((denom <= 0) | (eps >= -1.0))
+    bad = np.flatnonzero((denom <= 0) | (eps >= -1.0) | ~np.isfinite(eps))
     if len(bad):
         j = bad[np.argmax(is_a[bad])]  # argmax: the first True, else index 0
         detail = (f"m_j - sum m_k D^R = {denom[j]:.6g} <= 0" if denom[j] <= 0
-                  else f"implied elasticity {eps[j]:.6g} >= -1")
+                  else f"implied elasticity {eps[j]:.6g} >= -1" if eps[j] >= -1.0
+                  else f"implied elasticity {eps[j]:.6g} is not finite")
         raise InputValidationError(f"product {order[j]}: margins inconsistent with Bertrand FOC ({detail})")
     rival = is_a[:, None] != is_a
     push = pressure(eps, d, m, rival)

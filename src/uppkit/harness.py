@@ -169,11 +169,12 @@ def _cross_weights(q, jac, prices, co_owned):
 
 def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
     """Pricing conditions normalized to be quasilinear in margins; with
-    ``jacobian``, the pair ``(r, d r / d log p)``. With Q the quantity Jacobian
-    and own = co-ownership including the diagonal, r_j = -N_j / Den_j for
-    N_j = q_j + sum_l own_jl (p_l - c_l) Q_lj and Den_j = p_j Q_jj, whose price
-    derivatives come from the quantity Hessian. One ``demand.derivatives`` call
-    gives q, Q and, with ``jacobian``, the Hessian."""
+    ``jacobian``, the pair ``(r, jacobian)``, ``jacobian()`` giving d r / d log p
+    as ``newton.damped_newton`` asks. With Q the quantity Jacobian and own =
+    co-ownership including the diagonal, r_j = -N_j / Den_j for N_j = q_j +
+    sum_l own_jl (p_l - c_l) Q_lj and Den_j = p_j Q_jj, whose price derivatives
+    come from the quantity Hessian. One ``demand.derivatives`` call gives q, Q
+    and, with ``jacobian``, the Hessian."""
     q, jac, *hess = demand.derivatives(prices, hessian=jacobian)
     eps, a = _cross_weights(q, jac, prices, co_owned)
     m = (prices - costs) / prices
@@ -184,7 +185,7 @@ def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
     own = co_owned | np.eye(len(prices), dtype=bool)
     d_num = jac + own * jac.T + np.einsum("jl,ljq->jq", own * (prices - costs), hess)
     d_den = np.diag(np.diag(jac)) + prices[:, None] * np.einsum("jjq->jq", hess)
-    return r, -(d_num + r[:, None] * d_den) / (prices * np.diag(jac))[:, None] * prices
+    return r, lambda: -(d_num + r[:, None] * d_den) / (prices * np.diag(jac))[:, None] * prices
 
 
 def _implied_margins(demand, prices, co_owned) -> np.ndarray:

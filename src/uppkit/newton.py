@@ -2,9 +2,9 @@
 
 ``damped_newton`` is the root finder of both equilibrium solvers,
 ``simulation.simulate`` (percentage price changes) and
-``harness.solve_bertrand`` (log prices); a solve whose line search fails
-stops there, unconverged. ``levenberg_marquardt`` is the least-squares solver
-of the nested-CES fitter. The step and stop rules live only here.
+``harness.solve_bertrand`` (log prices), and builds J only at the points it
+steps from. ``levenberg_marquardt`` is the least-squares solver of the
+nested-CES fitter. The step and stop rules live only here.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def _value(fun, x):
 
 
 def damped_newton(
-    fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    fun: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     tolerance: float,
     max_iterations: int,
@@ -35,9 +35,9 @@ def damped_newton(
 ):
     """Damped Newton on ``fun``.
 
-    ``fun(x)`` returns ``(f, J)`` as in ``scipy.optimize.root`` with
-    ``jac=True``: every evaluated point carries its own Jacobian, so a step
-    costs one evaluation per trial point.
+    ``fun(x)`` returns ``(f, jacobian)``; ``jacobian()`` builds J at x from
+    that evaluation, and is called only at a point the solve steps from: n
+    steps build J n times, never at a rejected trial or the returned point.
 
     Each step halves its length up to 30 times until the inf-norm of ``f``
     drops; iterates are clipped at ``lower_bound``. A Newton step s gives
@@ -52,13 +52,13 @@ def damped_newton(
     """
     lo = lower_bound
     x = np.clip(x0, lo, None)
-    f, J = fun(x)
+    f, jac = fun(x)
     best_norm = float(np.linalg.norm(f, np.inf))
     its = 0
     while best_norm >= tolerance and its < max_iterations:
         its += 1
         try:
-            step = np.linalg.solve(J, -f)
+            step = np.linalg.solve(jac(), -f)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -66,10 +66,10 @@ def damped_newton(
         t = 1.0
         for _ in range(30):
             cand = np.clip(x + t * step, lo, None)
-            fc, Jc = _value(fun, cand)
+            fc, jc = _value(fun, cand)
             norm = float(np.linalg.norm(fc, np.inf))
             if norm < best_norm:  # False for NaN
-                x, f, J, best_norm = cand, fc, Jc, norm
+                x, f, jac, best_norm = cand, fc, jc, norm
                 break
             t *= 0.5
         else:

@@ -12,9 +12,10 @@ function of the percentage price changes pdd:
 The solver finds the root of the stacked ownership-aware pricing conditions
 f(pdd) = 0 with a damped Newton iteration warm-started at the GUPPI vector.
 
-The Newton Jacobian is closed-form, built from the state the residual at
-the same point computed. With L_q = log(1 + pdd_q), b = 1 - eta and consumer
-spending weights w_i = weight_i * budget_i, the softmax gives
+The Newton Jacobian is closed-form, built only at the points Newton steps
+from, out of the share moments the residual's state holds. With
+L_q = log(1 + pdd_q), b = 1 - eta and consumer spending weights
+w_i = weight_i * budget_i, the softmax gives
 
     d alpha_ik / d L_q = b alpha_ik (delta_kq - alpha_iq),
     d m_j / d L_q      = delta_jq (1 - m_j),
@@ -126,9 +127,10 @@ def merger_problem(
 class PostMergerState:
     """Demand-side arrays induced by a candidate price-change vector ``pdd``: shares
     per consumer (OUTSIDE last), and per inside product the quantity own-price
-    elasticities, revenue diversion (with its outside column) and margins.
-    The keyed views ``shares``, ``elasticities``, ``diversion`` and
-    ``margins`` are built on first use."""
+    elasticities, revenue diversion (with its outside column) and margins;
+    ``moments`` are the diversion kernel's (wa, S, den, P). The keyed views
+    ``shares``, ``elasticities``, ``diversion`` and ``margins`` are built on
+    first use."""
 
     problem: SimulationProblem
     pdd: np.ndarray
@@ -137,6 +139,7 @@ class PostMergerState:
     d: np.ndarray
     d_outside: np.ndarray
     m: np.ndarray
+    moments: tuple[np.ndarray, ...]
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -182,11 +185,12 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     u_post = u.copy()
     u_post[:, : len(vec)] += (1.0 - econ.eta) * np.log1p(vec)
     alpha = ces._softmax_rows(u_post)
-    d, d_outside = ces._diversion_from_share_values(alpha, wb, econ.order)
-    eps = ces._own_revenue_elasticity(alpha[:, : len(vec)], wb, econ.eta) - 1.0
+    d, d_outside, moments = ces._diversion_from_share_values(alpha, wb, econ.order)
+    _, spend, den, _ = moments
+    eps = (1.0 - econ.eta) * den / spend - 1.0  # den > 0, so spend > 0
     _, base, _, _ = problem._arrays
     m = 1.0 - base / (1.0 + vec)
-    return PostMergerState(problem, vec, alpha, eps, d, d_outside, m)
+    return PostMergerState(problem, vec, alpha, eps, d, d_outside, m, moments)
 
 
 def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
@@ -197,15 +201,12 @@ def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) ->
 
 def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
     """d f / d pdd of the pricing conditions at the state ``s``, in closed form
-    (the formulas in the module docstring)."""
-    econ = s.problem.economy
-    _, wb = econ._dense
-    b = 1.0 - econ.eta
+    (the formulas in the module docstring); it forms only T and G."""
+    b = 1.0 - s.problem.economy.eta
     a = s.alpha[:, : len(s.m)]
-    wa = wb[:, None] * a
-    spend, den = wa.sum(axis=0), (wa * (1.0 - a)).sum(axis=0)
+    wa, spend, den, pair = s.moments
+    pair = pair[:, : len(s.m)]  # P_jq
     c = (co_owned * s.d) @ s.m
-    pair = wa.T @ a  # P_jq
     third = (wa * a).T @ a  # T_jjq
     g = (wa * (a @ (co_owned * s.m).T)).T @ a  # G_jq
     d_spend = b * (np.diag(spend) - pair)
@@ -221,11 +222,12 @@ def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
 def foc_residual(problem: SimulationProblem, pdd, jacobian: bool = False):
     """Stacked post-merger pricing conditions at a candidate ``pdd`` (one entry
     per inside product, ownership taken post-merger); with ``jacobian``, the
-    pair ``(f, d f / d pdd)`` from the same state evaluation."""
+    pair ``(f, jacobian)``, where ``jacobian()`` builds d f / d pdd from the
+    same state evaluation."""
     s = post_merger_state(problem, pdd)
     *_, post = problem._arrays
     f = _foc(s.eps, s.d, s.m, post)
-    return (f, _foc_jacobian(s, post)) if jacobian else f
+    return (f, lambda: _foc_jacobian(s, post)) if jacobian else f
 
 
 @dataclass(frozen=True)
@@ -295,14 +297,14 @@ def simulate(
 ) -> SimulationResult:
     """Solve the post-merger pricing system for the percentage price changes.
 
-    Damped Newton on ``foc_residual`` with its closed-form Jacobian,
-    warm-started at the GUPPI vector. A converged solve is re-solved from 0
-    and from twice the warm start; ``unique`` is False only if a re-solve
-    converges to a root more than 1e-6 away. So ``unique``
-    means "no second root found": a re-solve that cannot start or does not
-    converge finds none, and is reported in ``warnings`` with its start.
-    A non-convergent run returns a diagnostic result with ``converged=False``
-    rather than raising.
+    Damped Newton on ``foc_residual`` with its closed-form Jacobian, built
+    only where Newton steps, warm-started at the GUPPI vector. A converged
+    solve is re-solved from 0 and from twice the warm start; ``unique`` is
+    False only if a re-solve converges to a root more than 1e-6 away. So
+    ``unique`` means "no second root found": a re-solve that cannot start or
+    does not converge finds none, and is reported in ``warnings`` with its
+    start. A non-convergent run returns a diagnostic result with
+    ``converged=False`` rather than raising.
     """
     config = config or SolverConfig()
     warnings: list[str] = []

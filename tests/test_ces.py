@@ -424,6 +424,13 @@ class TestCompensatingVariation:
         with pytest.raises(InputValidationError, match="unknown product 'Z'"):
             ces.compensating_variation(econ, {"Z": 0.1})
 
+    @pytest.mark.parametrize("pdd", [float("nan"), float("inf"), -1.0, -2.0])
+    def test_non_finite_or_at_most_minus_one_rejected(self, pdd):
+        """A NaN price change fails no ``<=`` test, so it is refused by name."""
+        econ = single_consumer({"A": 0.1})
+        with pytest.raises(InputValidationError, match="product A: price change .* finite and > -1"):
+            ces.compensating_variation(econ, {"A": pdd})
+
 
 class TestNestedShares:
     def nested_fixture(self, mu, utils=None):
@@ -518,6 +525,17 @@ class TestEconomyIO:
         doc["consumers"] = [{"id": c.id, "budget": c.budget, "utilities": dict(c.utilities)}
                             for c in staples_economy.consumers]
         assert ces.economy_from_dict(doc).mu == 0.2
+
+    def test_mu_without_nests_refused(self):
+        """``mu`` is read whether or not ``nests`` is given: mu < 1 with no
+        nests is refused, not loaded as plain CES."""
+        doc = {"eta": 6.0, "mu": 0.2,
+               "consumers": [{"id": "rep", "budget": 1.0, "utilities": {"SP": 0.8, "OD": 0.4}}]}
+        with pytest.raises(InputValidationError, match="product SP has no nest label"):
+            ces.economy_from_dict(doc)
+        with pytest.raises(InputValidationError, match="mu must be in"):
+            ces.economy_from_dict({**doc, "mu": 0.0})
+        assert ces.economy_from_dict({**doc, "mu": 1.0}).mu == 1.0
 
     def test_eta_validation(self):
         with pytest.raises(InputValidationError, match="eta"):

@@ -252,6 +252,31 @@ def test_non_finite_result_exits_2(runner, tmp_path, argv):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["guppi", "cmcr", "welfare", "passthrough"])
+def test_subnormal_margin_exits_2_without_warning(runner, tmp_path, command):
+    """A margin of 1e-320 overflows the implied elasticity to -inf. The screen
+    refuses it by product before any warning: exit 2, no traceback."""
+    doc = json.loads(Path(MARKET).read_text())
+    doc["products"][0]["margin"] = 1e-320
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "product SP: margins inconsistent with Bertrand FOC" in result.output
+    assert "implied elasticity -inf is not finite" in result.output
+
+
+def test_economy_with_mu_but_no_nests_exits_2(runner, tmp_path):
+    doc = json.loads(Path(ECONOMY).read_text())
+    doc["mu"] = 0.2
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["second-choice", str(path), "--remove", "SP"])
+    assert result.exit_code == 2, result.output
+    assert "no nest label" in result.output
+
+
 class TestSecondChoiceCommand:
     def test_values(self, runner):
         result = runner.invoke(main, ["second-choice", ECONOMY, "--remove", "SP"])

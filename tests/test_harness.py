@@ -173,8 +173,9 @@ class TestGroundTruthDerivatives:
             def residual(x, prim=prim, co_owned=co_owned):
                 return harness._margin_residual(prim.demand, np.exp(x), prim.costs, co_owned)
 
-            r, jac = harness._margin_residual(prim.demand, np.exp(x), prim.costs, co_owned,
-                                              jacobian=True)
+            r, jacobian = harness._margin_residual(prim.demand, np.exp(x), prim.costs, co_owned,
+                                                   jacobian=True)
+            jac = jacobian()
             np.testing.assert_array_equal(r, residual(x))
             np.testing.assert_allclose(jac, central_differences(residual, x, np.full(len(x), 1e-6)),
                                        rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
@@ -371,7 +372,8 @@ class TestCrossModuleEquivalence:
         problem = hard_merger_problem(prim)
         pos = {pid: j for j, pid in enumerate(prim.ids)}
         pdd = pdd_true[[pos[pid] for pid in problem.order]]
-        f, jac = simulation.foc_residual(problem, pdd, jacobian=True)
+        f, jacobian = simulation.foc_residual(problem, pdd, jacobian=True)
+        jac = jacobian()
         assert np.max(np.abs(f)) < 1e-8
         fd = np.empty_like(jac)
         for q in range(len(pdd)):

@@ -11,7 +11,7 @@ from uppkit.newton import damped_newton, levenberg_marquardt
 def test_converges_on_smooth_system():
     def fun(x):
         f = np.array([x[0] ** 2 + x[1] - 3.0, x[0] - x[1] + 1.0])
-        return f, np.array([[2.0 * x[0], 1.0], [1.0, -1.0]])
+        return f, lambda: np.array([[2.0 * x[0], 1.0], [1.0, -1.0]])
 
     x, f, its, ok = damped_newton(fun, np.array([2.0, 2.0]), 1e-12, 50)
     assert ok
@@ -28,7 +28,7 @@ def test_singular_jacobian_stops_unconverged_at_start():
 
     def fun(x):
         calls.append(x.copy())
-        return np.ones(2), np.zeros((2, 2))
+        return np.ones(2), lambda: np.zeros((2, 2))
 
     x, f, its, ok = damped_newton(fun, x0, 1e-10, 100)
     assert not ok and its == 1 and len(calls) == 1
@@ -40,7 +40,7 @@ def test_no_progress_returns_unconverged_without_raising():
     """A regular Jacobian whose step never lowers the residual exhausts the
     line search, which ends the search unconverged after one step."""
     x0 = np.array([0.3, -0.2])
-    x, f, its, ok = damped_newton(lambda x: (np.ones(2), np.eye(2)), x0, 1e-10, 100)
+    x, f, its, ok = damped_newton(lambda x: (np.ones(2), lambda: np.eye(2)), x0, 1e-10, 100)
     assert not ok and its == 1
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(f, np.ones(2))
@@ -49,7 +49,7 @@ def test_no_progress_returns_unconverged_without_raising():
 def test_iterates_respect_lower_bound():
     # root at -2 lies below the bound; the solver stops at the bound unconverged
     x, _, _, ok = damped_newton(
-        lambda x: (x + 2.0, np.eye(1)), np.array([0.0]), 1e-10, 20, lower_bound=-0.99,
+        lambda x: (x + 2.0, lambda: np.eye(1)), np.array([0.0]), 1e-10, 20, lower_bound=-0.99,
     )
     assert not ok
     assert x[0] == -0.99
@@ -64,7 +64,7 @@ def test_undefined_candidates_are_no_improvement():
         tried.append(x[0])
         if x[0] > 1.5:
             raise InputValidationError("undefined state")
-        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+        return np.array([np.arctan(x[0] - 1.0)]), lambda: np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
 
     x, f, _, ok = damped_newton(fun, np.array([0.0]), 1e-12, 50)
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
@@ -92,12 +92,51 @@ def test_supplied_jacobian_costs_one_evaluation_per_step():
 
     def fun_and_jac(x):
         calls.append(x.copy())
-        return fun(x), jac(x)
+        return fun(x), lambda: jac(x)
 
     x, f, its, ok = damped_newton(fun_and_jac, np.zeros(n), 1e-12, 50)
     assert ok and its > 1
     assert len(calls) <= 2 * its + 1  # O(1) per step, not the 2n = 20 of central differences
     np.testing.assert_allclose(fun(x), 0.0, rtol=0.0, atol=1e-12)
+
+
+def test_jacobian_built_only_where_a_step_is_taken():
+    """The Jacobian callable runs once per step, at the point the step leaves:
+    never at a rejected trial point, and never at the returned root."""
+    fun, jac = coupled_system(10)
+    evaluated, built = [], []
+
+    def lazy(x):
+        evaluated.append(x.copy())
+
+        def jacobian():
+            built.append(x.copy())
+            return jac(x)
+
+        return fun(x), jacobian
+
+    x, f, its, ok = damped_newton(lazy, np.zeros(10), 1e-12, 50)
+    assert ok and its > 1 and len(built) == its
+    assert len(evaluated) >= its + 1  # the start, then one or more trials per step
+    np.testing.assert_array_equal(built[0], np.zeros(10))
+    assert not any(np.array_equal(b, x) for b in built)
+
+    tried, built = [], []
+
+    def undefined_beyond(x):
+        tried.append(x[0])
+        if x[0] > 1.5:
+            return np.array([np.nan]), lambda: built.append(x[0])
+
+        def jacobian():
+            built.append(x[0])
+            return np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+
+        return np.array([np.arctan(x[0] - 1.0)]), jacobian
+
+    x, f, its, ok = damped_newton(undefined_beyond, np.array([0.0]), 1e-12, 50)
+    assert ok and len(built) == its and max(tried) > 1.5
+    assert max(built) <= 1.5 and x[0] not in built
 
 
 def test_supplied_jacobian_undefined_candidates_are_no_improvement():
@@ -108,8 +147,8 @@ def test_supplied_jacobian_undefined_candidates_are_no_improvement():
     def fun(x):
         tried.append(x[0])
         if x[0] > 1.5:
-            return np.array([np.nan]), np.array([[np.nan]])
-        return np.array([np.arctan(x[0] - 1.0)]), np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+            return np.array([np.nan]), lambda: np.array([[np.nan]])
+        return np.array([np.arctan(x[0] - 1.0)]), lambda: np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
 
     x, f, _, ok = damped_newton(fun, np.array([0.0]), 1e-12, 50)
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)

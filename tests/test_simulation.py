@@ -204,12 +204,32 @@ def complex_foc(problem, pdd):
     return -1.0 / eps - margins + (1.0 + 1.0 / eps) * ((co_owned * diversion) @ margins)
 
 
+def forty_consumer_problem():
+    """40 consumers with random consideration sets over 20 single-product
+    firms, margins self-consistent; firms f0 and f1 merge."""
+    rng = np.random.default_rng(20)
+    ids = [f"g{j}" for j in range(20)]
+    consumers = tuple(
+        Consumer(f"c{i}", float(rng.uniform(0.5, 3)),
+                 {pid: float(rng.normal(0, 0.8)) for pid in ids
+                  if pid == ids[i % 20] or rng.uniform() < 0.7},
+                 float(rng.uniform(0.5, 2)))
+        for i in range(40)
+    )
+    econ = CESEconomy(consumers, eta=5.0)
+    eps = ces.own_price_elasticity_of_demand(econ)
+    market = mk.Market(tuple(
+        mk.Product(pid, f"f{j}", 1.0, -1.0 / eps[pid]) for j, pid in enumerate(ids)))
+    return merged_problem(market, econ)
+
+
 class TestFocJacobian:
     @pytest.mark.parametrize("problem", jacobian_problems(), ids=["plain", "nested_mu_1"])
     @pytest.mark.parametrize("point", range(len(JACOBIAN_POINTS)))
     def test_matches_central_differences(self, problem, point):
         pdd = JACOBIAN_POINTS[point]
-        f, jac = simulation.foc_residual(problem, pdd, jacobian=True)
+        f, jacobian = simulation.foc_residual(problem, pdd, jacobian=True)
+        jac = jacobian()
         np.testing.assert_array_equal(f, simulation.foc_residual(problem, pdd))
         fd = np.empty_like(jac)
         for q in range(len(pdd)):
@@ -227,7 +247,8 @@ class TestFocJacobian:
         """Complex-step derivative (Squire & Trapp 1998) of an independent
         residual: no subtractive cancellation, so agreement to ~1e-12."""
         pdd = JACOBIAN_POINTS[point]
-        f, jac = simulation.foc_residual(problem, pdd, jacobian=True)
+        f, jacobian = simulation.foc_residual(problem, pdd, jacobian=True)
+        jac = jacobian()
         np.testing.assert_allclose(f, complex_foc(problem, pdd), rtol=0.0, atol=1e-12)
         h = 1e-30
         cs = np.column_stack([complex_foc(problem, pdd + 1j * h * e).imag / h
@@ -237,20 +258,7 @@ class TestFocJacobian:
     def test_state_evaluations_scale_with_iterations_not_products(self, monkeypatch):
         """With the closed-form Jacobian each Newton step evaluates the state
         about once; a central-difference Jacobian would take 2J = 40 per step."""
-        rng = np.random.default_rng(20)
-        ids = [f"g{j}" for j in range(20)]
-        consumers = tuple(
-            Consumer(f"c{i}", float(rng.uniform(0.5, 3)),
-                     {pid: float(rng.normal(0, 0.8)) for pid in ids
-                      if pid == ids[i % 20] or rng.uniform() < 0.7},
-                     float(rng.uniform(0.5, 2)))
-            for i in range(40)
-        )
-        econ = CESEconomy(consumers, eta=5.0)
-        eps = ces.own_price_elasticity_of_demand(econ)
-        market = mk.Market(tuple(
-            mk.Product(pid, f"f{j}", 1.0, -1.0 / eps[pid]) for j, pid in enumerate(ids)))
-        problem = merged_problem(market, econ)
+        problem = forty_consumer_problem()
 
         states, iterations = [], []
         state, newton = simulation.post_merger_state, simulation.damped_newton
@@ -271,6 +279,55 @@ class TestFocJacobian:
         assert sum(iterations) > 0
         # the zero-change state, each solve's start and steps, and the root's state
         assert len(states) <= 2 + 3 * (sum(iterations) + len(iterations))
+
+    def test_jacobian_built_once_per_newton_step(self, monkeypatch):
+        """``foc_residual`` hands Newton a Jacobian callable, built only where a
+        step is taken: as many builds as steps over the three solves, none at a
+        root, while every trial point still evaluates the residual."""
+        builds, focs, iterations = [], [], []
+        jacobian, foc, newton = (simulation._foc_jacobian, simulation.foc_residual,
+                                 simulation.damped_newton)
+
+        def counting_jacobian(s, co_owned):
+            builds.append(s.pdd.copy())
+            return jacobian(s, co_owned)
+
+        def counting_foc(*args, **kwargs):
+            focs.append(1)
+            return foc(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(simulation, "_foc_jacobian", counting_jacobian)
+        monkeypatch.setattr(simulation, "foc_residual", counting_foc)
+        monkeypatch.setattr(simulation, "damped_newton", recording)
+        result = simulation.simulate(forty_consumer_problem())
+        assert result.converged and len(iterations) == 3 and sum(iterations) > 3
+        assert len(builds) == sum(iterations)
+        assert len(focs) >= len(builds) + 3  # each solve also evaluates its start
+        root = np.array([result.price_changes[pid] for pid in result.order])
+        assert not any(np.array_equal(b, root) for b in builds)
+
+    @pytest.mark.parametrize("problem", jacobian_problems(), ids=["plain", "nested_mu_1"])
+    @pytest.mark.parametrize("point", range(len(JACOBIAN_POINTS)))
+    def test_state_elasticity_from_the_diversion_moments(self, problem, point):
+        """eps read off the diversion kernel's moments is the own revenue
+        elasticity less one, and the moments are the ones they name."""
+        state = simulation.post_merger_state(problem, JACOBIAN_POINTS[point])
+        econ, n = problem.economy, len(problem.order)
+        _, wb = econ._dense
+        a = state.alpha[:, :n]
+        np.testing.assert_allclose(
+            state.eps, ces._own_revenue_elasticity(a, wb, econ.eta) - 1.0, rtol=1e-15, atol=0.0)
+        wa, spend, den, pair = state.moments
+        np.testing.assert_array_equal(wa, wb[:, None] * a)
+        np.testing.assert_allclose(spend, wb @ a, rtol=1e-15)
+        np.testing.assert_allclose(den, spend - np.diag(pair[:, :n]), rtol=0.0,
+                                   atol=1e-14 * np.max(spend))
+        np.testing.assert_allclose(pair, wa.T @ state.alpha, rtol=1e-15)
 
 
 class TestSimulate:
