@@ -83,8 +83,9 @@ class CESEconomy:
                 raise InputValidationError(f"consumer {c.id}: utilities must be finite")
         if not any(c.weight > 0 for c in self.consumers):
             raise InputValidationError("all consumer weights are zero")
-        if not np.isfinite(sum(float(c.weight) * float(c.budget) for c in self.consumers)):
-            raise InputValidationError("total weight x budget across consumers overflows")
+        total = sum(float(c.weight) * float(c.budget) for c in self.consumers)
+        if not np.isfinite((float(self.eta) - 1.0) * total):  # (1 - eta) x spending stays finite
+            raise InputValidationError("(eta - 1) x total weight x budget overflows")
         if not 0.0 < self.mu <= 1.0:
             raise InputValidationError(f"mu must be in (0, 1], got {self.mu}")
         object.__setattr__(self, "nests", dict(self.nests))
@@ -229,16 +230,12 @@ def _invert(cid: str, sh: Mapping[str, float]) -> dict[str, float]:
 
 
 def economy_from_shares(
-    share_map: Mapping[str, Mapping[str, float]],
-    budgets: Mapping[str, float],
-    eta: float,
-    weights: Mapping[str, float] | None = None,
+    share_map: Mapping[str, Mapping[str, float]], budgets: Mapping[str, float], eta: float,
 ) -> CESEconomy:
-    """Build an economy from observed expenditure shares by softmax inversion."""
-    weights = weights or {}
-    return CESEconomy(tuple(
-        Consumer(cid, float(budgets[cid]), _invert(cid, sh), float(weights.get(cid, 1.0)))
-        for cid, sh in share_map.items()), eta)
+    """Build an economy of unit-weight consumers from observed expenditure
+    shares by softmax inversion."""
+    return CESEconomy(tuple(Consumer(cid, float(budgets[cid]), _invert(cid, sh))
+                            for cid, sh in share_map.items()), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +257,17 @@ def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Seque
     shoppers of both j and k count, and the common per-consumer slope factor
     cancels between the two. ``moments`` is ``(wa, S, den, P)``: the inside
     spending block wa_ij = wb_i a_ij, its column sums S_j, den, and P with
-    the outside column last.
+    the outside column last. A den of 0, or one below the smallest normal
+    float (the spending underflows), is refused.
     """
     n = len(order) - 1  # OUTSIDE is last
     inside = alpha[:, :n]
     wa, spend, den = wb[:, None] * inside, wb @ inside, wb @ (inside * (1.0 - inside))
-    undefined = [order[j] for j in np.flatnonzero(den <= 0.0)]
-    if undefined:
-        raise InputValidationError(
-            f"diversion undefined for products considered by no consumer: {undefined}"
-        )
+    if den.min(initial=np.inf) < np.finfo(float).tiny:
+        zero = den <= 0.0
+        why = "considered by no consumer" if zero.any() else "whose spending moments underflow"
+        bad = [order[j] for j in np.flatnonzero(zero if zero.any() else den < np.finfo(float).tiny)]
+        raise InputValidationError(f"diversion undefined for products {why}: {bad}")
     pair = wa.T @ alpha
     full = pair / den[:, None]
     np.fill_diagonal(full, -1.0)

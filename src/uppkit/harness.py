@@ -11,11 +11,14 @@ The experiment does not re-solve the drawn equilibrium: it checks that the
 drawn prices meet the pricing conditions (one residual evaluation) and solves
 only the post-merger market.
 
+Drawn parameters come from the fixed ranges ``COST_RANGE``, ``ETA_RANGE``,
+``PRICE_COEF_RANGE`` and ``OUTSIDE_SHARE_RANGE``.
+
 Equilibria are found by ``solve_bertrand``: one damped step of the margin
 fixed point as a warm start, then the package's damped Newton in log prices
 on the margin-form pricing conditions, whose Jacobian comes in closed form
 from each demand model's ``derivatives``: quantities, their price Jacobian and
-Hessian, from one share evaluation per price vector.
+(only where Newton steps) Hessian, from one share evaluation per price vector.
 
 Per-trial randomness uses counter-based Philox streams keyed by
 (experiment seed, trial index), so a trial's market does not depend on the
@@ -76,25 +79,28 @@ class CESGroundTruth:
     def quantities(self, prices: np.ndarray) -> np.ndarray:
         return self.revenues(prices) / prices
 
-    def derivatives(self, prices: np.ndarray, hessian: bool = False):
-        """``(q, Q)`` with Q_lj = dq_l/dp_j, or with ``hessian`` ``(q, Q, H)`` with
-        H_ljq = d2q_l/dp_j dp_q, from one share evaluation. With b = 1 - eta and
-        the spending moments S_l = sum_i wb_i a_il, P_lj = sum_i wb_i a_il a_ij and
-        T_ljq = sum_i wb_i a_il a_ij a_iq, Q_lj = ((b - 1) delta_lj S_l - b P_lj) / (p_l p_j),
-        and p_q dS_l/dp_q = b (delta_lq S_l - P_lq) and
-        p_q dP_lj/dp_q = b ((delta_lq + delta_jq) P_lj - 2 T_ljq)."""
+    def derivatives(self, prices: np.ndarray):
+        """``(q, Q, hessian)`` from one share evaluation: Q_lj = dq_l/dp_j, and
+        ``hessian()`` builds H_ljq = d2q_l/dp_j dp_q from the same shares. With
+        b = 1 - eta and the spending moments S_l = sum_i wb_i a_il, P_lj = sum_i
+        wb_i a_il a_ij and T_ljq = sum_i wb_i a_il a_ij a_iq, Q_lj = ((b - 1)
+        delta_lj S_l - b P_lj) / (p_l p_j), and p_q dS_l/dp_q = b (delta_lq S_l -
+        P_lq) and p_q dP_lj/dp_q = b ((delta_lq + delta_jq) P_lj - 2 T_ljq)."""
         alpha = self.share_rows(prices)
         wb = self.weights * self.budgets
-        b, eye, pp = 1.0 - self.eta, np.eye(len(prices)), np.outer(prices, prices)
+        b, pp = 1.0 - self.eta, np.outer(prices, prices)
         s, pair = wb @ alpha, (alpha * wb[:, None]).T @ alpha
         jac = ((b - 1.0) * np.diag(s) - b * pair) / pp  # Q_lj
-        if not hessian:
-            return s / prices, jac
-        third = np.einsum("il,ij,iq->ljq", alpha * wb[:, None], alpha, alpha)
-        lq_jq = eye[:, None, :] + eye  # [l, j, q] = delta_lq + delta_jq
-        d_num = ((b - 1.0) * eye[:, :, None] * (np.diag(s) - pair)[:, None, :]
-                 - b * (lq_jq * pair[:, :, None] - 2.0 * third))
-        return s / prices, jac, (b * d_num / pp[:, :, None] - lq_jq * jac[:, :, None]) / prices
+
+        def hessian():
+            eye = np.eye(len(prices))
+            third = np.einsum("il,ij,iq->ljq", alpha * wb[:, None], alpha, alpha)
+            lq_jq = eye[:, None, :] + eye  # [l, j, q] = delta_lq + delta_jq
+            d_num = ((b - 1.0) * eye[:, :, None] * (np.diag(s) - pair)[:, None, :]
+                     - b * (lq_jq * pair[:, :, None] - 2.0 * third))
+            return (b * d_num / pp[:, :, None] - lq_jq * jac[:, :, None]) / prices
+
+        return s / prices, jac, hessian
 
     def economy(self, prices: np.ndarray, ids: Sequence[str]) -> CESEconomy:
         """The observable economy at given prices (utility indices, not primitives)."""
@@ -111,10 +117,9 @@ class LogitGroundTruth:
 
     model = "logit"
 
-    def __init__(self, delta, price_coef, mass=1.0):
+    def __init__(self, delta, price_coef):
         self.delta = np.asarray(delta, dtype=float)
         self.price_coef = float(price_coef)
-        self.mass = float(mass)
         if self.price_coef <= 0:
             raise InputValidationError("price coefficient must be positive")
 
@@ -123,22 +128,20 @@ class LogitGroundTruth:
         return ces._softmax_rows(np.append(v, 0.0)[None, :])[:, :-1]
 
     def quantities(self, prices: np.ndarray) -> np.ndarray:
-        return self.mass * self.share_rows(prices)[0]
+        return self.share_rows(prices)[0]
 
     def revenues(self, prices: np.ndarray) -> np.ndarray:
         return prices * self.quantities(prices)
 
-    def derivatives(self, prices: np.ndarray, hessian: bool = False):
-        """``(q, Q)``, or with ``hessian`` ``(q, Q, H)``, from one share evaluation:
-        Q_lj = dq_l/dp_j = -a q_l (delta_lj - s_j) and H_ljq = d2q_l/dp_j dp_q
-        = a^2 q_l ((delta_lj - s_j)(delta_lq - s_q) - s_j (delta_jq - s_q))."""
-        s = self.share_rows(prices)[0]
-        q, e = self.mass * s, np.eye(len(s)) - s  # e[l, q] = delta_lq - s_q
+    def derivatives(self, prices: np.ndarray):
+        """``(q, Q, hessian)`` from one share evaluation: Q_lj = dq_l/dp_j = -a q_l
+        (delta_lj - s_j), and ``hessian()`` builds H_ljq = d2q_l/dp_j dp_q =
+        a^2 q_l ((delta_lj - s_j)(delta_lq - s_q) - s_j (delta_jq - s_q))."""
+        q = self.share_rows(prices)[0]
+        e = np.eye(len(q)) - q  # e[l, q] = delta_lq - s_q
         jac = -self.price_coef * q[:, None] * e
-        if not hessian:
-            return q, jac
-        return q, jac, self.price_coef**2 * q[:, None, None] * (
-            e[:, :, None] * e[:, None, :] - s[:, None] * e)
+        return q, jac, lambda: self.price_coef**2 * q[:, None, None] * (
+            e[:, :, None] * e[:, None, :] - q[:, None] * e)
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +176,29 @@ def _margin_residual(demand, prices, costs, co_owned, jacobian=False):
     as ``newton.damped_newton`` asks. With Q the quantity Jacobian and own =
     co-ownership including the diagonal, r_j = -N_j / Den_j for N_j = q_j +
     sum_l own_jl (p_l - c_l) Q_lj and Den_j = p_j Q_jj, whose price derivatives
-    come from the quantity Hessian. One ``demand.derivatives`` call gives q, Q
-    and, with ``jacobian``, the Hessian."""
-    q, jac, *hess = demand.derivatives(prices, hessian=jacobian)
+    come from the quantity Hessian. One ``demand.derivatives`` call gives q and
+    Q; the Hessian is built only when ``jacobian()`` is called."""
+    q, jac, hessian = demand.derivatives(prices)
     eps, a = _cross_weights(q, jac, prices, co_owned)
     m = (prices - costs) / prices
     r = -1.0 / eps - m + a @ m
     if not jacobian:
         return r
-    hess = hess[0]
-    own = co_owned | np.eye(len(prices), dtype=bool)
-    d_num = jac + own * jac.T + np.einsum("jl,ljq->jq", own * (prices - costs), hess)
-    d_den = np.diag(np.diag(jac)) + prices[:, None] * np.einsum("jjq->jq", hess)
-    return r, lambda: -(d_num + r[:, None] * d_den) / (prices * np.diag(jac))[:, None] * prices
+
+    def d_r():
+        hess = hessian()
+        own = co_owned | np.eye(len(prices), dtype=bool)
+        d_num = jac + own * jac.T + np.einsum("jl,ljq->jq", own * (prices - costs), hess)
+        d_den = np.diag(np.diag(jac)) + prices[:, None] * np.einsum("jjq->jq", hess)
+        return -(d_num + r[:, None] * d_den) / (prices * np.diag(jac))[:, None] * prices
+
+    return r, d_r
 
 
 def _implied_margins(demand, prices, co_owned) -> np.ndarray:
     """Margins solving the pricing conditions at fixed prices."""
-    eps, a = _cross_weights(*demand.derivatives(prices), prices, co_owned)
+    q, jac, _ = demand.derivatives(prices)
+    eps, a = _cross_weights(q, jac, prices, co_owned)
     return np.linalg.solve(np.eye(len(prices)) - a, -1.0 / eps)
 
 
@@ -261,7 +269,7 @@ def observe(primitives: SyntheticPrimitives, prices: np.ndarray | None = None):
     margins, ownership) and the revenue diversion matrix at ``prices``."""
     p = primitives.prices if prices is None else prices
     demand, ids = primitives.demand, primitives.ids
-    q, jac = demand.derivatives(p)
+    q, jac, _ = demand.derivatives(p)
     rev = p * q
     margins = (p - primitives.costs) / p
     products = tuple(
@@ -307,28 +315,27 @@ def solve_post_merger_equilibrium(
 # Random market generation
 # ---------------------------------------------------------------------------
 
+#: Drawn-market parameter ranges; :func:`random_primitives` says how each is drawn.
+COST_RANGE = (0.5, 2.0)
+ETA_RANGE = (3.0, 9.0)
+PRICE_COEF_RANGE = (0.5, 2.0)
+OUTSIDE_SHARE_RANGE = (0.1, 0.6)
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Experiment shape and parameter ranges; the seed is mandatory."""
+    """Experiment shape; the seed is mandatory."""
 
     seed: int
     n_markets: int = 200
     model: str = "ces"
     n_products: tuple[int, int] = (2, 6)
-    cost_range: tuple[float, float] = (0.5, 2.0)
-    eta_range: tuple[float, float] = (3.0, 9.0)
-    price_coef_range: tuple[float, float] = (0.5, 2.0)
-    outside_share_range: tuple[float, float] = (0.1, 0.6)
 
     def __post_init__(self):
         if self.model not in ("ces", "logit"):
             raise InputValidationError(f"unknown demand model {self.model!r}")
         if self.n_products[0] < 2 or self.n_products[1] < self.n_products[0]:
             raise InputValidationError("n_products range must be non-degenerate with min >= 2")
-        for name in ("cost_range", "eta_range", "price_coef_range", "outside_share_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise InputValidationError(f"{name} must be a non-degenerate range")
         if self.n_markets < 1:
             raise InputValidationError("n_markets must be at least 1")
         if self.seed < 0:
@@ -343,22 +350,23 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def random_primitives(config: HarnessConfig, trial: int) -> tuple[SyntheticPrimitives, tuple[int, int]]:
     """Draw one synthetic market in the elastic interior region.
 
-    Target equilibrium shares are drawn first (outside mass inside the
-    configured range) and the demand intercepts backed out of the
-    single-product pricing conditions at log-uniform costs, so the drawn
-    prices are exactly the pre-merger equilibrium.
+    Target equilibrium shares are drawn first (outside share in
+    ``OUTSIDE_SHARE_RANGE``) and the demand intercepts backed out of the
+    single-product pricing conditions at log-uniform costs in ``COST_RANGE``,
+    so the drawn prices are exactly the pre-merger equilibrium. CES draws eta
+    from ``ETA_RANGE``, logit its price coefficient from ``PRICE_COEF_RANGE``.
     """
     rng = trial_rng(config.seed, trial)
     n = int(rng.integers(config.n_products[0], config.n_products[1] + 1))
-    costs = np.exp(rng.uniform(np.log(config.cost_range[0]), np.log(config.cost_range[1]), n))
-    s0 = rng.uniform(*config.outside_share_range)
+    costs = np.exp(rng.uniform(np.log(COST_RANGE[0]), np.log(COST_RANGE[1]), n))
+    s0 = rng.uniform(*OUTSIDE_SHARE_RANGE)
     inside = (1.0 - s0) * rng.dirichlet(np.full(n, 2.0))
     ids = tuple(f"p{j}" for j in range(n))
     ownership = tuple(range(n))
     pair = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
 
     if config.model == "ces":
-        eta = rng.uniform(*config.eta_range)
+        eta = rng.uniform(*ETA_RANGE)
         eps = (1.0 - eta) * (1.0 - inside) - 1.0
         margins = -1.0 / eps
         prices = costs / (1.0 - margins)
@@ -366,7 +374,7 @@ def random_primitives(config: HarnessConfig, trial: int) -> tuple[SyntheticPrimi
         betas = np.exp(u)[None, :] * prices[None, :] ** (eta - 1.0)
         demand = CESGroundTruth(betas, budgets=[1.0], eta=eta)
     else:
-        a = rng.uniform(*config.price_coef_range)
+        a = rng.uniform(*PRICE_COEF_RANGE)
         markup = 1.0 / (a * (1.0 - inside))
         prices = costs + markup
         delta = np.log(inside / s0) + a * prices
@@ -488,15 +496,15 @@ class SpatialConfig:
     n_tracts: int = 50
     n_stores: int = 20
     mu: float = 0.46
-    eta: float = 5.0
     radius: float = 10.0
     extent: float = 25.0           # square side, miles
     theta: tuple[float, ...] = (1.5, -0.3, 0.5, -0.8)  # 1, distance, log size, discount
-    budget_range: tuple[float, float] = (50.0, 150.0)
 
     def __post_init__(self):
         if self.n_tracts < 1 or self.n_stores < 1:
             raise InputValidationError("n_tracts and n_stores must be at least 1")
+        if not 0.0 < self.mu <= 1.0:
+            raise InputValidationError(f"mu must be in (0, 1], got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -518,13 +526,14 @@ class SpatialFixture:
 
 def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
     """Tracts and stores on a plane; consideration within ``radius`` miles;
-    utilities linear in [1, distance, log size, discount flag]."""
+    utilities linear in [1, distance, log size, discount flag]; budgets uniform
+    on [50, 150]; revenues from the nested-CES share kernel at (theta, mu)."""
     rng = trial_rng(config.seed, 0)
     tracts = rng.uniform(0.0, config.extent, size=(config.n_tracts, 2))
     stores = rng.uniform(0.0, config.extent, size=(config.n_stores, 2))
     sizes = rng.lognormal(mean=3.0, sigma=0.4, size=config.n_stores)
     discount = (rng.uniform(size=config.n_stores) < 0.35).astype(float)
-    budgets = rng.uniform(*config.budget_range, size=config.n_tracts)
+    budgets = rng.uniform(50.0, 150.0, size=config.n_tracts)
     dist = np.linalg.norm(tracts[:, None, :] - stores[None, :, :], axis=2)
     mask = dist <= config.radius
 
@@ -539,20 +548,15 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
     store_ids = tuple(f"s{j}" for j in range(config.n_stores))
     nests = {store_ids[j]: ("discount" if discount[j] else "regular")
              for j in range(config.n_stores)}
-    u = design @ theta
-    consumers = []
-    for i in range(config.n_tracts):
-        utils = {store_ids[j]: float(u[i, j]) for j in range(config.n_stores) if mask[i, j]}
-        consumers.append(Consumer(f"t{i}", float(budgets[i]), utils, 1.0))
-    economy = CESEconomy(tuple(consumers), config.eta, nests=nests, mu=config.mu)
-    model_rev = ces.revenues(economy)
-    revenues = {sid: model_rev.get(sid, 0.0) for sid in store_ids}
+    u = np.column_stack([np.where(mask, design @ theta, -np.inf), np.zeros(config.n_tracts)])
+    groups = ces._nest_columns([nests[sid] for sid in store_ids])
+    revenues = budgets @ ces._nested_share_rows(u, groups, config.mu)[:, :-1]
     return SpatialFixture(
         design=design,
         mask=mask,
         budgets=budgets,
         weights=np.ones(config.n_tracts),
-        revenues=revenues,
+        revenues=dict(zip(store_ids, revenues.tolist())),
         store_ids=store_ids,
         nests=nests,
         theta=theta,

@@ -284,12 +284,13 @@ def _raise_if_invalid(bundle: MarketBundle) -> MarketBundle:
 # File ingestion
 # ---------------------------------------------------------------------------
 
-def load_market(path: str | Path, format: str | None = None) -> MarketBundle:
+def load_market(path: str | Path) -> MarketBundle:
     """Load and validate a market (+ diversion, + optional merger) from disk.
 
-    ``format`` is ``"json"`` or ``"csv"``; inferred from the path when None.
-    For CSV, ``path`` is either a directory holding ``products.csv`` and
-    ``diversion.csv`` or the path to ``products.csv`` itself.
+    The format comes from the path: a directory or a ``.csv`` file is CSV,
+    anything else JSON. For CSV, ``path`` is either a directory holding
+    ``products.csv`` and ``diversion.csv`` or the path to ``products.csv``
+    itself.
 
     Raises
     ------
@@ -297,19 +298,15 @@ def load_market(path: str | Path, format: str | None = None) -> MarketBundle:
         Schema violations (naming the field and row), margins outside (0,1),
         self-diversion != -1, unknown firm references.
     """
-    return _raise_if_invalid(_parse_market(path, format))
+    return _raise_if_invalid(_parse_market(path))
 
 
-def _parse_market(path: str | Path, format: str | None = None) -> MarketBundle:
+def _parse_market(path: str | Path) -> MarketBundle:
     """:func:`load_market` without the data invariants: only the schema is checked."""
     path = Path(path)
-    if format is None:
-        format = "csv" if (path.is_dir() or path.suffix.lower() == ".csv") else "json"
-    if format == "json":
-        return market_bundle_from_dict(read_json(path), where=str(path))
-    if format == "csv":
+    if path.is_dir() or path.suffix.lower() == ".csv":
         return _load_csv(path)
-    raise InputValidationError(f"unknown format {format!r} (expected json or csv)")
+    return market_bundle_from_dict(read_json(path), where=str(path))
 
 
 def as_float(obj, field_name: str, where: str, ndim: int = 0):

@@ -201,10 +201,13 @@ def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) ->
 
 def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
     """d f / d pdd of the pricing conditions at the state ``s``, in closed form
-    (the formulas in the module docstring); it forms only T and G."""
+    (the formulas in the module docstring); it forms only T and G. Spending so
+    small that (eta - 1) / S_j overflows is refused."""
     b = 1.0 - s.problem.economy.eta
     a = s.alpha[:, : len(s.m)]
     wa, spend, den, pair = s.moments
+    if spend.min() < -b / np.finfo(float).max:
+        raise InputValidationError("simulation Jacobian overflows: (eta - 1) / spending")
     pair = pair[:, : len(s.m)]  # P_jq
     c = (co_owned * s.d) @ s.m
     third = (wa * a).T @ a  # T_jjq
@@ -361,18 +364,15 @@ def simulate(
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Gap between supplied margins and the margins the pre-merger pricing
-    conditions imply from shares and eta."""
+    conditions imply from shares and eta; ``flagged`` holds the products whose
+    gap exceeds 0.01."""
 
     gaps: dict[str, float]
     flagged: tuple[str, ...]
-    threshold: float
 
 
-def consistency_check(
-    problem: SimulationProblem, threshold: float = 0.01
-) -> ConsistencyReport:
+def consistency_check(problem: SimulationProblem) -> ConsistencyReport:
     """Compare each supplied margin with the FOC-implied one (holding the other
     supplied margins fixed) under pre-merger ownership at zero price change."""
     gaps = dict(zip(problem.order, _gaps_and_warm_start(problem)[0].tolist()))
-    flagged = tuple(j for j, gap in gaps.items() if abs(gap) > threshold)
-    return ConsistencyReport(gaps, flagged, threshold)
+    return ConsistencyReport(gaps, tuple(j for j, gap in gaps.items() if abs(gap) > 0.01))

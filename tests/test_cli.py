@@ -166,10 +166,13 @@ def test_nested_economy_exits_2(runner, tmp_path, argv):
     ["simulate", MARKET, ECONOMY, "--tolerance", "nan"],
     ["fit", "--synthetic-seed", "1", "--tracts", "-5"],
     ["fit", "--synthetic-seed", "1", "--stores", "-1"],
-], ids=["tolerance-negative", "tolerance-nan", "tracts-negative", "stores-negative"])
+    ["fit", "--synthetic-seed", "1", "--mu", "2"],
+], ids=["tolerance-negative", "tolerance-nan", "tracts-negative", "stores-negative",
+        "mu-above-one"])
 def test_option_out_of_range_exits_2(runner, argv):
     """A solver tolerance that is not finite and positive, or a synthetic
-    geography without tracts or stores, is refused before any work."""
+    geography without tracts or stores or with mu above 1, is refused before
+    any work."""
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.stderr
@@ -265,6 +268,26 @@ def test_subnormal_margin_exits_2_without_warning(runner, tmp_path, command):
     assert result.exit_code == 2, (result.output, result.exception)
     assert "product SP: margins inconsistent with Bertrand FOC" in result.output
     assert "implied elasticity -inf is not finite" in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eta, budget, message", [
+    (6.0, 1e-320, "spending moments underflow: ['SP', 'OD']"),
+    (1e300, 2.05e9, "(eta - 1) x total weight x budget overflows"),
+    (10.0, 2e-307, "simulation Jacobian overflows: (eta - 1) / spending"),
+], ids=["budget-subnormal", "eta-overflow", "jacobian-overflow"])
+def test_extreme_economy_simulate_exits_2_without_warning(runner, tmp_path, eta, budget, message):
+    """A subnormal budget makes the spending moments subnormal; eta = 1e300
+    overflows (1 - eta) x spending in the elasticities; eta = 10 with a budget
+    of 2e-307 leaves the spending normal but overflows (1 - eta) / spending in
+    the Newton Jacobian. All three are refused: exit 2."""
+    doc = json.loads(Path(ECONOMY).read_text())
+    doc["eta"], doc["consumers"][0]["budget"] = eta, budget
+    econ = tmp_path / "economy.json"
+    econ.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["simulate", MARKET, str(econ)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert message in result.output
 
 
 def test_economy_with_mu_but_no_nests_exits_2(runner, tmp_path):

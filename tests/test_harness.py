@@ -136,13 +136,13 @@ class TestGroundTruthDerivatives:
         p = np.array([1.3, 0.9, 1.6, 1.1])
         h = 1e-6 * p
         ces_demand = heterogeneous_ces()
-        logit = harness.LogitGroundTruth(np.array([1.0, 0.4, 1.5, 0.2]), 1.3, mass=2.0)
+        logit = harness.LogitGroundTruth(np.array([1.0, 0.4, 1.5, 0.2]), 1.3)
         for demand in (ces_demand, logit):
-            q, jac = demand.derivatives(p)
+            q, jac, hessian = demand.derivatives(p)
             np.testing.assert_allclose(q, demand.quantities(p), rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(jac, central_differences(demand.quantities, p, h),
                                        rtol=1e-7, atol=1e-10)
-            hess = demand.derivatives(p, hessian=True)[2]
+            hess = hessian()
             np.testing.assert_allclose(
                 hess, central_differences(lambda x: demand.derivatives(x)[1], p, h),
                 rtol=0.0, atol=1e-7 * np.max(np.abs(hess)))
@@ -202,6 +202,25 @@ class TestGroundTruthDerivatives:
             harness.observe(prim)
             assert len(calls) == 1, model
 
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_one_hessian_per_newton_step(self, model, monkeypatch):
+        """Over the post-merger solves of six seeded markets, the quantity
+        Hessian is built once per Newton step: never at a rejected trial point,
+        the returned root or the warm start."""
+        config = harness.HarnessConfig(seed=11, n_markets=6, model=model)
+        markets = [harness.random_primitives(config, t) for t in range(6)]
+        cls = type(markets[0][0].demand)
+        derivatives, builds = cls.derivatives, []
+
+        def counting(demand, prices):
+            q, jac, hessian = derivatives(demand, prices)
+            return q, jac, lambda: builds.append(1) or hessian()
+
+        monkeypatch.setattr(cls, "derivatives", counting)
+        steps = sum(harness.solve_post_merger_equilibrium(prim, pair)[0].iterations - 1
+                    for prim, pair in markets)  # less the warm-start step
+        assert steps >= 6 and len(builds) == steps
+
 
 class TestPostMerger:
     def test_no_ownership_change_zero_effect(self):
@@ -246,8 +265,8 @@ class TestObservation:
 
             co_owned = np.zeros((len(prim.ids),) * 2, dtype=bool)
             co_owned[pair, pair[::-1]] = True
-            _, cross = harness._cross_weights(*prim.demand.derivatives(eq.prices), eq.prices,
-                                              co_owned)
+            q, jac, _ = prim.demand.derivatives(eq.prices)
+            _, cross = harness._cross_weights(q, jac, eq.prices, co_owned)
             for j, k in (pair, pair[::-1]):
                 pid = prim.ids[j]
                 direct = eq.margins[k] * cross[j, k]  # m_k D_jk p_k / p_j
@@ -420,7 +439,7 @@ class TestMultiProductFirms:
         market, diversion = harness.observe(prim, eq.prices)
         merger = MergerSpec("f0", "f1")
         eps_hat = effects.own_price_elasticities(market, diversion, merger)
-        q, jac = prim.demand.derivatives(eq.prices)
+        q, jac, _ = prim.demand.derivatives(eq.prices)
         for j, pid in enumerate(prim.ids):
             eps_true = jac[j, j] * eq.prices[j] / q[j]
             assert eps_hat[pid] == pytest.approx(eps_true, rel=1e-9)
@@ -468,8 +487,6 @@ class TestAccuracyExperiment:
             harness.HarnessConfig(seed=1, model="blp")
         with pytest.raises(InputValidationError):
             harness.HarnessConfig(seed=1, n_products=(1, 3))
-        with pytest.raises(InputValidationError):
-            harness.HarnessConfig(seed=1, eta_range=(5.0, 5.0))
         with pytest.raises(InputValidationError, match="n_markets"):
             harness.HarnessConfig(seed=1, n_markets=0)
         with pytest.raises(InputValidationError, match="seed"):
@@ -593,6 +610,27 @@ class TestSpatialFixture:
         same_nest = [j for j, s in enumerate(fx.store_ids)
                      if fx.nests[s] == fx.nests[fx.store_ids[0]]]
         np.testing.assert_allclose(rev[same_nest], rev[same_nest][0], rtol=1e-9)
+
+    @pytest.mark.parametrize("config", [
+        harness.SpatialConfig(seed=5, n_tracts=40, n_stores=12, mu=0.46),
+        harness.SpatialConfig(seed=1, n_tracts=30, n_stores=10, radius=8.0, extent=60.0),
+        harness.SpatialConfig(seed=8, n_tracts=20, n_stores=6, mu=1.0),
+    ], ids=["nested", "orphan-stores", "plain"])
+    def test_revenues_match_the_nested_economy(self, config):
+        """The fixture's revenues, from the share kernel on dense arrays, equal
+        ``ces.revenues`` of the same tracts as a nested ``CESEconomy``; a store
+        no tract considers earns exactly 0."""
+        fx = harness.generate_spatial_fixture(config)
+        u = fx.design @ fx.theta
+        consumers = tuple(
+            ces.Consumer(f"t{i}", float(budget), {sid: float(u[i, j])
+                                                  for j, sid in enumerate(fx.store_ids)
+                                                  if fx.mask[i, j]})
+            for i, budget in enumerate(fx.budgets))
+        reference = ces.revenues(ces.CESEconomy(consumers, 5.0, nests=fx.nests, mu=fx.mu))
+        np.testing.assert_allclose([fx.revenues[sid] for sid in fx.store_ids],
+                                   [reference.get(sid, 0.0) for sid in fx.store_ids],
+                                   rtol=1e-12, atol=0.0)
 
     def test_fixture_file_round_trip(self, tmp_path):
         import json

@@ -113,7 +113,7 @@ class TestLoading:
         (tmp_path / "diversion.csv").write_text(
             "from,to,value\nA,B,0.4\nB,A,0.5\nA,OUTSIDE,0.6\n"
         )
-        bundle = mk.load_market(tmp_path, format="csv")
+        bundle = mk.load_market(tmp_path)
         assert {p.id: p.margin for p in bundle.market.products} == {"A": 0.3, "B": 0.25}
         assert bundle.diversion.get("A", "B") == 0.4
         assert bundle.diversion.get("A", mk.OUTSIDE) == 0.6
