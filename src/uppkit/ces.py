@@ -9,11 +9,12 @@ reduce to simple share formulas in the single-consumer case:
     D_{j->k}^R = alpha_k / (1 - alpha_j),
     eps_jj^R   = (1 - eta)(1 - alpha_j).
 
-One :class:`CESEconomy` type carries optional ``nests`` and ``mu`` fields.
-Where the nests bind (mu < 1), :func:`shares`, :func:`revenues` and
-:func:`nested_shares` give two-level shares, and everything derived from the
-softmax refuses the economy at one gate, ``_softmax_arrays``. Off a consumer's
-consideration set its utility is -inf, so its share is exactly 0.
+One :class:`CESEconomy` type carries optional ``nests`` and ``mu`` fields,
+and one share function, :func:`shares` (also named :func:`nested_shares`),
+gives its shares: two-level where the nests bind (mu < 1), the softmax
+otherwise. Everything derived from the softmax refuses binding nests at one
+gate, ``_softmax_arrays``. Off a consumer's consideration set its utility is
+-inf, so its share is exactly 0.
 """
 
 from __future__ import annotations
@@ -159,14 +160,6 @@ def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(u - m[:, None]).sum(axis=1))
 
 
-def shares(economy: CESEconomy) -> ShareTable:
-    """The economy's own shares: the softmax, or :func:`nested_shares` where nests bind."""
-    if economy.mu < 1.0:
-        return nested_shares(economy)
-    u, _ = economy._dense
-    return ShareTable(tuple(c.id for c in economy.consumers), economy.order, _softmax_rows(u))
-
-
 def _nest_columns(labels: Sequence[str]) -> list[list[int]]:
     """Kernel column groups for per-product nest labels, in first-appearance
     order, then the outside option (column ``len(labels)``) as its own nest."""
@@ -203,17 +196,20 @@ def _nested_share_rows(u: np.ndarray, groups: Sequence[Sequence[int]], mu: float
     return alpha
 
 
-def nested_shares(economy: CESEconomy) -> ShareTable:
-    """Two-level shares: within-nest softmax of u/mu, nest chosen by softmax of
-    mu times the nest's inclusive value. Collapses to the softmax at mu = 1;
-    an economy without nests gets its softmax shares."""
+def shares(economy: CESEconomy) -> ShareTable:
+    """The economy's own shares. Where the nests bind (mu < 1), two-level:
+    within-nest softmax of u/mu, nest chosen by softmax of mu times the nest's
+    inclusive value; otherwise (no nests, or mu = 1) the softmax."""
     u, _ = economy._dense
-    if economy.nests:
+    if economy.mu < 1.0:
         groups = _nest_columns([economy.nests[pid] for pid in economy.order[:-1]])
         alpha = _nested_share_rows(u, groups, economy.mu)
     else:
         alpha = _softmax_rows(u)
     return ShareTable(tuple(c.id for c in economy.consumers), economy.order, alpha)
+
+
+nested_shares = shares
 
 
 def _invert(cid: str, sh: Mapping[str, float]) -> dict[str, float]:
@@ -257,17 +253,20 @@ def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Seque
     shoppers of both j and k count, and the common per-consumer slope factor
     cancels between the two. ``moments`` is ``(wa, S, den, P)``: the inside
     spending block wa_ij = wb_i a_ij, its column sums S_j, den, and P with
-    the outside column last. A den of 0, or one below the smallest normal
-    float (the spending underflows), is refused.
+    the outside column last. A den below the smallest normal float is
+    refused, naming its cause: no consumer with positive weight x budget
+    holds an interior share of j, or else the spending moments underflow.
     """
     n = len(order) - 1  # OUTSIDE is last
     inside = alpha[:, :n]
     wa, spend, den = wb[:, None] * inside, wb @ inside, wb @ (inside * (1.0 - inside))
     if den.min(initial=np.inf) < np.finfo(float).tiny:
-        zero = den <= 0.0
-        why = "considered by no consumer" if zero.any() else "whose spending moments underflow"
-        bad = [order[j] for j in np.flatnonzero(zero if zero.any() else den < np.finfo(float).tiny)]
-        raise InputValidationError(f"diversion undefined for products {why}: {bad}")
+        held = ((wb[:, None] > 0.0) & (inside > 0.0) & (inside < 1.0)).any(axis=0)
+        why, bad = (("that no consumer with positive weight x budget holds at an interior share",
+                     ~held) if not held.all() else
+                    ("whose spending moments underflow", den < np.finfo(float).tiny))
+        raise InputValidationError(
+            f"diversion undefined for products {why}: {[order[j] for j in np.flatnonzero(bad)]}")
     pair = wa.T @ alpha
     full = pair / den[:, None]
     np.fill_diagonal(full, -1.0)
@@ -284,20 +283,14 @@ def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:
     return DiversionMatrix(economy.order[:-1], values, outside)
 
 
-def _own_revenue_elasticity(alpha: np.ndarray, wb: np.ndarray, eta: float) -> np.ndarray:
-    """(1 - eta) * sum_i wb_i a_ij (1 - a_ij) / sum_i wb_i a_ij per column of a
-    share block (zero off consideration sets); 0 where nobody spends."""
-    spend = wb @ alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(spend > 0.0, (1.0 - eta) * (wb @ (alpha * (1.0 - alpha))) / spend, 0.0)
-
-
 def own_price_revenue_elasticity(economy: CESEconomy) -> dict[str, float]:
     """Own-price elasticity of revenue per product:
-    (1 - eta) * sum_i wbar_ij (1 - a_ij), shopper-weighted by a_ij B_i."""
+    (1 - eta) * sum_i wbar_ij (1 - a_ij), shopper-weighted by a_ij B_i, that is
+    (1 - eta) den_j / S_j from the diversion kernel's moments (refused where
+    :func:`revenue_diversion` is)."""
     u, wb = economy._softmax_arrays("own-price elasticity")
-    eps = _own_revenue_elasticity(_softmax_rows(u)[:, :-1], wb, economy.eta)
-    return dict(zip(economy.order[:-1], eps.tolist()))
+    _, _, (_, spend, den, _) = _diversion_from_share_values(_softmax_rows(u), wb, economy.order)
+    return dict(zip(economy.order[:-1], ((1.0 - economy.eta) * den / spend).tolist()))
 
 
 def own_price_elasticity_of_demand(economy: CESEconomy) -> dict[str, float]:

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, Product, co_ownership
+from .market import DiversionMatrix, Market, MergerSpec, Product, co_ownership
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,13 @@ class PassThroughMatrix:
 def merging_products(market: Market, merger: MergerSpec) -> list[str]:
     """The merging firms' product ids in market order."""
     both = {merger.firm_a, merger.firm_b}
-    return [p.id for p in market.products if p.firm in both and p.id != OUTSIDE]
+    return [p.id for p in market.products if p.firm in both]
 
 
 def single_product_pair(market: Market, merger: MergerSpec, message: str) -> tuple[Product, Product]:
     """The merging firms' products when each firm owns exactly one; otherwise
     raises ``InputValidationError(message)``."""
-    a, b = ([p for p in market.products_of(f) if p.id != OUTSIDE]
-            for f in (merger.firm_a, merger.firm_b))
+    a, b = (market.products_of(f) for f in (merger.firm_a, merger.firm_b))
     if len(a) != 1 or len(b) != 1:
         raise InputValidationError(message)
     return a[0], b[0]

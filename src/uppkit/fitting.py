@@ -101,15 +101,21 @@ def _model_revenues(
 
 @dataclass(frozen=True)
 class FitResult:
-    """Point estimates plus convergence diagnostics for one NLS run."""
+    """Point estimates plus convergence diagnostics for one NLS run: the one
+    record of a fit, which :meth:`NestedCESRevenueFitter.result` returns.
+    ``log`` holds (evaluation number, cost) per residual evaluation, so
+    ``n_evaluations`` is its length."""
 
     theta: np.ndarray
     mu: float
     converged: bool
     residual_se: float
-    n_evaluations: int
     message: str
-    log: tuple[tuple[int, float], ...]   # (evaluation number, cost) per residual evaluation
+    log: tuple[tuple[int, float], ...]
+
+    @property
+    def n_evaluations(self) -> int:
+        return len(self.log)
 
 
 class NestedCESRevenueFitter:
@@ -120,7 +126,7 @@ class NestedCESRevenueFitter:
     accepted or rejected, each one residual-and-Jacobian evaluation; data
     enters through :meth:`fit`.
     ``weighting="revenue"`` divides residuals by observed revenues (unweighted
-    by default).
+    by default). :meth:`fit` stores its :class:`FitResult` in ``result_``.
     """
 
     def __init__(
@@ -199,13 +205,8 @@ class NestedCESRevenueFitter:
         x0 = np.concatenate([np.zeros(k), [np.log(self.mu0 / (1.0 - self.mu0))]])
         x, res, _, converged, reason = levenberg_marquardt(evaluate, x0, self.max_iterations)
         dof = max(n_s - (k + 1), 1)
-        self.theta_ = x[:k]
-        self.mu_ = _expit(x[k])
-        self.converged_ = converged
-        self.residual_se_ = float(np.sqrt(res @ res / dof))
-        self.n_evaluations_ = len(trace)
-        self.message_ = reason if converged else f"not converged: {reason}"
-        self.log_ = tuple(trace)
+        self.result_ = FitResult(x[:k], _expit(x[k]), converged, float(np.sqrt(res @ res / dof)),
+                                 reason if converged else f"not converged: {reason}", tuple(trace))
         self._nests = tuple(nests)
         return self
 
@@ -219,23 +220,14 @@ class NestedCESRevenueFitter:
     ) -> np.ndarray:
         """Model revenues at the fitted parameters; ``nests`` defaults to the
         labels the fit saw. The data are checked as in :meth:`fit`."""
-        if not hasattr(self, "theta_"):
-            raise InputValidationError("fit before predict")
-        return _model_revenues(self.theta_, self.mu_, *_prepare(
+        fitted = self.result()
+        return _model_revenues(fitted.theta, fitted.mu, *_prepare(
             design, budgets, self._nests if nests is None else nests, mask, consumer_weights))
 
     def result(self) -> FitResult:
-        if not hasattr(self, "theta_"):
-            raise InputValidationError("fit before requesting the result")
-        return FitResult(
-            theta=self.theta_,
-            mu=self.mu_,
-            converged=self.converged_,
-            residual_se=self.residual_se_,
-            n_evaluations=self.n_evaluations_,
-            message=self.message_,
-            log=self.log_,
-        )
+        if not hasattr(self, "result_"):
+            raise InputValidationError("fit before predict or result")
+        return self.result_
 
 
 def fit_nested_ces(

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import InputValidationError
 
-#: Reserved product id for the outside option. It never carries a margin or
-#: revenue and only ever appears as a diversion *destination*.
+#: Reserved id of the outside option: a diversion *destination* only (an
+#: ``order`` entry, the ``outside`` column or a CSV ``to`` value), never a
+#: product; :func:`validate` refuses a product with this id.
 OUTSIDE = "OUTSIDE"
 
 
@@ -179,7 +180,8 @@ def validate(
             out.append(Violation("duplicate-id", subject, "product id appears more than once"))
         seen.add(p.id)
         if p.id == OUTSIDE:
-            continue  # reserved id carries no margin/revenue requirements
+            out.append(Violation("reserved-id", subject,
+                                 "the outside option is a diversion destination, not a product"))
         if not p.firm:
             out.append(Violation("empty-firm", subject, "product has empty firm id"))
         if not np.isfinite(p.revenue) or p.revenue < 0:
@@ -201,10 +203,10 @@ def _validate_diversion(market: Market, d: DiversionMatrix) -> list[Violation]:
         out.append(Violation("diversion-shape", "diversion",
                              f"matrix shape {d.values.shape} does not match order length {n}"))
         return out
-    inside = set(pid for pid in market.ids if pid != OUTSIDE)
-    if set(d.order) != inside:
-        missing = sorted(inside - set(d.order))
-        extra = sorted(set(d.order) - inside)
+    ids = set(market.ids)
+    if set(d.order) != ids:
+        missing = sorted(ids - set(d.order))
+        extra = sorted(set(d.order) - ids)
         out.append(Violation("diversion-order", "diversion",
                              f"order mismatch with market products (missing {missing}, unknown {extra})"))
     for i, src in enumerate(d.order):
@@ -357,16 +359,10 @@ def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:
         w = f"{where}: products[{row}]"
         if not isinstance(rec, Mapping) or "id" not in rec:
             raise InputValidationError(f"{w}: missing field 'id'")
-        pid = str(rec["id"])
-        if pid == OUTSIDE:
-            products.append(Product(OUTSIDE, str(rec.get("firm", "")),
-                                    as_float(rec.get("revenue", 0.0), "revenue", w),
-                                    as_float(rec.get("margin", 0.5), "margin", w)))
-            continue
         for f in ("firm", "revenue", "margin"):
             if f not in rec:
                 raise InputValidationError(f"{w}: missing field {f!r}")
-        products.append(Product(pid, str(rec["firm"]),
+        products.append(Product(str(rec["id"]), str(rec["firm"]),
                                 as_float(rec["revenue"], "revenue", w),
                                 as_float(rec["margin"], "margin", w)))
     market = Market(tuple(products), currency=str(doc.get("currency", "USD")))
@@ -378,15 +374,18 @@ def market_bundle_from_dict(doc: Mapping, where: str = "input") -> MarketBundle:
     matrix = as_float(dv["matrix"], "diversion.matrix", where, 2)
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != len(order):
         raise InputValidationError(f"{where}: diversion matrix must be square and match 'order'")
-    outside = None
+    outside = dv.get("outside")
+    if outside is not None:
+        outside = as_float(outside, "diversion.outside", where, 1)
     if OUTSIDE in order:
+        if outside is not None:
+            raise InputValidationError(
+                f"{where}: field 'diversion.outside' repeats the {OUTSIDE} entry of 'order'")
         k = order.index(OUTSIDE)
         keep = [i for i in range(len(order)) if i != k]
         outside = matrix[keep, k]
         matrix = matrix[np.ix_(keep, keep)]
         order = [order[i] for i in keep]
-    if "outside" in dv and dv["outside"] is not None:
-        outside = as_float(dv["outside"], "diversion.outside", where, 1)
     diversion = DiversionMatrix(tuple(order), matrix, outside)
 
     merger = None
@@ -425,7 +424,7 @@ def _load_csv(path: Path) -> MarketBundle:
     else:
         prod_path, div_path = path, path.with_name("diversion.csv")
     products, rows = _read_csv(prod_path), _read_csv(div_path)
-    order = [rec.get("id") for rec in products if rec.get("id") != OUTSIDE]
+    order = [rec.get("id") for rec in products]
     pos = {pid: i for i, pid in enumerate([*order, OUTSIDE])}
     matrix = np.pad(-np.eye(len(order)), (0, 1))  # OUTSIDE's row and column last
     for row, rec in enumerate(rows):

@@ -106,7 +106,7 @@ def passthrough_matrix_from_market(
     elasticities from margins, eta from the averaged share/elasticity relation."""
     pj, pk = single_product_pair(market, merger,
                                  "ces pass-through supports single-product merging firms only")
-    if {p.id for p in market.products} - {pj.id, pk.id, OUTSIDE}:
+    if len(market.products) > 2:
         raise InputValidationError("ces pass-through supports two-firm markets only")
     d_jk = diversion.get(pj.id, pk.id)
     d_kj = diversion.get(pk.id, pj.id)

@@ -51,7 +51,7 @@ from . import ces
 from .ces import CESEconomy, ShareTable
 from .effects import pressure
 from .errors import InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, co_ownership
+from .market import DiversionMatrix, Market, MergerSpec, co_ownership
 from .newton import damped_newton
 
 LOWER_BOUND = -0.99  # floor on every iterate's price change
@@ -76,15 +76,14 @@ class SimulationProblem:
         self.economy._softmax_arrays("merger simulation")
         object.__setattr__(self, "post_ownership", dict(self.post_ownership))
         object.__setattr__(self, "efficiencies", dict(self.efficiencies))
-        inside = [pid for pid in self.economy.order if pid != OUTSIDE]
-        market_ids = set(self.market.ids) - {OUTSIDE}
-        for pid in inside:
+        market_ids = set(self.market.ids)
+        for pid in self.order:
             if pid not in market_ids:
                 raise InputValidationError(f"product {pid}: margin missing from market data")
             if pid not in self.post_ownership:
                 raise InputValidationError(f"product {pid}: no post-merger owner")
         for pid in market_ids:
-            if pid not in inside:
+            if pid not in self.order:
                 raise InputValidationError(f"product {pid}: no consumer considers it")
         for pid, c in self.efficiencies.items():
             if not -1.0 < c <= 0.0:
@@ -92,8 +91,8 @@ class SimulationProblem:
 
     @cached_property
     def order(self) -> tuple[str, ...]:
-        """Inside products, economy order."""
-        return tuple(pid for pid in self.economy.order if pid != OUTSIDE)
+        """Inside products, economy order (its last column is the outside option)."""
+        return self.economy.order[:-1]
 
     def efficiency(self, pid: str) -> float:
         return float(self.efficiencies.get(pid, 0.0))
@@ -115,11 +114,8 @@ def merger_problem(
     """Problem for a standard two-firm merger: the merging firms' products move
     to a combined owner, everyone else keeps theirs."""
     combined = f"{merger.firm_a}+{merger.firm_b}"
-    post = {
-        p.id: (combined if p.firm in (merger.firm_a, merger.firm_b) else p.firm)
-        for p in market.products
-        if p.id != OUTSIDE
-    }
+    post = {p.id: (combined if p.firm in (merger.firm_a, merger.firm_b) else p.firm)
+            for p in market.products}
     return SimulationProblem(market, economy, post, dict(merger.efficiencies))
 
 

@@ -171,7 +171,8 @@ class TestRevenueDiversion:
         d = ces.revenue_diversion(econ)  # fine, B has a shopper
         assert d.get("A", "B") >= 0.0
         tab = ces.shares(bad)
-        with pytest.raises(InputValidationError, match="considered by no consumer"):
+        with pytest.raises(InputValidationError,
+                           match="no consumer with positive weight x budget holds at an interior"):
             ces._diversion_from_share_values(
                 np.array([[0.5, 0.0, 0.5]]), np.array([0.0]), ("A", "B", OUTSIDE),
             )
@@ -205,6 +206,17 @@ class TestRevenueDiversion:
             for k in range(3):
                 if k != j:
                     assert d.get(ids[j], ids[k]) == pytest.approx(-drev[k] / drev[j], rel=1e-5)
+
+
+@pytest.mark.parametrize("formula", [ces.revenue_diversion, ces.own_price_revenue_elasticity])
+def test_product_only_a_budget_zero_consumer_considers(staples_economy, formula):
+    """Only a consumer with budget 0 considers XX, so its den is 0: diversion
+    and the own revenue elasticity are both undefined there, and both name
+    that cause (the elasticity is not read as 0)."""
+    econ = CESEconomy(staples_economy.consumers + (Consumer("z", 0.0, {"XX": 0.1}),),
+                      staples_economy.eta)
+    with pytest.raises(InputValidationError, match=r"holds at an interior share: \['XX'\]"):
+        formula(econ)
 
 
 class TestRevenueElasticity:
@@ -446,6 +458,13 @@ class TestNestedShares:
         np.testing.assert_allclose(
             ces.nested_shares(econ).values, ces.shares(plain).values, atol=1e-12
         )
+
+    def test_one_share_function(self):
+        """``nested_shares`` is ``shares``; with nests at mu = 1 it is the softmax."""
+        assert ces.nested_shares is ces.shares
+        plain = single_consumer({"A": 0.8, "B": 0.4, "C": -0.2}, eta=5.0)
+        np.testing.assert_array_equal(ces.shares(self.nested_fixture(1.0)).values,
+                                      ces.shares(plain).values)
 
     def test_economy_without_nests_gets_softmax(self):
         plain = single_consumer({"A": 0.8, "B": 0.4, "C": -0.2}, eta=5.0)

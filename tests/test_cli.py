@@ -86,6 +86,17 @@ class TestValidateCommand:
         assert result.exit_code == 2
         assert "margin" in result.output
 
+    def test_outside_product_csv_row_exits_2(self, runner, tmp_path):
+        (tmp_path / "products.csv").write_text(
+            "id,firm,revenue,margin\nSP,Staples,9.7e8,0.258\nOD,OfficeDepot,6.5e8,0.234\n"
+            "OUTSIDE,Ghost,1,0.5\n")
+        (tmp_path / "diversion.csv").write_text(
+            "from,to,value\nSP,OD,0.6\nOD,SP,0.69\nSP,OUTSIDE,0.4\nOD,OUTSIDE,0.31\n")
+        result = runner.invoke(main, ["validate", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "[reserved-id] OUTSIDE" in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["validate", "/nope/nothing.json"])
         assert result.exit_code == 2
@@ -275,12 +286,16 @@ def test_subnormal_margin_exits_2_without_warning(runner, tmp_path, command):
     (6.0, 1e-320, "spending moments underflow: ['SP', 'OD']"),
     (1e300, 2.05e9, "(eta - 1) x total weight x budget overflows"),
     (10.0, 2e-307, "simulation Jacobian overflows: (eta - 1) / spending"),
-], ids=["budget-subnormal", "eta-overflow", "jacobian-overflow"])
+    (1e100, 2.05e9, "no consumer with positive weight x budget holds at an interior share: "
+                    "['SP', 'OD']"),
+], ids=["budget-subnormal", "eta-overflow", "jacobian-overflow", "eta-underflows-shares"])
 def test_extreme_economy_simulate_exits_2_without_warning(runner, tmp_path, eta, budget, message):
     """A subnormal budget makes the spending moments subnormal; eta = 1e300
     overflows (1 - eta) x spending in the elasticities; eta = 10 with a budget
     of 2e-307 leaves the spending normal but overflows (1 - eta) / spending in
-    the Newton Jacobian. All three are refused: exit 2."""
+    the Newton Jacobian; at eta = 1e100 the GUPPI warm start underflows every
+    inside share to 0, so no consumer holds an interior share. All are
+    refused: exit 2."""
     doc = json.loads(Path(ECONOMY).read_text())
     doc["eta"], doc["consumers"][0]["budget"] = eta, budget
     econ = tmp_path / "economy.json"
@@ -490,6 +505,20 @@ def _market_with(**diversion):
     return doc
 
 
+def _ghost_market():
+    """The Staples market plus a product row under the outside option's id,
+    owned by ``Ghost``, with Staples merging with Ghost."""
+    doc = json.loads(Path(MARKET).read_text())
+    doc["products"].append({"id": "OUTSIDE", "firm": "Ghost", "revenue": 1.0, "margin": 0.5})
+    doc["merger"]["firm_b"] = "Ghost"
+    return doc
+
+
+_OUTSIDE_TWICE = _market_with(
+    order=["SP", "OD", "OUTSIDE"], outside=[0.35, 0.25],
+    matrix=[[-1.0, 0.5996, 0.4004], [0.6915, -1.0, 0.3085], [0.0, 0.0, -1.0]])
+
+
 def _economy_with(**fields):
     return {**json.loads(Path(ECONOMY).read_text()), **fields}
 
@@ -567,13 +596,17 @@ class TestMalformedJsonInput:
         (["second-choice", "DOC", "--remove", "SP"], _with_weight(1e300)),
         (["simulate", MARKET, "DOC"], _economy_with(consumers=[
             {**_CONSUMER, "id": cid, "budget": 1e308} for cid in "cd"])),
+        (["validate", "DOC"], _ghost_market()),
+        (["guppi", "DOC"], _ghost_market()),
+        (["validate", "DOC"], _OUTSIDE_TWICE),
     ], ids=["ragged-validate", "ragged-guppi", "order-int", "eta-text", "consumer-int-simulate",
             "consumer-int-second-choice", "utilities-list", "design-ragged", "budgets-length",
             "store-ids-int", "truth-int", "nest-missing", "revenue-missing",
             "fit-design-nan", "fit-budget-inf", "fit-budget-negative", "fit-weight-nan",
             "fit-revenue-nan", "simulate-utility-nan", "second-choice-utility-inf",
             "second-choice-utility-minus-inf", "simulate-eta-inf", "simulate-weight-overflow",
-            "second-choice-weight-overflow", "simulate-total-overflow"])
+            "second-choice-weight-overflow", "simulate-total-overflow", "ghost-validate",
+            "ghost-guppi", "outside-twice"])
     def test_malformed_field_exits_2(self, runner, tmp_path, argv, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

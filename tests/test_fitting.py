@@ -142,6 +142,10 @@ class TestEstimatorSurface:
         with pytest.raises(InputValidationError, match="fit before"):
             est.predict(fixture.design, fixture.budgets)
 
+    def test_result_before_fit(self):
+        with pytest.raises(InputValidationError, match="fit before"):
+            fitting.NestedCESRevenueFitter().result()
+
     def test_not_converged_flagged(self, fixture):
         res = fit_fixture(fixture, max_iterations=1)
         assert not res.converged

@@ -91,6 +91,16 @@ class TestLoading:
         assert bundle.diversion.get("A", mk.OUTSIDE) == 0.6
         assert bundle.diversion.get("B", "A") == 0.5
 
+    def test_outside_column_given_twice(self, tmp_path):
+        """An ``OUTSIDE`` entry of ``order`` and an ``outside`` list both give
+        the outside column; one of them would be dropped, so the file is refused."""
+        doc = minimal_doc()
+        doc["diversion"] = {"order": ["A", "B", "OUTSIDE"],
+                            "matrix": [[-1.0, 0.4, 0.6], [0.5, -1.0, 0.5], [0.0, 0.0, -1.0]],
+                            "outside": [0.35, 0.25]}
+        with pytest.raises(InputValidationError, match="diversion.outside"):
+            mk.load_market(write_json(tmp_path, doc))
+
     def test_explicit_passthrough_matrix(self, tmp_path):
         doc = minimal_doc()
         doc["merger"]["passthrough"] = {"matrix": [[1.0, 0.2], [0.3, 1.1]]}
@@ -172,6 +182,12 @@ class TestValidate:
         findings = mk.validate(m, d)
         assert any(v.rule == "row-sum" and v.subject == "A" for v in findings)
         assert not any(v.subject == "B" and v.rule == "row-sum" for v in findings)
+
+    def test_outside_product_is_a_finding(self):
+        m = mk.Market((mk.Product("A", "f1", 1.0, 0.3), mk.Product(mk.OUTSIDE, "f2", 1.0, 0.3)))
+        findings = mk.validate(m, mk.DiversionMatrix(("A",), np.array([[-1.0]])),
+                               mk.MergerSpec("f1", "f2"))
+        assert [v.rule for v in findings] == ["reserved-id", "diversion-order"]
 
     def test_efficiency_for_nonparty_product(self):
         m = mk.Market((

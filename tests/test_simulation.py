@@ -320,8 +320,8 @@ class TestFocJacobian:
         econ, n = problem.economy, len(problem.order)
         _, wb = econ._dense
         a = state.alpha[:, :n]
-        np.testing.assert_allclose(
-            state.eps, ces._own_revenue_elasticity(a, wb, econ.eta) - 1.0, rtol=1e-15, atol=0.0)
+        own = (1.0 - econ.eta) * (wb @ (a * (1.0 - a))) / (wb @ a)
+        np.testing.assert_allclose(state.eps, own - 1.0, rtol=1e-15, atol=0.0)
         wa, spend, den, pair = state.moments
         np.testing.assert_array_equal(wa, wb[:, None] * a)
         np.testing.assert_allclose(spend, wb @ a, rtol=1e-15)
