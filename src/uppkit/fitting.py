@@ -12,6 +12,11 @@ closed-form Jacobian of the model revenues (formulas in
 :func:`_model_revenues`), built from the same share evaluation as the
 residual. mu rides through a logistic transform so the unconstrained
 optimizer keeps it inside (0, 1).
+
+All of it runs on the considered (consumer, store) pairs: :func:`_prepare`
+lays them out once per fit (``ces._pair_layout``) and gathers their
+covariates, so each evaluation reads no off-consideration cell, whose -inf
+utility would send ``exp`` down numpy's slow path.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ces import _nest_columns, _nested_share_rows
+from .ces import PairLayout, _nest_columns, _nested_share_rows, _pair_layout
 from .errors import InputValidationError
 from .newton import levenberg_marquardt
 
@@ -33,11 +38,13 @@ def _expit(x: float) -> float:
 def _prepare(design: np.ndarray, budgets: np.ndarray, nests: Sequence[str],
              mask: np.ndarray | None, consumer_weights: np.ndarray | None) -> tuple:
     """Check the data against the (n_consumers, n_stores, k) design; return the model's
-    data arguments: design, mask (default all), weight * budget and nest column groups."""
+    data arguments: the (k, n_pairs) covariates of the considered pairs (mask, default
+    all, plus the outside option, whose covariates are 0), weight * budget and the
+    pair layout."""
     design = np.asarray(design, dtype=float)
-    if design.ndim != 3:
-        raise InputValidationError("design must be (n_consumers, n_stores, k)")
-    n_t, n_s, _ = design.shape
+    if design.ndim != 3 or design.shape[1] == 0:
+        raise InputValidationError("design must be (n_consumers, n_stores, k), with a store")
+    n_t, n_s, k = design.shape
     if len(nests) != n_s:
         raise InputValidationError("one nest label per store required")
     mask = np.ones((n_t, n_s), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -47,20 +54,20 @@ def _prepare(design: np.ndarray, budgets: np.ndarray, nests: Sequence[str],
         raise InputValidationError("budgets, weights and mask must match the design's shape")
     if not all(np.all((v >= 0) & (v < np.inf)) for v in (budgets, w)):
         raise InputValidationError("budgets and weights must be finite and >= 0")
-    if not np.isfinite(design).all():  # unread off the consideration sets, but 0 * NaN is NaN
-        design = np.where(mask[:, :, None], design, 0.0)
-        if not np.isfinite(design).all():
-            raise InputValidationError("design must be finite on the consideration sets")
-    return design, mask, w * budgets, _nest_columns(nests)
+    pairs = _pair_layout(np.column_stack([mask, np.ones(n_t, dtype=bool)]), _nest_columns(nests))
+    x = design.reshape(-1, k).take(pairs.rows * n_s + pairs.cols, axis=0, mode="clip")
+    x[pairs.cols == n_s] = 0.0  # the outside option
+    if not np.isfinite(x).all():  # unread off the consideration sets
+        raise InputValidationError("design must be finite on the consideration sets")
+    return np.ascontiguousarray(x.T), w * budgets, pairs
 
 
 def _model_revenues(
     theta: np.ndarray,
     mu: float,
-    design: np.ndarray,
-    mask: np.ndarray,
+    x: np.ndarray,
     wb: np.ndarray,
-    nest_cols: Sequence[Sequence[int]],
+    pairs: PairLayout,
     jacobian: bool = False,
 ):
     """Model revenue per store, R_j = sum_i wb_i a_ij; with ``jacobian``, the pair
@@ -74,29 +81,34 @@ def _model_revenues(
 
         dR_j/dtheta = sum_i wa_ij (x_ij/mu + (1 - 1/mu) xbar_i,b(j) - xbar_i)
         dR_j/dmu    = sum_i wa_ij (-(u_ij - ubar_ib)/mu^2 + V_ib - sum_c N_ic V_ic)
+
+    Every sum runs over the considered pairs of :func:`_prepare`: per segment
+    (consumer, nest) for N_ib, N_ib xbar_ib and V_ib, per consumer for xbar_i
+    and sum_c N_ic V_ic, per store for R_j and dR_j.
     """
-    n_t, n_s, _ = design.shape
-    u = np.full((n_t, n_s + 1), -np.inf)
-    u[:, :n_s][mask] = (design @ theta)[mask]
-    u[:, n_s] = 0.0  # outside option
-    a = _nested_share_rows(u, nest_cols, mu)[:, :n_s]
-    r = wb @ a
+    u = theta @ x
+    a = _nested_share_rows(u, pairs, mu)
+    wa = wb.take(pairs.rows) * a
+    r = np.bincount(pairs.cols, wa, pairs.n_cols)[:-1]  # the outside option is last
     if not jacobian:
         return r
-    # per consumer and inside nest b: N_ib, N_ib xbar_ib, and the entropy
-    # V_ib = log N_ib - sum_{k in b} a_ik log a_ik / N_ib
-    g = np.array([np.isin(np.arange(n_s), cols) for cols in nest_cols[:-1]], dtype=float)
-    ga = a[:, None, :] * g  # zero off the consideration sets, where u is -inf
-    n, nx = ga.sum(axis=2), ga @ design
+    # per segment: N_ib, N_ib xbar_ib, and the entropy
+    # V_ib = log N_ib - sum_{k in b} a_ik log a_ik / N_ib (0 for the one-member outside nest)
+    starts, seg_rows = pairs.starts, pairs.seg_rows
+    n = np.add.reduceat(a, starts)
+    nx = np.add.reduceat(a * x, starts, axis=1)
     pos = np.where(n > 0.0, n, 1.0)
-    xbar = nx / pos[:, :, None]
-    v = np.log(pos) - (a * np.log(np.where(a > 0.0, a, 1.0))) @ g.T / pos
-    # the brackets above less x_ij/mu and -u_ij/mu^2, which enter through e
-    terms = np.dstack([(1.0 - 1.0 / mu) * xbar - nx.sum(axis=1)[:, None],
-                       xbar @ theta / mu**2 + v - (n * v).sum(axis=1)[:, None]])
-    e = np.einsum("ij,ijk->jk", wb[:, None] * a, design)  # sum_i wa_ij x_ij
-    wga = (wb[:, None, None] * ga).reshape(-1, n_s)
-    return r, np.column_stack([e / mu, -(e @ theta) / mu**2]) + wga.T @ terms.reshape(len(wga), -1)
+    xbar = nx / pos
+    v = np.log(pos) - np.add.reduceat(a * np.log(np.where(a > 0.0, a, 1.0)), starts) / pos
+    # per consumer: xbar_i and sum_c N_ic V_ic, read back per segment
+    xbar_i = np.array([np.bincount(seg_rows, row, pairs.n_rows) for row in nx])
+    nv_i = np.bincount(seg_rows, n * v, pairs.n_rows)
+    # the brackets above less x_ij/mu and -u_ij/mu^2, per segment, then per pair
+    terms = np.vstack([(1.0 - 1.0 / mu) * xbar - xbar_i.take(seg_rows, axis=1),
+                       theta @ xbar / mu**2 + v - nv_i.take(seg_rows)])
+    g = terms.take(pairs.seg, axis=1) + np.vstack([x / mu, -u / mu**2])
+    return r, np.column_stack([np.bincount(pairs.cols, wa * row, pairs.n_cols)[:-1]
+                               for row in g])
 
 
 @dataclass(frozen=True)
@@ -170,15 +182,15 @@ class NestedCESRevenueFitter:
         nests : nest label per store
         mask : (n_consumers, n_stores) consideration indicator (default all)
         """
-        design, mask, wb, nest_cols = _prepare(design, budgets, nests, mask, consumer_weights)
-        _, n_s, k = design.shape
+        x_p, wb, pairs = _prepare(design, budgets, nests, mask, consumer_weights)
+        n_s, k = len(nests), len(x_p)
         revenues = np.asarray(revenues, dtype=float)
         if revenues.shape != (n_s,):
             raise InputValidationError(f"revenues must have shape ({n_s},)")
         if not np.all((revenues >= 0) & (revenues < np.inf)):
             raise InputValidationError("revenues must be finite and >= 0")
 
-        x_rows = design[mask]
+        x_rows = x_p[:, pairs.cols < n_s].T
         if x_rows.shape[0] < k or np.linalg.matrix_rank(x_rows) < k:
             raise InputValidationError(
                 "rank-deficient design: covariates are collinear or constant on the support"
@@ -194,7 +206,7 @@ class NestedCESRevenueFitter:
 
         def evaluate(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             theta, mu = params[:k], _expit(params[k])
-            r, jac = _model_revenues(theta, mu, design, mask, wb, nest_cols, jacobian=True)
+            r, jac = _model_revenues(theta, mu, x_p, wb, pairs, jacobian=True)
             jac[:, k] *= mu * (1.0 - mu)  # d mu / d params[k], the logistic slope
             res = (r - revenues) / scale
             trace.append((len(trace) + 1, float(res @ res)))

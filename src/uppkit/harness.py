@@ -549,8 +549,9 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
     nests = {store_ids[j]: ("discount" if discount[j] else "regular")
              for j in range(config.n_stores)}
     u = np.column_stack([np.where(mask, design @ theta, -np.inf), np.zeros(config.n_tracts)])
-    groups = ces._nest_columns([nests[sid] for sid in store_ids])
-    revenues = budgets @ ces._nested_share_rows(u, groups, config.mu)[:, :-1]
+    pairs = ces._pair_layout(np.isfinite(u), ces._nest_columns([nests[sid] for sid in store_ids]))
+    a = ces._nested_share_rows(u[pairs.rows, pairs.cols], pairs, config.mu)
+    revenues = np.bincount(pairs.cols, budgets[pairs.rows] * a, pairs.n_cols)[:-1]
     return SpatialFixture(
         design=design,
         mask=mask,
@@ -562,21 +563,6 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
         theta=theta,
         mu=config.mu,
     )
-
-
-def spatial_fixture_to_dict(fx: SpatialFixture) -> dict:
-    doc = {
-        "store_ids": list(fx.store_ids),
-        "nests": dict(fx.nests),
-        "design": fx.design.tolist(),
-        "mask": fx.mask.astype(int).tolist(),
-        "budgets": fx.budgets.tolist(),
-        "weights": fx.weights.tolist(),
-        "revenues": dict(fx.revenues),
-    }
-    if fx.theta is not None:
-        doc["truth"] = {"theta": fx.theta.tolist(), "mu": fx.mu}
-    return doc
 
 
 def load_spatial_fixture(path) -> SpatialFixture:

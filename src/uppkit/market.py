@@ -418,24 +418,28 @@ def _read_csv(path: Path) -> list[dict]:
 
 def _load_csv(path: Path) -> MarketBundle:
     """The CSV pair as the canonical JSON document: the product rows as they
-    are, the ``from,to,value`` rows as its diversion matrix."""
+    are, the ``from,to,value`` rows as its diversion matrix. A ``to`` of
+    ``OUTSIDE`` fills the outside column, first in the order: the document reads
+    the first ``OUTSIDE`` there as the destination, so a product row named
+    ``OUTSIDE`` stays a product row, which validation reports as ``reserved-id``."""
     if path.is_dir():
         prod_path, div_path = path / "products.csv", path / "diversion.csv"
     else:
         prod_path, div_path = path, path.with_name("diversion.csv")
     products, rows = _read_csv(prod_path), _read_csv(div_path)
     order = [rec.get("id") for rec in products]
-    pos = {pid: i for i, pid in enumerate([*order, OUTSIDE])}
-    matrix = np.pad(-np.eye(len(order)), (0, 1))  # OUTSIDE's row and column last
+    src = {pid: i + 1 for i, pid in enumerate(order)}
+    dst = {**src, OUTSIDE: 0}
+    matrix = np.pad(-np.eye(len(order)), (1, 0))  # OUTSIDE's row and column first
     for row, rec in enumerate(rows):
         w = f"{div_path}: row {row + 1}"
         for f in ("from", "to", "value"):
             if f not in rec:
                 raise InputValidationError(f"{w}: missing field {f!r}")
-        for f, known in (("from", order), ("to", pos)):
+        for f, known in (("from", src), ("to", dst)):
             if rec[f] not in known:
                 raise InputValidationError(f"{w}: unknown product {rec[f]!r} in {f!r}")
-        matrix[pos[rec["from"]], pos[rec["to"]]] = as_float(rec["value"], "value", w)
-    n = len(order) + any(rec["to"] == OUTSIDE for rec in rows)  # OUTSIDE last if named
+        matrix[src[rec["from"]], dst[rec["to"]]] = as_float(rec["value"], "value", w)
+    skip = not any(rec["to"] == OUTSIDE for rec in rows)  # OUTSIDE only if named
     return market_bundle_from_dict({"products": products, "diversion": {
-        "order": [*order, OUTSIDE][:n], "matrix": matrix[:n, :n]}}, where=str(prod_path))
+        "order": [OUTSIDE, *order][skip:], "matrix": matrix[skip:, skip:]}}, where=str(prod_path))

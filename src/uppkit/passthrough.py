@@ -17,7 +17,7 @@ anything larger routes to the identity approximation upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,6 +43,11 @@ class PassthroughInputs:
     eta: float
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise InputValidationError(f"pass-through inputs must be finite: {', '.join(bad)}")
+        if not (0.0 <= self.m_j < 1.0 and 0.0 <= self.m_k < 1.0):
+            raise InputValidationError("margins must lie in [0, 1)")
         if not (0.0 < self.alpha_j < 1.0 and 0.0 < self.alpha_k < 1.0):
             raise InputValidationError("shares must lie in (0, 1)")
         if self.alpha_j + self.alpha_k >= 1.0:
@@ -75,10 +80,12 @@ def passthrough_matrix(
             jac = _foc_jacobian(state, problem._arrays[3])
     except FloatingPointError as exc:
         raise InputValidationError(f"pass-through Jacobian not finite ({exc})") from None
-    det = float(np.linalg.det(jac))
-    scale = float(np.max(np.abs(jac))) ** 2
-    if abs(det) < 1e-8 * max(scale, 1e-300):
-        raise InputValidationError(f"pass-through Jacobian singular (determinant {det:.3g})")
+    # det(J / max|J|) = det(J) / max|J|^2 for the 2x2 J, without overflowing the square
+    peak = float(np.max(np.abs(jac)))
+    det = float(np.linalg.det(jac / peak)) if peak > 0.0 else 0.0
+    if abs(det) < 1e-8:
+        raise InputValidationError(
+            f"pass-through Jacobian singular (determinant {det:.3g} x max|J|^2)")
     return PassThroughMatrix(tuple(order), -np.linalg.inv(jac))
 
 

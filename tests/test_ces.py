@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uppkit import ces, simulation
+from uppkit import ces, fitting, simulation
 from uppkit.ces import CESEconomy, Consumer
 from uppkit.errors import InputValidationError
 from uppkit.market import OUTSIDE
@@ -520,6 +520,79 @@ class TestNestedShares:
                 (Consumer("c", 1.0, {"A": 0.1, "B": 0.2}),), eta=4.0,
                 nests={"A": "n1"}, mu=0.5,
             )
+
+
+def dense_nested_reference(u: np.ndarray, labels, mu: float) -> np.ndarray:
+    """Two-level shares by the per-nest logsumexp formula on a dense block whose
+    last column is the outside option (its own nest, mu 1), -inf off the
+    consideration sets: with I_ib = logsumexp_{k in b} u_ik/mu_b,
+    a_ik = softmax_{k in b}(u_ik/mu_b) softmax_b(mu_b I_ib). Both softmaxes
+    subtract their maximum, as any evaluation must that is exact to 1e-14 at
+    |u| = 700 (exp(x - logsumexp) there carries 700 x eps)."""
+    names = list(dict.fromkeys(labels))
+    nest = np.array([names.index(lab) for lab in labels] + [len(names)])
+    mus = np.array([mu] * len(names) + [1.0])
+    within, logits = [], np.full((len(u), len(mus)), -np.inf)
+    for b, mu_b in enumerate(mus):
+        v = np.where(nest == b, u, -np.inf) / mu_b
+        has = np.isfinite(v).any(axis=1)
+        top = np.where(has, v.max(axis=1), 0.0)
+        e = np.exp(v - top[:, None])  # 0 off nest b and off the sets
+        total = np.where(has, e.sum(axis=1), 1.0)
+        within.append(e / total[:, None])
+        logits[:, b] = np.where(has, mu_b * (top + np.log(total)), -np.inf)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    nest_share = e / e.sum(axis=1, keepdims=True)
+    return sum(w * nest_share[:, [b]] for b, w in enumerate(within))
+
+
+class TestPairShareKernel:
+    """The pair kernel against :func:`dense_nested_reference`, on a block with a
+    consumer who considers no store of one nest, one who considers no store at
+    all, utilities up to |u| = 700 and non-unit weights. A RuntimeWarning fails
+    the suite."""
+
+    LABELS = ["n0", "n1", "n2"] * 3
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        rng = np.random.default_rng(2024)
+        labels = np.array(self.LABELS)
+        n, m = 8, len(labels)
+        considered = rng.uniform(size=(n, m)) < 0.6
+        u = rng.normal(0.0, 1.5, (n, m))
+        u[2, :3], u[3, 3:6], u[4, [0, 4, 8]] = 700.0, -700.0, (699.5, -690.0, 2.0)
+        considered[2:5] = True
+        considered[0, labels == "n1"] = False  # no store in nest n1
+        considered[1] = False  # no store at all: all spending goes outside
+        u = np.column_stack([np.where(considered, u, -np.inf), np.zeros(n)])
+        weights, budgets = rng.uniform(0.2, 3.0, n), rng.uniform(1.0, 5.0, n)
+        return u, considered, weights, budgets
+
+    @pytest.mark.parametrize("mu", [0.05, 0.2, 0.46, 1.0])
+    def test_shares_match_dense_reference(self, block, mu):
+        u = block[0]
+        pairs = ces._pair_layout(np.isfinite(u), ces._nest_columns(self.LABELS))
+        got = np.zeros_like(u)
+        got[pairs.rows, pairs.cols] = ces._nested_share_rows(u[pairs.rows, pairs.cols], pairs, mu)
+        want = dense_nested_reference(u, self.LABELS, mu)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        assert got[1, -1] == 1.0 and not got[0, 1::3].any()
+
+    @pytest.mark.parametrize("mu", [0.05, 0.2, 0.46, 1.0])
+    def test_weighted_fitter_revenues_match_dense_reference(self, block, mu):
+        """``_model_revenues`` on a design whose first covariate is u (theta = (1, 0))."""
+        u, considered, weights, budgets = block
+        rng = np.random.default_rng(7)
+        design = np.stack([np.where(considered, u[:, :-1], 0.0),
+                           rng.normal(size=considered.shape)], axis=2)
+        data = fitting._prepare(design, budgets, self.LABELS, considered, weights)
+        got = fitting._model_revenues(np.array([1.0, 0.0]), mu, *data)
+        wb = weights * budgets
+        want = wb @ dense_nested_reference(u, self.LABELS, mu)[:, :-1]
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * wb.sum())
 
 
 class TestEconomyIO:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import uppkit
 from uppkit import cli, effects, harness, simulation
 from uppkit.cli import main
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, spatial_fixture_to_dict
 
 MARKET = str(fixture_path("staples_od.json"))
 ECONOMY = str(fixture_path("staples_od_economy.json"))
@@ -95,6 +95,7 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "[reserved-id] OUTSIDE" in result.output
+        assert result.output.count("] ") == 1, result.output  # no second finding
         assert "Traceback" not in result.output
 
     def test_missing_file_is_usage_error(self, runner):
@@ -371,7 +372,7 @@ class TestFitCommand:
         fx = harness.generate_spatial_fixture(
             harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6))
         path = tmp_path / "fx.json"
-        path.write_text(js.dumps(harness.spatial_fixture_to_dict(fx)))
+        path.write_text(js.dumps(spatial_fixture_to_dict(fx)))
         result = runner.invoke(main, ["fit", str(path), "--format", "json"])
         assert result.exit_code == 0
         payload = js.loads(result.output)["result"]
@@ -485,7 +486,7 @@ def test_manifest_contract(runner, tmp_path, case):
     options every command carries."""
     argv, inputs, seed, flags = _MANIFEST_CASES[case]
     fixture = tmp_path / "fx.json"
-    fixture.write_text(json.dumps(harness.spatial_fixture_to_dict(harness.generate_spatial_fixture(
+    fixture.write_text(json.dumps(spatial_fixture_to_dict(harness.generate_spatial_fixture(
         harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6)))))
     argv, inputs = ([str(fixture) if a == "FIXTURE" else a for a in args] for args in (argv, inputs))
     result = runner.invoke(main, [*argv, "--format", "json"])
@@ -529,7 +530,7 @@ _RAGGED = [[-1.0, 0.5], [0.5]]
 _DESIGN = [[[1.0, 2.0]], [[1.0, 0.5]]]
 
 
-_FIT_GEOGRAPHY = json.dumps(harness.spatial_fixture_to_dict(harness.generate_spatial_fixture(
+_FIT_GEOGRAPHY = json.dumps(spatial_fixture_to_dict(harness.generate_spatial_fixture(
     harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6))))
 
 

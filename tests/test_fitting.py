@@ -165,6 +165,18 @@ def model_inputs(fx):
                             fx.mask, fx.weights)
 
 
+def dense_model_inputs(data):
+    """``(design, mask, wb)`` back from ``_model_revenues``' data arguments, with
+    design 0 off the consideration sets."""
+    x, wb, pairs = data
+    inside = pairs.cols < pairs.n_cols - 1  # the outside option is the last column
+    design = np.zeros((pairs.n_rows, pairs.n_cols - 1, len(x)))
+    mask = np.zeros(design.shape[:2], dtype=bool)
+    design[pairs.rows[inside], pairs.cols[inside]] = x[:, inside].T
+    mask[pairs.rows[inside], pairs.cols[inside]] = True
+    return design, mask, wb
+
+
 def weighted_geography_missing_a_nest():
     """Seeded 30x12 geography with non-unit consumer weights, in which one
     consumer who shopped both nests now considers no store of one of them."""
@@ -200,9 +212,9 @@ class TestModelRevenueJacobian:
     def test_unit_mu_reduces_to_the_softmax_derivative(self, geographies):
         """At mu = 1 the shares are one softmax, so dR_j/dtheta =
         sum_i wb_i a_ij (x_ij - sum_k a_ik x_ik)."""
-        for (design, mask, wb, nest_cols), theta in geographies:
-            _, jac = fitting._model_revenues(theta, 1.0, design, mask, wb, nest_cols,
-                                             jacobian=True)
+        for data, theta in geographies:
+            _, jac = fitting._model_revenues(theta, 1.0, *data, jacobian=True)
+            design, mask, wb = dense_model_inputs(data)
             u = np.where(mask, design @ theta, -np.inf)
             a = np.exp(u) / (1.0 + np.exp(u).sum(axis=1, keepdims=True))
             xbar = np.einsum("ij,ijk->ik", a, design)

@@ -10,6 +10,7 @@ import pytest
 from uppkit import ces, effects, harness, simulation
 from uppkit.errors import ConvergenceError, InputValidationError
 from uppkit.market import MergerSpec, co_ownership
+from tests.conftest import spatial_fixture_to_dict
 
 
 def heterogeneous_ces():
@@ -638,7 +639,7 @@ class TestSpatialFixture:
         fx = harness.generate_spatial_fixture(
             harness.SpatialConfig(seed=3, n_tracts=6, n_stores=4))
         path = tmp_path / "fx.json"
-        path.write_text(json.dumps(harness.spatial_fixture_to_dict(fx)))
+        path.write_text(json.dumps(spatial_fixture_to_dict(fx)))
         again = harness.load_spatial_fixture(path)
         np.testing.assert_array_equal(again.design, fx.design)
         np.testing.assert_array_equal(again.mask, fx.mask)

@@ -128,6 +128,17 @@ class TestLoading:
         assert bundle.diversion.get("A", "B") == 0.4
         assert bundle.diversion.get("A", mk.OUTSIDE) == 0.6
 
+    def test_csv_outside_product_row_is_one_finding(self, tmp_path):
+        """The row keeps its -1 self-diversion and ``to OUTSIDE`` fills the
+        outside column, so ``reserved-id`` is the only finding."""
+        (tmp_path / "products.csv").write_text(
+            "id,firm,revenue,margin\nA,f1,100,0.3\nOUTSIDE,f2,1,0.5\n")
+        (tmp_path / "diversion.csv").write_text("from,to,value\nA,OUTSIDE,0.6\n")
+        with pytest.raises(InputValidationError) as raised:
+            mk.load_market(tmp_path)
+        assert str(raised.value) == ("[reserved-id] OUTSIDE: the outside option is a "
+                                     "diversion destination, not a product")
+
     @pytest.mark.parametrize("products, diversion, where", [
         ("id,firm,revenue\nA,f1,100\n", "from,to,value\n", "products.csv"),
         ("id,firm,revenue,margin\nA,f1,100,0.3\n", "from,to\nA,OUTSIDE\n", "diversion.csv"),

@@ -1,7 +1,8 @@
 """CES merger pass-through vs two oracles: the implicit-function derivative of
 a re-solved taxed pricing system, and the hand-derived 2x2 closed form."""
 
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ class TestClosedForm:
                 eta=1.0 + 1e-9,
             ))
 
+
+    BAD = [
+        ("m_j", 2.0, "margins must lie in"),  # gave a negative own pass-through
+        ("m_k", -0.1, "margins must lie in"),
+        ("m_j", np.nan, "finite: m_j"),  # reached np.linalg.det as a RuntimeWarning
+        ("eps_jj", np.nan, "finite: eps_jj"),
+        ("d_jk", 1e300, "singular"),  # a bare OverflowError squaring max|J|
+    ] + [(f.name, np.inf, f"finite: {f.name}") for f in fields(PassthroughInputs)]
+
+    @pytest.mark.parametrize("name, value, match", BAD, ids=[f"{n}={v}" for n, v, _ in BAD])
+    def test_bad_inputs_fail_closed_without_warning(self, name, value, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputValidationError, match=match):
+                passthrough_matrix(replace(PassthroughInputs(**STAPLES), **{name: value}))
 
 class TestShareRecovery:
     def test_staples_shares_from_diversion(self):
