@@ -53,7 +53,7 @@ from .effects import (
     welfare,
 )
 from .errors import ConvergenceError, InputValidationError, UppkitError
-from .fitting import FitResult, NestedCESRevenueFitter, fit_nested_ces
+from .fitting import FitResult, fit_nested_ces
 from .market import (
     OUTSIDE,
     DiversionMatrix,

@@ -391,11 +391,11 @@ def fit(fixture_file, synthetic_seed, tracts, stores, mu, weighting):
     if (fixture_file is None) == (synthetic_seed is None):
         raise InputValidationError("give exactly one of FIXTURE_FILE or --synthetic-seed")
     if synthetic_seed is not None:
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=synthetic_seed, n_tracts=tracts, n_stores=stores, mu=mu))
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=synthetic_seed, n_tracts=tracts, n_stores=stores, mu=mu))
         truth = {"theta": fx.theta.tolist(), "mu": fx.mu}
     else:
-        fx = harness.load_spatial_fixture(fixture_file)
+        fx = fitting.load_spatial_fixture(fixture_file)
         truth = None
     rev = np.array([fx.revenues[sid] for sid in fx.store_ids])
     nests = [fx.nests[sid] for sid in fx.store_ids]

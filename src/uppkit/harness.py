@@ -11,8 +11,10 @@ The experiment does not re-solve the drawn equilibrium: it checks that the
 drawn prices meet the pricing conditions (one residual evaluation) and solves
 only the post-merger market.
 
-Drawn parameters come from the fixed ranges ``COST_RANGE``, ``ETA_RANGE``,
-``PRICE_COEF_RANGE`` and ``OUTSIDE_SHARE_RANGE``.
+Drawn markets come from the fixed ranges ``N_PRODUCTS_RANGE``,
+``COST_RANGE``, ``ETA_RANGE``, ``PRICE_COEF_RANGE`` and
+``OUTSIDE_SHARE_RANGE``; :class:`HarnessConfig` sets only the seed, the number
+of markets and the demand model.
 
 Equilibria are found by ``solve_bertrand``: one damped step of the margin
 fixed point as a warm start, then the package's damped Newton in log prices
@@ -35,9 +37,9 @@ import numpy as np
 from . import ces, effects
 from .ces import CESEconomy, Consumer
 from .errors import ConvergenceError, InputValidationError
-from .market import (
-    DiversionMatrix, Market, MergerSpec, Product, as_float, as_mapping, co_ownership, read_json,
-)
+# the fitter's geography, which perfbench/inputs.py imports from here
+from .fitting import SpatialConfig, SpatialFixture, generate_spatial_fixture  # noqa: F401
+from .market import DiversionMatrix, Market, MergerSpec, Product, co_ownership
 from .newton import damped_newton
 
 _TOL = 1e-10  # inf-norm of the margin-form pricing conditions at a solved equilibrium
@@ -286,12 +288,6 @@ def observe(primitives: SyntheticPrimitives, prices: np.ndarray | None = None):
     return Market(products), DiversionMatrix(tuple(ids), values, outside)
 
 
-def solve_pre_merger_equilibrium(primitives: SyntheticPrimitives) -> Equilibrium:
-    """Re-solve the pre-merger equilibrium from a cold start (1.5 x cost): the
-    test oracle for drawn prices, which the accuracy experiment only checks."""
-    return solve_bertrand(primitives.demand, primitives.costs, primitives.ownership)
-
-
 def solve_post_merger_equilibrium(
     primitives: SyntheticPrimitives,
     merging_firms: tuple[int, int],
@@ -316,6 +312,7 @@ def solve_post_merger_equilibrium(
 # ---------------------------------------------------------------------------
 
 #: Drawn-market parameter ranges; :func:`random_primitives` says how each is drawn.
+N_PRODUCTS_RANGE = (2, 6)
 COST_RANGE = (0.5, 2.0)
 ETA_RANGE = (3.0, 9.0)
 PRICE_COEF_RANGE = (0.5, 2.0)
@@ -329,13 +326,10 @@ class HarnessConfig:
     seed: int
     n_markets: int = 200
     model: str = "ces"
-    n_products: tuple[int, int] = (2, 6)
 
     def __post_init__(self):
         if self.model not in ("ces", "logit"):
             raise InputValidationError(f"unknown demand model {self.model!r}")
-        if self.n_products[0] < 2 or self.n_products[1] < self.n_products[0]:
-            raise InputValidationError("n_products range must be non-degenerate with min >= 2")
         if self.n_markets < 1:
             raise InputValidationError("n_markets must be at least 1")
         if self.seed < 0:
@@ -350,6 +344,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def random_primitives(config: HarnessConfig, trial: int) -> tuple[SyntheticPrimitives, tuple[int, int]]:
     """Draw one synthetic market in the elastic interior region.
 
+    The number of single-product firms is uniform on ``N_PRODUCTS_RANGE``.
     Target equilibrium shares are drawn first (outside share in
     ``OUTSIDE_SHARE_RANGE``) and the demand intercepts backed out of the
     single-product pricing conditions at log-uniform costs in ``COST_RANGE``,
@@ -357,7 +352,7 @@ def random_primitives(config: HarnessConfig, trial: int) -> tuple[SyntheticPrimi
     from ``ETA_RANGE``, logit its price coefficient from ``PRICE_COEF_RANGE``.
     """
     rng = trial_rng(config.seed, trial)
-    n = int(rng.integers(config.n_products[0], config.n_products[1] + 1))
+    n = int(rng.integers(N_PRODUCTS_RANGE[0], N_PRODUCTS_RANGE[1] + 1))
     costs = np.exp(rng.uniform(np.log(COST_RANGE[0]), np.log(COST_RANGE[1]), n))
     s0 = rng.uniform(*OUTSIDE_SHARE_RANGE)
     inside = (1.0 - s0) * rng.dirichlet(np.full(n, 2.0))
@@ -484,116 +479,3 @@ def run_accuracy_experiment(config: HarnessConfig) -> ExperimentResult:
         "median_relative_error": float(np.median(rel[np.isfinite(rel)])) if records else None,
     }
     return ExperimentResult(tuple(records), failures, summary)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic spatial geography (for the nested-CES fitter)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpatialConfig:
-    seed: int
-    n_tracts: int = 50
-    n_stores: int = 20
-    mu: float = 0.46
-    radius: float = 10.0
-    extent: float = 25.0           # square side, miles
-    theta: tuple[float, ...] = (1.5, -0.3, 0.5, -0.8)  # 1, distance, log size, discount
-
-    def __post_init__(self):
-        if self.n_tracts < 1 or self.n_stores < 1:
-            raise InputValidationError("n_tracts and n_stores must be at least 1")
-        if not 0.0 < self.mu <= 1.0:
-            raise InputValidationError(f"mu must be in (0, 1], got {self.mu}")
-
-
-@dataclass(frozen=True)
-class SpatialFixture:
-    """Ground-truth geography: the design matrix the fitter sees and the
-    revenues an economy at (theta*, mu*) implies, which it must match. Loaded
-    fixtures may omit the ground truth (theta/mu are then None)."""
-
-    design: np.ndarray             # (n_tracts, n_stores, k)
-    mask: np.ndarray               # (n_tracts, n_stores) consideration
-    budgets: np.ndarray
-    weights: np.ndarray
-    revenues: dict[str, float]
-    store_ids: tuple[str, ...]
-    nests: dict[str, str]
-    theta: np.ndarray | None = None
-    mu: float | None = None
-
-
-def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
-    """Tracts and stores on a plane; consideration within ``radius`` miles;
-    utilities linear in [1, distance, log size, discount flag]; budgets uniform
-    on [50, 150]; revenues from the nested-CES share kernel at (theta, mu)."""
-    rng = trial_rng(config.seed, 0)
-    tracts = rng.uniform(0.0, config.extent, size=(config.n_tracts, 2))
-    stores = rng.uniform(0.0, config.extent, size=(config.n_stores, 2))
-    sizes = rng.lognormal(mean=3.0, sigma=0.4, size=config.n_stores)
-    discount = (rng.uniform(size=config.n_stores) < 0.35).astype(float)
-    budgets = rng.uniform(50.0, 150.0, size=config.n_tracts)
-    dist = np.linalg.norm(tracts[:, None, :] - stores[None, :, :], axis=2)
-    mask = dist <= config.radius
-
-    k = len(config.theta)
-    design = np.zeros((config.n_tracts, config.n_stores, k))
-    design[:, :, 0] = 1.0
-    design[:, :, 1] = dist
-    design[:, :, 2] = np.log(sizes)[None, :]
-    design[:, :, 3] = discount[None, :]
-
-    theta = np.asarray(config.theta, dtype=float)
-    store_ids = tuple(f"s{j}" for j in range(config.n_stores))
-    nests = {store_ids[j]: ("discount" if discount[j] else "regular")
-             for j in range(config.n_stores)}
-    u = np.column_stack([np.where(mask, design @ theta, -np.inf), np.zeros(config.n_tracts)])
-    pairs = ces._pair_layout(np.isfinite(u), ces._nest_columns([nests[sid] for sid in store_ids]))
-    a = ces._nested_share_rows(u[pairs.rows, pairs.cols], pairs, config.mu)
-    revenues = np.bincount(pairs.cols, budgets[pairs.rows] * a, pairs.n_cols)[:-1]
-    return SpatialFixture(
-        design=design,
-        mask=mask,
-        budgets=budgets,
-        weights=np.ones(config.n_tracts),
-        revenues=dict(zip(store_ids, revenues.tolist())),
-        store_ids=store_ids,
-        nests=nests,
-        theta=theta,
-        mu=config.mu,
-    )
-
-
-def load_spatial_fixture(path) -> SpatialFixture:
-    """Read a geography fixture (the fitter's input schema) from JSON."""
-    doc = read_json(path)
-    for key in ("store_ids", "nests", "design", "budgets", "revenues"):
-        if key not in doc:
-            raise InputValidationError(f"{path}: missing field {key!r}")
-    if not isinstance(doc["store_ids"], list):
-        raise InputValidationError(f"{path}: field 'store_ids' must be a list")
-    store_ids = tuple(str(s) for s in doc["store_ids"])
-    revenues = {str(k): as_float(v, f"revenues[{k}]", path)
-                for k, v in as_mapping(doc["revenues"], "revenues", path).items()}
-    nests = {str(k): str(v) for k, v in as_mapping(doc["nests"], "nests", path).items()}
-    missing = [s for s in store_ids if s not in revenues or s not in nests]
-    if missing:
-        raise InputValidationError(f"{path}: stores without a revenue or nest: {missing}")
-    design = as_float(doc["design"], "design", path, 3)
-    n_t, n_s, _ = design.shape
-    mask = (as_float(doc["mask"], "mask", path, 2).astype(bool)
-            if "mask" in doc else np.ones((n_t, n_s), dtype=bool))
-    weights = as_float(doc["weights"], "weights", path, 1) if "weights" in doc else np.ones(n_t)
-    truth = as_mapping(doc.get("truth") or {}, "truth", path)
-    return SpatialFixture(
-        design=design,
-        mask=mask,
-        budgets=as_float(doc["budgets"], "budgets", path, 1),
-        weights=weights,
-        revenues=revenues,
-        store_ids=store_ids,
-        nests=nests,
-        theta=as_float(truth["theta"], "truth.theta", path, 1) if "theta" in truth else None,
-        mu=as_float(truth["mu"], "truth.mu", path) if "mu" in truth else None,
-    )

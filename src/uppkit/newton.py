@@ -91,7 +91,8 @@ def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     step only (a rejected one's small predicted reduction reflects a large lam,
     not an optimum), both reductions <= FTOL times the cost or |D h| <= XTOL
     (|D x| + XTOL). ``max_iterations`` caps the trial steps, one evaluation
-    each. Returns ``(x, f, steps, converged, reason)``.
+    each; a solve whose damping overflows, every trial step rejected, stops
+    unconverged. Returns ``(x, f, steps, converged, reason)``.
     """
     x = np.asarray(x0, dtype=float)
     f, J = fun(x)
@@ -112,7 +113,9 @@ def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
             rho = (cost - cost_c) / predicted
             if rho > 0.0 and np.all(np.isfinite(Jc)):  # rho > 0 is False for NaN
                 break
-            lam, nu = lam * nu, 2.0 * nu
+            lam, nu = float(lam) * nu, 2.0 * nu  # Python floats overflow to inf silently
+            if lam * float(dd.max()) == np.inf:
+                return x, f, steps, False, "damping overflowed: no trial step lowers the cost"
         x, f, J, cost, actual = x + h, fc, Jc, cost_c, cost - cost_c
         lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
         if max(actual, predicted) <= FTOL * (cost + actual):

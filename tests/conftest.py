@@ -2,15 +2,15 @@ import importlib.resources
 
 import pytest
 
-from uppkit import ces, harness, market
+from uppkit import ces, fitting, harness, market
 
 
 def fixture_path(name: str):
     return importlib.resources.files("uppkit.fixtures").joinpath(name)
 
 
-def spatial_fixture_to_dict(fx: harness.SpatialFixture) -> dict:
-    """A geography as the JSON document ``harness.load_spatial_fixture`` reads."""
+def spatial_fixture_to_dict(fx: fitting.SpatialFixture) -> dict:
+    """A geography as the JSON document ``fitting.load_spatial_fixture`` reads."""
     doc = {
         "store_ids": list(fx.store_ids),
         "nests": dict(fx.nests),
@@ -23,6 +23,12 @@ def spatial_fixture_to_dict(fx: harness.SpatialFixture) -> dict:
     if fx.theta is not None:
         doc["truth"] = {"theta": fx.theta.tolist(), "mu": fx.mu}
     return doc
+
+
+def solve_pre_merger_equilibrium(primitives: harness.SyntheticPrimitives) -> harness.Equilibrium:
+    """Re-solve the pre-merger equilibrium from a cold start (1.5 x cost): the
+    test oracle for drawn prices, which the accuracy experiment only checks."""
+    return harness.solve_bertrand(primitives.demand, primitives.costs, primitives.ownership)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from uppkit import market as mk
 from uppkit.market import OUTSIDE, MergerSpec
 from uppkit.passthrough import passthrough_matrix_from_market
 
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, solve_pre_merger_equilibrium
 from tests.test_passthrough import consistent_inputs, oracle_passthrough
 
 
@@ -172,7 +172,7 @@ def criterion_11_oracle_equivalences():
     config = harness.HarnessConfig(seed=101, n_markets=4, model="ces")
     for trial in range(4):
         prim, pair = harness.random_primitives(config, trial)
-        eq = harness.solve_pre_merger_equilibrium(prim)
+        eq = solve_pre_merger_equilibrium(prim)
         p, n = eq.prices, len(eq.prices)
         market, diversion = harness.observe(prim, p)
         q = prim.demand.quantities(p)
@@ -206,7 +206,7 @@ def criterion_11_oracle_equivalences():
     # (c) CMCR round trip
     for trial in range(4):
         prim, pair = harness.random_primitives(config, trial)
-        eq = harness.solve_pre_merger_equilibrium(prim)
+        eq = solve_pre_merger_equilibrium(prim)
         market, diversion = harness.observe(prim, eq.prices)
         res = effects.cmcr(market, diversion, MergerSpec(f"f{pair[0]}", f"f{pair[1]}"))
         pos = {pid: j for j, pid in enumerate(prim.ids)}
@@ -219,8 +219,8 @@ def criterion_12_nested_ces_recovery():
     """Noiseless 50x20 geography: (theta*, mu*) recovered within 1e-2 relative
     in under 30 s."""
     t0 = time.time()
-    fx = harness.generate_spatial_fixture(
-        harness.SpatialConfig(seed=5, n_tracts=50, n_stores=20, mu=0.46))
+    fx = fitting.generate_spatial_fixture(
+        fitting.SpatialConfig(seed=5, n_tracts=50, n_stores=20, mu=0.46))
     rev = np.array([fx.revenues[s] for s in fx.store_ids])
     nests = [fx.nests[s] for s in fx.store_ids]
     res = fitting.fit_nested_ces(rev, fx.design, fx.budgets, nests,

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import uppkit
-from uppkit import cli, effects, harness, simulation
+from uppkit import cli, effects, fitting, harness, simulation
 from uppkit.cli import main
 from tests.conftest import fixture_path, spatial_fixture_to_dict
 
@@ -367,10 +367,8 @@ class TestFitCommand:
     def test_fixture_file_fit(self, runner, tmp_path):
         import json as js
 
-        from uppkit import harness
-
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6))
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=3, n_tracts=15, n_stores=6))
         path = tmp_path / "fx.json"
         path.write_text(js.dumps(spatial_fixture_to_dict(fx)))
         result = runner.invoke(main, ["fit", str(path), "--format", "json"])
@@ -486,8 +484,8 @@ def test_manifest_contract(runner, tmp_path, case):
     options every command carries."""
     argv, inputs, seed, flags = _MANIFEST_CASES[case]
     fixture = tmp_path / "fx.json"
-    fixture.write_text(json.dumps(spatial_fixture_to_dict(harness.generate_spatial_fixture(
-        harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6)))))
+    fixture.write_text(json.dumps(spatial_fixture_to_dict(fitting.generate_spatial_fixture(
+        fitting.SpatialConfig(seed=3, n_tracts=15, n_stores=6)))))
     argv, inputs = ([str(fixture) if a == "FIXTURE" else a for a in args] for args in (argv, inputs))
     result = runner.invoke(main, [*argv, "--format", "json"])
     assert result.exit_code == 0, result.output
@@ -530,8 +528,18 @@ _RAGGED = [[-1.0, 0.5], [0.5]]
 _DESIGN = [[[1.0, 2.0]], [[1.0, 0.5]]]
 
 
-_FIT_GEOGRAPHY = json.dumps(spatial_fixture_to_dict(harness.generate_spatial_fixture(
-    harness.SpatialConfig(seed=3, n_tracts=15, n_stores=6))))
+_FIT_GEOGRAPHY = json.dumps(spatial_fixture_to_dict(fitting.generate_spatial_fixture(
+    fitting.SpatialConfig(seed=3, n_tracts=15, n_stores=6))))
+
+
+def _fit_geography_with(**fields):
+    """The fittable geography with whole fields replaced."""
+    return {**json.loads(_FIT_GEOGRAPHY), **fields}
+
+
+def _without_covariates():
+    doc = json.loads(_FIT_GEOGRAPHY)
+    return {**doc, "design": [[[] for _ in row] for row in doc["design"]]}
 
 
 def _with_entry(field, index, value):
@@ -586,6 +594,13 @@ class TestMalformedJsonInput:
         (["fit", "DOC"], _with_entry("budgets", 2, -1.0)),
         (["fit", "DOC"], _with_entry("weights", 0, float("nan"))),
         (["fit", "DOC"], _with_entry("revenues", "s1", float("nan"))),
+        (["fit", "DOC"], _without_covariates()),
+        (["fit", "DOC"], _fit_geography_with(budgets=[0.0] * 15)),
+        (["fit", "DOC"], _fit_geography_with(weights=[0.0] * 15)),
+        (["fit", "DOC"], _with_entry("budgets", 0, 1e308)),
+        (["fit", "DOC"], _with_entry("weights", 0, 1e300)),
+        (["fit", "DOC"], _with_entry("revenues", "s1", 1e308)),
+        (["fit", "DOC"], _fit_geography_with(store_ids=["s0", "s1", "s2", "s3", "s4", "s4"])),
         (["simulate", MARKET, "DOC"], _economy_with(consumers=[
             _CONSUMER, {**_CONSUMER, "id": "d", "utilities": {"SP": float("nan"), "OD": 0.1}}])),
         (["second-choice", "DOC", "--remove", "SP"], _economy_with(consumers=[
@@ -604,7 +619,9 @@ class TestMalformedJsonInput:
             "consumer-int-second-choice", "utilities-list", "design-ragged", "budgets-length",
             "store-ids-int", "truth-int", "nest-missing", "revenue-missing",
             "fit-design-nan", "fit-budget-inf", "fit-budget-negative", "fit-weight-nan",
-            "fit-revenue-nan", "simulate-utility-nan", "second-choice-utility-inf",
+            "fit-revenue-nan", "fit-no-covariate", "fit-budgets-zero", "fit-weights-zero",
+            "fit-budget-overflow", "fit-weight-overflow", "fit-revenue-overflow",
+            "fit-duplicate-store-id", "simulate-utility-nan", "second-choice-utility-inf",
             "second-choice-utility-minus-inf", "simulate-eta-inf", "simulate-weight-overflow",
             "second-choice-weight-overflow", "simulate-total-overflow", "ghost-validate",
             "ghost-guppi", "outside-twice"])

@@ -1,11 +1,11 @@
-"""Every command on mutated Staples fixtures: a documented exit code, never a
+"""Every command on mutated input files: a documented exit code, never a
 traceback, and strict JSON.
 
 Each case replaces one leaf or container of a fixture (or deletes it) and
-runs the commands that read that file in-process. The economy's cases run
-every command in both formats; the market's cases take four of its sixteen
-command-and-format variants each, in rotation, so every variant meets every
-path.
+runs the commands that read that file in-process. The Staples economy's cases
+run every command in both formats; the Staples market's cases take four of its
+sixteen command-and-format variants each, in rotation, so every variant meets
+every path. The geography's cases run ``fit`` in one format each, alternating.
 """
 
 import copy
@@ -15,11 +15,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from uppkit import fitting
 from uppkit.cli import main
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, spatial_fixture_to_dict
 
 MARKET = json.loads(Path(fixture_path("staples_od.json")).read_text())
 ECONOMY = json.loads(Path(fixture_path("staples_od_economy.json")).read_text())
+# a full-rank 5-tract x 5-store geography, fitted to mu = 0.46 in 11 evaluations
+GEOGRAPHY = spatial_fixture_to_dict(fitting.generate_spatial_fixture(
+    fitting.SpatialConfig(seed=5, n_tracts=5, n_stores=5)))
 DELETE = object()
 VALUES = [0, 1, -1, 1e300, -1e300, 1e-300, 1e-320, float("inf"), float("-inf"), float("nan"),
           "x", None, [], {}, DELETE]
@@ -60,15 +64,17 @@ def refuse(constant):
     raise ValueError(f"bare {constant} in JSON output")
 
 
-def failures(tmp_path, which, doc, runs):
+def failures(tmp_path, which, doc, runs, where=None):
     """Run ``runs(case_index)`` command variants on each mutation of ``doc``
-    (the fixture standing for ``which``, "M" or "E"); list the runs that exit
-    outside {0, 2, 3, 4}, raise, or print JSON with NaN or an infinity."""
-    files = {"M": tmp_path / "market.json", "E": tmp_path / "economy.json"}
+    (the fixture standing for ``which``, "M", "E" or "G") at each key path of
+    ``where`` (default all of them); list the runs that exit outside
+    {0, 2, 3, 4}, raise, or print JSON with NaN or an infinity."""
+    files = {"M": tmp_path / "market.json", "E": tmp_path / "economy.json",
+             "G": tmp_path / "geography.json"}
     files["M"].write_text(json.dumps(MARKET))
     files["E"].write_text(json.dumps(ECONOMY))
     runner, bad = CliRunner(), []
-    cases = [(path, value) for path in paths(doc) for value in VALUES]
+    cases = [(path, value) for path in where or paths(doc) for value in VALUES]
     for index, (path, value) in enumerate(cases):
         files[which].write_text(json.dumps(mutated(doc, path, value)))
         for command, fmt in runs(index):
@@ -101,3 +107,19 @@ def test_market_mutations(tmp_path):
     n, bad = failures(tmp_path, "M", MARKET, lambda index: [
         variants[(4 * index + 5 * k) % len(variants)] for k in range(4)])
     assert n > 400 and bad == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_geography_mutations(tmp_path):
+    """Every top-level field, the first entry at each depth of the arrays, and
+    every leaf of the labelled fields. Includes a design without covariates,
+    no spending, and a budget, weight or revenue so large that the
+    least-squares solve would overflow."""
+    where = [(key,) for key in GEOGRAPHY]
+    where += [("design", 0), ("design", 0, 0), ("design", 0, 0, 0), ("mask", 0), ("mask", 0, 0),
+              ("budgets", 0), ("weights", 0)]
+    for key in ("store_ids", "nests", "revenues", "truth"):
+        where += list(paths(GEOGRAPHY[key], (key,)))
+    n, bad = failures(tmp_path, "G", GEOGRAPHY, lambda index: [
+        (["fit", "G"], ("json", "table")[index % 2])], where)
+    assert n > 500 and bad == []

@@ -1,11 +1,11 @@
-"""Nested-CES revenue NLS: recovery, diagnostics, estimator surface."""
+"""Nested-CES revenue NLS: recovery, diagnostics, the fit result and prediction."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from uppkit import fitting, harness
+from uppkit import fitting
 from uppkit.errors import InputValidationError
 
 from tests.test_harness import central_differences
@@ -13,8 +13,8 @@ from tests.test_harness import central_differences
 
 @pytest.fixture(scope="module")
 def fixture():
-    return harness.generate_spatial_fixture(
-        harness.SpatialConfig(seed=5, n_tracts=50, n_stores=20, mu=0.46)
+    return fitting.generate_spatial_fixture(
+        fitting.SpatialConfig(seed=5, n_tracts=50, n_stores=20, mu=0.46)
     )
 
 
@@ -40,8 +40,8 @@ class TestRecovery:
         assert abs(res.mu - 0.46) < 0.02
 
     def test_alternative_geography(self):
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=12, n_tracts=40, n_stores=15, mu=0.7,
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=12, n_tracts=40, n_stores=15, mu=0.7,
                                   theta=(1.0, -0.2, 0.4, -0.5))
         )
         res = fit_fixture(fx)
@@ -57,10 +57,11 @@ class TestRecovery:
         np.testing.assert_array_equal(res.theta, fit_fixture(fixture).theta)
 
     @pytest.mark.parametrize("mu0", [0.2, 0.5, 0.8])
-    def test_recovery_from_any_start(self, fixture, mu0):
+    def test_recovery_from_any_start(self, fixture, mu0, monkeypatch):
         """No start stalls short of the optimum: ftol and xtol end a solve only
         after an accepted step, never after a rejected one."""
-        res = fit_fixture(fixture, mu0=mu0)
+        monkeypatch.setattr(fitting, "MU0", mu0)
+        res = fit_fixture(fixture)
         assert res.converged
         np.testing.assert_allclose(res.theta, fixture.theta, rtol=1e-8)
         assert res.mu == pytest.approx(0.46, rel=1e-8)
@@ -96,58 +97,97 @@ class TestValidation:
         with pytest.raises(InputValidationError, match=">= 0"):
             fitting.fit_nested_ces(rev, fixture.design, fixture.budgets, nests)
 
+    def test_design_without_covariates(self, fixture):
+        with pytest.raises(InputValidationError, match="a covariate"):
+            fit_fixture(dataclasses.replace(fixture, design=fixture.design[:, :, :0]))
+
+    @pytest.mark.parametrize("field", ["budgets", "weights"])
+    def test_no_spending(self, fixture, field):
+        """All budgets or all weights 0: no revenue to fit, refused rather than
+        converged at the start point."""
+        zero = dataclasses.replace(fixture, **{field: np.zeros(len(fixture.budgets))})
+        with pytest.raises(InputValidationError, match="no spending"):
+            fit_fixture(zero)
+
+    @pytest.mark.parametrize("field, index, value, match", [
+        ("budgets", 0, 1e308, "budgets and weights"),
+        ("weights", 0, 1e300, "budgets and weights"),
+        ("budgets", slice(None), 1e99, "rescale"),
+    ], ids=["budget-1e308", "weight-1e300", "spending-1e101"])
+    def test_scales_the_solve_cannot_square(self, fixture, field, index, value, match):
+        """Levenberg-Marquardt squares residuals and Jacobian columns; data that
+        would overflow or underflow them are refused before the solve."""
+        array = getattr(fixture, field).copy()
+        array[index] = value
+        with pytest.raises(InputValidationError, match=match):
+            fit_fixture(dataclasses.replace(fixture, **{field: array}))
+
+    @pytest.mark.parametrize("factor", [1e-120, 1e120])
+    def test_covariates_scaled_beyond_the_solve(self, fixture, factor):
+        """A uniformly rescaled design keeps its rank, but its Jacobian columns
+        would underflow or overflow when squared."""
+        with pytest.raises(InputValidationError, match="rescale"):
+            fit_fixture(dataclasses.replace(fixture, design=fixture.design * factor))
+
+    @pytest.mark.parametrize("revenue, weighting", [(1e308, "none"), (1e-300, "revenue")])
+    def test_revenue_beyond_the_solve(self, fixture, revenue, weighting):
+        """A revenue of 1e308, or one of 1e-300 that divides the residuals
+        under revenue weighting, would overflow their squares."""
+        revenues = {**fixture.revenues, fixture.store_ids[0]: revenue}
+        with pytest.raises(InputValidationError, match="revenues must be|rescale"):
+            fit_fixture(dataclasses.replace(fixture, revenues=revenues), weighting=weighting)
+
+    def test_mu_unidentified_without_two_stores_of_a_nest(self, fixture):
+        """Where every consumer considers at most one store per nest, the shares
+        do not depend on mu."""
+        labels = np.array([fixture.nests[s] for s in fixture.store_ids])
+        mask = fixture.mask.copy()
+        for row in mask:
+            for nest in set(labels):
+                row[np.flatnonzero(row & (labels == nest))[1:]] = False
+        with pytest.raises(InputValidationError, match="mu is not identified"):
+            fit_fixture(dataclasses.replace(fixture, mask=mask))
+
+    def test_trial_step_toward_mu_zero_is_rejected(self):
+        """A 5x5 geography whose first budget no longer matches its revenues:
+        the first trial step would put mu near 1e-181, where mu^2 underflows
+        and the Jacobian divides by zero. The solve rejects that step instead."""
+        fx = fitting.generate_spatial_fixture(fitting.SpatialConfig(seed=5, n_tracts=5, n_stores=5))
+        fx.budgets[0] = 1.0
+        res = fit_fixture(fx)
+        assert 1e-100 < res.mu < 1.0 and np.isfinite(res.residual_se)
+
     def test_unknown_weighting(self, fixture):
         with pytest.raises(InputValidationError, match="weighting"):
             fit_fixture(fixture, weighting="by-vibes")
 
-    def test_bad_mu0(self, fixture):
-        with pytest.raises(InputValidationError, match="mu0"):
-            fit_fixture(fixture, mu0=1.5)
-
 
 class TestEstimatorSurface:
-    def test_get_set_params(self):
-        est = fitting.NestedCESRevenueFitter(mu0=0.4)
-        assert est.get_params()["mu0"] == 0.4
-        est.set_params(max_iterations=100)
-        assert est.max_iterations == 100
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
+    """``fit_nested_ces`` and the ``FitResult`` it returns are the fitter's whole API."""
 
     def test_fit_predict_consistency(self, fixture):
-        est = fitting.NestedCESRevenueFitter()
         rev = np.array([fixture.revenues[s] for s in fixture.store_ids])
         nests = [fixture.nests[s] for s in fixture.store_ids]
-        est.fit(fixture.design, rev, fixture.budgets, nests,
-                mask=fixture.mask, consumer_weights=fixture.weights)
-        pred = est.predict(fixture.design, fixture.budgets,
+        res = fit_fixture(fixture)
+        pred = res.predict(fixture.design, fixture.budgets, nests,
                            mask=fixture.mask, consumer_weights=fixture.weights)
         np.testing.assert_allclose(pred, rev, rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("bad", ["budgets", "mask", "consumer_weights", "nests"])
-    def test_predict_checks_data_like_fit(self, fixture, bad):
+    def test_predict_checks_data_like_fit(self, fixture, bad, monkeypatch):
         """predict refuses data that do not match the design, as fit does."""
-        est = fitting.NestedCESRevenueFitter(max_iterations=1)
-        rev = np.array([fixture.revenues[s] for s in fixture.store_ids])
-        nests = [fixture.nests[s] for s in fixture.store_ids]
-        est.fit(fixture.design, rev, fixture.budgets, nests, mask=fixture.mask)
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        res = fit_fixture(fixture)
         data = {"budgets": fixture.budgets, "mask": fixture.mask,
-                "consumer_weights": fixture.weights, "nests": nests}
+                "consumer_weights": fixture.weights,
+                "nests": [fixture.nests[s] for s in fixture.store_ids]}
         data[bad] = data[bad][:-1] if bad == "nests" else data[bad][..., :1]
         with pytest.raises(InputValidationError, match="nest label|must match"):
-            est.predict(fixture.design, **data)
+            res.predict(fixture.design, **data)
 
-    def test_predict_before_fit(self, fixture):
-        est = fitting.NestedCESRevenueFitter()
-        with pytest.raises(InputValidationError, match="fit before"):
-            est.predict(fixture.design, fixture.budgets)
-
-    def test_result_before_fit(self):
-        with pytest.raises(InputValidationError, match="fit before"):
-            fitting.NestedCESRevenueFitter().result()
-
-    def test_not_converged_flagged(self, fixture):
-        res = fit_fixture(fixture, max_iterations=1)
+    def test_not_converged_flagged(self, fixture, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        res = fit_fixture(fixture)
         assert not res.converged
         assert "not converged" in res.message
 
@@ -180,8 +220,8 @@ def dense_model_inputs(data):
 def weighted_geography_missing_a_nest():
     """Seeded 30x12 geography with non-unit consumer weights, in which one
     consumer who shopped both nests now considers no store of one of them."""
-    fx = harness.generate_spatial_fixture(
-        harness.SpatialConfig(seed=21, n_tracts=30, n_stores=12, mu=0.6))
+    fx = fitting.generate_spatial_fixture(
+        fitting.SpatialConfig(seed=21, n_tracts=30, n_stores=12, mu=0.6))
     labels = np.array([fx.nests[s] for s in fx.store_ids])
     i = next(i for i, row in enumerate(fx.mask) if len(set(labels[row])) == 2)
     mask = fx.mask.copy()
@@ -270,8 +310,8 @@ class TestScipyOracle:
 
     def test_noisy_fit_matches(self, monkeypatch):
         """200x40 geography, observed revenues under 5% log-normal noise."""
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=11, n_tracts=200, n_stores=40))
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=11, n_tracts=200, n_stores=40))
         clean = np.array([fx.revenues[s] for s in fx.store_ids])
         noisy = clean * np.exp(np.random.default_rng(11).normal(0.0, 0.05, clean.shape))
         res, sol, theta, mu = fit_with_oracle(fx, noisy, monkeypatch)

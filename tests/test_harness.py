@@ -7,10 +7,10 @@ import itertools
 import numpy as np
 import pytest
 
-from uppkit import ces, effects, harness, simulation
+from uppkit import ces, effects, fitting, harness, simulation
 from uppkit.errors import ConvergenceError, InputValidationError
 from uppkit.market import MergerSpec, co_ownership
-from tests.conftest import spatial_fixture_to_dict
+from tests.conftest import solve_pre_merger_equilibrium, spatial_fixture_to_dict
 
 
 def heterogeneous_ces():
@@ -42,7 +42,7 @@ def hard_ces_market(k):
     costs = rng.uniform(0.6, 1.4, j)
     prim = harness.SyntheticPrimitives(tuple(f"p{q}" for q in range(j)), demand, costs,
                                        (0, *range(j - 1)), costs * 1.5)
-    eq = harness.solve_pre_merger_equilibrium(prim)
+    eq = solve_pre_merger_equilibrium(prim)
     return dataclasses.replace(prim, prices=eq.prices)
 
 
@@ -88,11 +88,11 @@ class TestBertrandSolver:
         assert eq.prices[0] == pytest.approx(eq.prices[1], rel=1e-10)
 
     @pytest.mark.parametrize("model", ["ces", "logit"])
-    def test_random_four_product_market(self, model):
-        config = harness.HarnessConfig(seed=99, n_markets=1, model=model,
-                                       n_products=(4, 4))
+    def test_random_four_product_market(self, model, monkeypatch):
+        monkeypatch.setattr(harness, "N_PRODUCTS_RANGE", (4, 4))
+        config = harness.HarnessConfig(seed=99, n_markets=1, model=model)
         prim, _ = harness.random_primitives(config, 0)
-        eq = harness.solve_pre_merger_equilibrium(prim)
+        eq = solve_pre_merger_equilibrium(prim)
         assert eq.residual < 1e-10
         np.testing.assert_allclose(eq.prices, prim.prices, rtol=1e-8)
 
@@ -100,7 +100,8 @@ class TestBertrandSolver:
     def test_residual_evaluations_scale_with_iterations_not_products(self, model, monkeypatch):
         """With the analytic Jacobian each Newton step evaluates the pricing
         conditions about once; central differences would take 2J = 12 more."""
-        config = harness.HarnessConfig(seed=11, n_markets=1, model=model, n_products=(6, 6))
+        monkeypatch.setattr(harness, "N_PRODUCTS_RANGE", (6, 6))
+        config = harness.HarnessConfig(seed=11, n_markets=1, model=model)
         prim, pair = harness.random_primitives(config, 0)
         calls, residual = [], harness._margin_residual
 
@@ -226,7 +227,7 @@ class TestGroundTruthDerivatives:
 class TestPostMerger:
     def test_no_ownership_change_zero_effect(self):
         prim = ces_duopoly()
-        pre = harness.solve_pre_merger_equilibrium(prim)
+        pre = solve_pre_merger_equilibrium(prim)
         prim = harness.SyntheticPrimitives(prim.ids, prim.demand, prim.costs,
                                            prim.ownership, pre.prices)
         _, pdd = harness.solve_post_merger_equilibrium(prim, (0, 0))
@@ -243,7 +244,7 @@ class TestPostMerger:
 
     def test_efficiencies_lower_post_prices(self):
         prim = ces_duopoly()
-        pre = harness.solve_pre_merger_equilibrium(prim)
+        pre = solve_pre_merger_equilibrium(prim)
         prim = harness.SyntheticPrimitives(prim.ids, prim.demand, prim.costs,
                                            prim.ownership, pre.prices)
         _, pdd_bare = harness.solve_post_merger_equilibrium(prim, (0, 1))
@@ -259,7 +260,7 @@ class TestObservation:
         for trial in range(6):
             config = harness.HarnessConfig(seed=21, n_markets=6, model="ces")
             prim, pair = harness.random_primitives(config, trial)
-            eq = harness.solve_pre_merger_equilibrium(prim)
+            eq = solve_pre_merger_equilibrium(prim)
             market, diversion = harness.observe(prim, eq.prices)
             merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
             g = effects.guppi(market, diversion, merger)
@@ -279,7 +280,7 @@ class TestObservation:
         config = harness.HarnessConfig(seed=33, n_markets=3, model="ces")
         for trial in range(3):
             prim, _ = harness.random_primitives(config, trial)
-            eq = harness.solve_pre_merger_equilibrium(prim)
+            eq = solve_pre_merger_equilibrium(prim)
             p = eq.prices
             n = len(p)
             market, diversion = harness.observe(prim, p)
@@ -308,7 +309,7 @@ class TestObservation:
 
     def test_ces_outside_column_completes_rows(self):
         prim = ces_duopoly()
-        eq = harness.solve_pre_merger_equilibrium(prim)
+        eq = solve_pre_merger_equilibrium(prim)
         _, diversion = harness.observe(prim, eq.prices)
         totals = diversion.values.sum(axis=1) + 1.0 + diversion.outside
         np.testing.assert_allclose(totals, 1.0, atol=1e-10)
@@ -339,7 +340,7 @@ class TestCrossModuleEquivalence:
     def test_random_markets_agree(self, trial):
         config = harness.HarnessConfig(seed=71, n_markets=4, model="ces")
         prim, pair = harness.random_primitives(config, trial)
-        eq = harness.solve_pre_merger_equilibrium(prim)
+        eq = solve_pre_merger_equilibrium(prim)
         _, pdd_true = harness.solve_post_merger_equilibrium(prim, pair)
         market, _ = harness.observe(prim, eq.prices)
         economy = prim.demand.economy(eq.prices, list(prim.ids))
@@ -413,7 +414,7 @@ class TestCmcrRoundTrip:
         post-merger equilibrium reproduces pre-merger prices to 1e-6."""
         config = harness.HarnessConfig(seed=55, n_markets=5, model="ces")
         prim, pair = harness.random_primitives(config, trial)
-        eq = harness.solve_pre_merger_equilibrium(prim)
+        eq = solve_pre_merger_equilibrium(prim)
         market, diversion = harness.observe(prim, eq.prices)
         merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
         res = effects.cmcr(market, diversion, merger)
@@ -486,8 +487,6 @@ class TestAccuracyExperiment:
     def test_config_validation(self):
         with pytest.raises(InputValidationError):
             harness.HarnessConfig(seed=1, model="blp")
-        with pytest.raises(InputValidationError):
-            harness.HarnessConfig(seed=1, n_products=(1, 3))
         with pytest.raises(InputValidationError, match="n_markets"):
             harness.HarnessConfig(seed=1, n_markets=0)
         with pytest.raises(InputValidationError, match="seed"):
@@ -546,7 +545,7 @@ class TestTrialRecipe:
         config = harness.HarnessConfig(seed=11, n_markets=20, model=model)
         for trial in range(config.n_markets):
             prim, pair = harness.random_primitives(config, trial)
-            eq = harness.solve_pre_merger_equilibrium(prim)
+            eq = solve_pre_merger_equilibrium(prim)
             market, diversion = harness.observe(prim, eq.prices)
             merger = MergerSpec(f"f{pair[0]}", f"f{pair[1]}")
             g = effects.guppi(market, diversion, merger)
@@ -590,8 +589,8 @@ class TestTrialRecipe:
 
 class TestSpatialFixture:
     def test_out_of_radius_store_has_zero_revenue(self):
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=31, n_tracts=10, n_stores=8, radius=3.0,
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=31, n_tracts=10, n_stores=8, radius=3.0,
                                   extent=60.0)
         )
         orphan = [s for j, s in enumerate(fx.store_ids) if not fx.mask[:, j].any()]
@@ -603,8 +602,8 @@ class TestSpatialFixture:
     def test_zero_distance_coefficient_equalizes_identical_stores(self):
         """theta_distance = 0 and no size/format variation: revenue differences
         across stores vanish (only location varied)."""
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=8, n_tracts=30, n_stores=6,
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=8, n_tracts=30, n_stores=6,
                                   theta=(1.0, 0.0, 0.0, 0.0), radius=1e9)
         )
         rev = np.array([fx.revenues[s] for s in fx.store_ids])
@@ -613,15 +612,15 @@ class TestSpatialFixture:
         np.testing.assert_allclose(rev[same_nest], rev[same_nest][0], rtol=1e-9)
 
     @pytest.mark.parametrize("config", [
-        harness.SpatialConfig(seed=5, n_tracts=40, n_stores=12, mu=0.46),
-        harness.SpatialConfig(seed=1, n_tracts=30, n_stores=10, radius=8.0, extent=60.0),
-        harness.SpatialConfig(seed=8, n_tracts=20, n_stores=6, mu=1.0),
+        fitting.SpatialConfig(seed=5, n_tracts=40, n_stores=12, mu=0.46),
+        fitting.SpatialConfig(seed=1, n_tracts=30, n_stores=10, radius=8.0, extent=60.0),
+        fitting.SpatialConfig(seed=8, n_tracts=20, n_stores=6, mu=1.0),
     ], ids=["nested", "orphan-stores", "plain"])
     def test_revenues_match_the_nested_economy(self, config):
         """The fixture's revenues, from the share kernel on dense arrays, equal
         ``ces.revenues`` of the same tracts as a nested ``CESEconomy``; a store
         no tract considers earns exactly 0."""
-        fx = harness.generate_spatial_fixture(config)
+        fx = fitting.generate_spatial_fixture(config)
         u = fx.design @ fx.theta
         consumers = tuple(
             ces.Consumer(f"t{i}", float(budget), {sid: float(u[i, j])
@@ -636,11 +635,11 @@ class TestSpatialFixture:
     def test_fixture_file_round_trip(self, tmp_path):
         import json
 
-        fx = harness.generate_spatial_fixture(
-            harness.SpatialConfig(seed=3, n_tracts=6, n_stores=4))
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=3, n_tracts=6, n_stores=4))
         path = tmp_path / "fx.json"
         path.write_text(json.dumps(spatial_fixture_to_dict(fx)))
-        again = harness.load_spatial_fixture(path)
+        again = fitting.load_spatial_fixture(path)
         np.testing.assert_array_equal(again.design, fx.design)
         np.testing.assert_array_equal(again.mask, fx.mask)
         assert again.revenues == fx.revenues

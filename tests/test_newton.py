@@ -218,3 +218,16 @@ def test_lm_undefined_candidates_are_rejected_steps(undefined):
     assert ok and x[0] == pytest.approx(1.0, abs=1e-10)
     assert tried[1] > 1.5  # the first trial step was undefined
     assert steps == len(tried) - 1
+
+
+def test_lm_damping_overflow_stops_unconverged():
+    """A Jacobian that promises a descent no step delivers: every trial step is
+    rejected and lam grows until it overflows. The solve stops there,
+    unconverged and with no RuntimeWarning, before lam x D^2 turns to inf and NaN."""
+
+    def fun(x):
+        return np.array([1.0]), np.array([[1.0]])
+
+    x, f, steps, ok, reason = levenberg_marquardt(fun, np.array([0.0]), 500)
+    assert not ok and "damping overflowed" in reason
+    assert steps < 100 and x[0] == 0.0
