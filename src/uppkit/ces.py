@@ -154,10 +154,12 @@ class ShareTable:
 
 
 def _softmax_rows(u: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps exp() in range for |u| up to ~700; exp(-inf) is exactly 0
-    m = np.max(u, axis=1, keepdims=True)
-    z = np.exp(u - m)
-    return z / z.sum(axis=1, keepdims=True)
+    # max-subtraction keeps exp() in range for |u| up to ~700; exp(-inf) is exactly 0;
+    # in place on one new array, so a block of many rows holds one copy of itself
+    z = u - np.max(u, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
@@ -279,8 +281,12 @@ def revenues(economy: CESEconomy) -> dict[str, float]:
     return {pid: float(r[k]) for k, pid in enumerate(economy.order)}
 
 
+_TINY = np.finfo(float).tiny  # smallest normal float
+
+
 def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Sequence[str]):
-    """Revenue diversion ``(values, outside, moments)`` from a dense share block.
+    """Revenue diversion ``(values, outside, moments)`` from a dense share block,
+    or from a stack of them (a leading batch axis on every output).
 
     Row j: numerator P_jk = sum_i wb_i a_ij a_ik, denominator den_j = sum_i
     wb_i a_ij (1 - a_ij); shares are zero off consideration sets, so only
@@ -292,19 +298,24 @@ def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Seque
     holds an interior share of j, or else the spending moments underflow.
     """
     n = len(order) - 1  # OUTSIDE is last
-    inside = alpha[:, :n]
-    wa, spend, den = wb[:, None] * inside, wb @ inside, wb @ (inside * (1.0 - inside))
-    if den.min(initial=np.inf) < np.finfo(float).tiny:
-        held = ((wb[:, None] > 0.0) & (inside > 0.0) & (inside < 1.0)).any(axis=0)
+    inside = alpha[..., :n]
+    slope = 1.0 - inside
+    slope *= inside  # a_ij (1 - a_ij); freed before wa is formed, so one block is made at a time
+    den = wb @ slope
+    del slope
+    wa, spend = wb[:, None] * inside, wb @ inside
+    if den.min(initial=np.inf) < _TINY:
+        held = ((wb[:, None] > 0.0) & (inside > 0.0) & (inside < 1.0)).any(axis=-2)
         why, bad = (("that no consumer with positive weight x budget holds at an interior share",
                      ~held) if not held.all() else
-                    ("whose spending moments underflow", den < np.finfo(float).tiny))
+                    ("whose spending moments underflow", den < _TINY))
+        bad = bad.reshape(-1, n).any(axis=0)
         raise InputValidationError(
             f"diversion undefined for products {why}: {[order[j] for j in np.flatnonzero(bad)]}")
-    pair = wa.T @ alpha
-    full = pair / den[:, None]
-    np.fill_diagonal(full, -1.0)
-    return full[:, :n], full[:, n], (wa, spend, den, pair)
+    pair = np.swapaxes(wa, -1, -2) @ alpha
+    full = pair / den[..., None]
+    np.einsum("...jj->...j", full[..., :n])[...] = -1.0
+    return full[..., :n], full[..., n], (wa, spend, den, pair)
 
 
 def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:

@@ -63,8 +63,8 @@ def single_product_pair(market: Market, merger: MergerSpec, message: str) -> tup
 
 def pressure(eps: np.ndarray, d: np.ndarray, m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Upward pricing pressure (1 + 1/eps_j) sum_l m_l D_jl, the sum over the
-    products l that ``mask[j, l]`` marks."""
-    return (1.0 + 1.0 / eps) * ((mask * d) @ m)
+    products l that ``mask[j, l]`` marks; row by row for stacked inputs."""
+    return (1.0 + 1.0 / eps) * ((mask * d) @ m[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -235,15 +235,20 @@ def solve_bertrand(
     costs = np.asarray(costs, dtype=float)
     co_owned = co_ownership(ownership)
     p = np.array(costs * 1.5 if p0 is None else p0, dtype=float)
-    x, res, its, ok = damped_newton(
-        lambda x: _margin_residual(demand, np.exp(x), costs, co_owned, jacobian=True),
-        _margin_step(demand, np.log(p), costs, co_owned), _TOL, max_iterations,
-    )
+
+    def residual(x):  # a batch of one
+        r, d_r = _margin_residual(demand, np.exp(x[0]), costs, co_owned, jacobian=True)
+        return r[None], lambda rows: d_r()[None]
+
+    x, res, its, ok, errors, _ = damped_newton(
+        residual, _margin_step(demand, np.log(p), costs, co_owned)[None], _TOL, max_iterations)
+    if errors[0] is not None:
+        raise errors[0]
     norm = float(np.max(np.abs(res)))
-    if not ok:
+    if not ok[0]:
         raise ConvergenceError(f"Bertrand solver stalled at residual {norm:.3e}")
-    p = np.exp(x)
-    return Equilibrium(p, (p - costs) / p, norm, its + 1)
+    p = np.exp(x[0])
+    return Equilibrium(p, (p - costs) / p, norm, its[0] + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,20 @@
 
 ``damped_newton`` is the root finder of both equilibrium solvers,
 ``simulation.simulate`` (percentage price changes) and
-``harness.solve_bertrand`` (log prices), and builds J only at the points it
-steps from. ``levenberg_marquardt`` is the least-squares solver of the
-nested-CES fitter. The step and stop rules live only here.
+``harness.solve_bertrand`` (log prices). It steps a batch of independent
+systems in lock step: one residual call and one Jacobian call serve every
+row still stepping, and each row follows the path it would follow alone.
+``simulate`` solves from its GUPPI start and its two uniqueness starts as one
+batch, so at a few products and consumers, where numpy's per-call overhead
+is the cost of a step, the three solves cost about one; the harness passes
+a batch of one. J is built only at the points a row steps from.
+``levenberg_marquardt`` is the least-squares solver of the nested-CES
+fitter. The step and stop rules live only here.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,55 +32,146 @@ def _value(fun, x):
         return np.full(len(x), np.nan), None
 
 
+class NewtonBatch(NamedTuple):
+    """Per row of a ``damped_newton`` batch: the returned point ``x``, its
+    residual ``f``, the steps taken, whether the residual's inf-norm is under
+    the tolerance, the ``InputValidationError`` that stopped the row (None if
+    none did), and ``held``, the pair ``(jacobian, i)`` of the evaluation
+    whose row i is the returned point (None for a row that could not start),
+    so a caller can read that evaluation instead of repeating it."""
+
+    x: np.ndarray
+    f: np.ndarray
+    iterations: list[int]
+    converged: list[bool]
+    errors: list[InputValidationError | None]
+    held: list[tuple[Callable, int] | None]
+
+
+def _evaluate(fun, x):
+    """``fun`` on the batch ``x``, per row: the residuals, the ``(jacobian, i)``
+    that holds each row, and the error of a row where ``fun`` raises
+    ``InputValidationError``, whose residual reads NaN. A batch that raises is
+    evaluated again row by row, so one undefined row spoils no other."""
+    try:
+        f, jacobian = fun(x)
+    except InputValidationError as err:
+        if len(x) == 1:
+            return np.full(x.shape, np.nan), [None], [err]
+        rows = [_evaluate(fun, x[i:i + 1]) for i in range(len(x))]
+        return (np.concatenate([f for f, _, _ in rows]), [held[0] for _, held, _ in rows],
+                [errors[0] for _, _, errors in rows])
+    return f, [(jacobian, i) for i in range(len(x))], [None] * len(x)
+
+
+def _jacobians(held, rows, errors):
+    """The stacked Jacobians at ``rows`` (ascending), one call per evaluation
+    that holds them, and the rows they belong to. A call that raises
+    ``InputValidationError`` is made again row by row; a row whose Jacobian
+    is refused gets the error in ``errors`` and is left out."""
+    jacobian = held[rows[0]][0]
+    group = [r for r in rows if held[r][0] is jacobian]
+    try:
+        built, kept = [jacobian([held[r][1] for r in group])], group
+    except InputValidationError as err:
+        if len(group) == 1:
+            errors[group[0]] = err
+            built, kept = [], []
+        else:
+            parts = [_jacobians(held, [r], errors) for r in group]
+            built, kept = [jac for jac, ok in parts if ok], [r for _, ok in parts for r in ok]
+    if len(group) < len(rows):
+        jac, more = _jacobians(held, [r for r in rows if held[r][0] is not jacobian], errors)
+        if more:
+            built, kept = built + [jac], kept + more
+    if len(built) < 2:
+        return (built[0] if built else None), kept
+    order = sorted(range(len(kept)), key=kept.__getitem__)  # back to the rows' order
+    return np.concatenate(built)[order], [kept[i] for i in order]
+
+
+def _steps(jac, f):
+    """Newton steps -J^-1 f per row; NaN for a row whose J is singular."""
+    try:
+        return np.linalg.solve(jac, -f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(f) == 1:
+            return np.full(f.shape, np.nan)
+        return np.concatenate([_steps(jac[i:i + 1], f[i:i + 1]) for i in range(len(f))])
+
+
 def damped_newton(
-    fun: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    fun: Callable[[np.ndarray], tuple[np.ndarray, Callable[[list[int]], np.ndarray]]],
     x0: np.ndarray,
     tolerance: float,
     max_iterations: int,
     lower_bound: float = -np.inf,
-):
-    """Damped Newton on ``fun``.
+) -> NewtonBatch:
+    """Damped Newton on each row of the batch ``x0`` (rows x unknowns).
 
-    ``fun(x)`` returns ``(f, jacobian)``; ``jacobian()`` builds J at x from
-    that evaluation, and is called only at a point the solve steps from: n
-    steps build J n times, never at a rejected trial or the returned point.
+    ``fun(x)`` takes a batch and returns ``(f, jacobian)``, f one residual
+    row per row of x; ``jacobian(rows)`` builds the stacked Jacobians at
+    those rows of x from that evaluation, and is called only for rows the
+    solve steps from: n steps of a row build its J n times, never at a
+    rejected trial or the returned point.
 
-    Each step halves its length up to 30 times until the inf-norm of ``f``
+    Every row still stepping takes its step together with the others. Each
+    step halves its length up to 30 times until the row's inf-norm of ``f``
     drops; iterates are clipped at ``lower_bound``. A Newton step s gives
     f(x + t s) = (1 - t) f(x) + O(t^2), so some length improves unless J is
-    singular or f is at round-off. The solve stops once the norm is under
-    ``tolerance``, after ``max_iterations`` steps, or, at the best point so
-    far, when J is singular, the step is not finite or no length improves.
-    Only the starting point may raise: elsewhere ``InputValidationError``
-    from ``fun`` reads as a NaN residual, and a non-finite candidate is no
-    improvement. Returns ``(x, f, iterations, converged)``; failing to
-    converge is reported in ``converged``, not raised.
+    singular or f is at round-off. A row stops once its norm is under
+    ``tolerance``, after ``max_iterations`` steps, or, at its best point so
+    far, when J is singular, the step is not finite, no length improves or
+    ``jacobian`` raises ``InputValidationError`` (its error is returned). A
+    start where ``fun`` raises it leaves the row unstarted, with the error;
+    elsewhere it reads as a NaN residual, and a non-finite candidate is no
+    improvement. One row's undefined point, singular J or failed search
+    changes no other row's path. Failing to converge is reported, not raised.
     """
-    lo = lower_bound
-    x = np.clip(x0, lo, None)
-    f, jac = fun(x)
-    best_norm = float(np.linalg.norm(f, np.inf))
-    its = 0
-    while best_norm >= tolerance and its < max_iterations:
-        its += 1
-        try:
-            step = np.linalg.solve(jac(), -f)
-        except np.linalg.LinAlgError:
+    x = np.maximum(x0, lower_bound)  # np.clip(x0, lower_bound, None), with less call overhead
+    f, held, errors = _evaluate(fun, x)
+    f = f.copy()  # rows are overwritten below; the caller's evaluation may still read it
+    norm = np.abs(f).max(axis=1).tolist()
+    its = [0] * len(x)
+    stepping = full = list(range(len(x)))
+    while True:
+        stepping = [r for r in stepping if norm[r] >= tolerance and its[r] < max_iterations]
+        if stepping:
+            jac, stepping = _jacobians(held, stepping, errors)
+        if not stepping:
             break
-        if not np.all(np.isfinite(step)):
-            break
-        t = 1.0
+        for r in stepping:
+            its[r] += 1
+        whole = stepping == full  # then rows need no gathering
+        step = _steps(jac, f if whole else f[stepping])
+        if not np.isfinite(step).all():  # a row with no finite step stops
+            finite = np.isfinite(step).all(axis=1)
+            stepping, step, whole = [r for r, ok in zip(stepping, finite) if ok], step[finite], False
+            if not stepping:
+                break
+        # base may be x itself: a row written below has left the search
+        base, search, t = x if whole else x[stepping], list(range(len(stepping))), 1.0
         for _ in range(30):
-            cand = np.clip(x + t * step, lo, None)
-            fc, jc = _value(fun, cand)
-            norm = float(np.linalg.norm(fc, np.inf))
-            if norm < best_norm:  # False for NaN
-                x, f, jac, best_norm = cand, fc, jc, norm
+            cand = np.maximum(base + t * step, lower_bound)
+            if len(search) < len(stepping):
+                cand = cand[search]
+            fc, hc, _ = _evaluate(fun, cand)
+            nc = np.abs(fc).max(axis=1).tolist()
+            left = []  # positions in stepping of the rows still searching
+            for i, k in enumerate(search):
+                r = stepping[k]
+                if nc[i] < norm[r]:  # False for NaN
+                    x[r], f[r], norm[r], held[r] = cand[i], fc[i], nc[i], hc[i]
+                else:
+                    left.append(k)
+            search = left
+            if not search:
                 break
             t *= 0.5
         else:
-            break  # no step length improves
-    return x, f, its, best_norm < tolerance
+            failed = set(search)  # no step length improves: these rows stop
+            stepping = [r for k, r in enumerate(stepping) if k not in failed]
+    return NewtonBatch(x, f, its, [n < tolerance for n in norm], errors, held)
 
 
 def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],

@@ -55,6 +55,7 @@ from .market import DiversionMatrix, Market, MergerSpec, co_ownership
 from .newton import damped_newton
 
 LOWER_BOUND = -0.99  # floor on every iterate's price change
+_FLOAT_MAX = np.finfo(float).max
 MAX_ITERATIONS = 200  # Newton steps per solve
 
 
@@ -124,8 +125,10 @@ class PostMergerState:
     """Demand-side arrays induced by a candidate price-change vector ``pdd``: shares
     per consumer (OUTSIDE last), and per inside product the quantity own-price
     elasticities, revenue diversion (with its outside column) and margins;
-    ``moments`` are the diversion kernel's (wa, S, den, P). The keyed views
-    ``shares``, ``elasticities``, ``diversion`` and ``margins`` are built on
+    ``moments`` are the diversion kernel's (S, den, P). For a batch of
+    price-change vectors every array has a leading batch axis, and
+    :meth:`take` picks rows. The keyed views ``shares``, ``elasticities``,
+    ``diversion`` and ``margins`` of a single vector's state are built on
     first use."""
 
     problem: SimulationProblem
@@ -140,6 +143,14 @@ class PostMergerState:
     @property
     def order(self) -> tuple[str, ...]:
         return self.problem.order
+
+    def take(self, rows) -> PostMergerState:
+        """The state of row ``rows`` of a batch, or of the rows it lists."""
+        if rows == list(range(len(self.pdd))):
+            return self
+        return PostMergerState(self.problem, self.pdd[rows], self.alpha[rows], self.eps[rows],
+                               self.d[rows], self.d_outside[rows], self.m[rows],
+                               tuple(a[rows] for a in self.moments))
 
     @cached_property
     def shares(self) -> ShareTable:
@@ -164,29 +175,35 @@ def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
         vec = np.array([float(pdd.get(pid, 0.0)) for pid in problem.order])
     else:
         vec = np.asarray(pdd, dtype=float)
-        if vec.shape != (len(problem.order),):
+        if vec.ndim not in (1, 2) or vec.shape[-1] != len(problem.order):
             raise InputValidationError(
                 f"price-change vector has shape {vec.shape}, expected ({len(problem.order)},)"
+                f" or a batch of rows of that length"
             )
-    if np.any(vec <= -1.0):
+    if (vec <= -1.0).any():
         raise InputValidationError("price changes must exceed -1")
     return vec
 
 
 def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
-    """Shares, elasticities, diversion, and margins at ``pdd``."""
+    """Shares, elasticities, diversion, and margins at ``pdd``: one
+    price-change vector, or a batch of them stacked as rows."""
     vec = _as_vector(problem, pdd)
     econ = problem.economy
     u, wb = econ._dense  # the problem passed the plain-CES gate when it was built
-    u_post = u.copy()
-    u_post[:, : len(vec)] += (1.0 - econ.eta) * np.log1p(vec)
-    alpha = ces._softmax_rows(u_post)
-    d, d_outside, moments = ces._diversion_from_share_values(alpha, wb, econ.order)
-    _, spend, den, _ = moments
+    u_post = np.empty(vec.shape[:-1] + u.shape)
+    u_post[...] = u
+    u_post[..., : vec.shape[-1]] += (1.0 - econ.eta) * np.log1p(vec)[..., None, :]
+    alpha = ces._softmax_rows(u_post.reshape(-1, u.shape[1])).reshape(u_post.shape)
+    # Peak memory: a batch of a large market holds a few consumer x product
+    # blocks per row, so u_post is freed here, and the spending block wa is
+    # not kept in the state (the Jacobian forms it again).
+    del u_post
+    d, d_outside, (_, spend, den, pair) = ces._diversion_from_share_values(alpha, wb, econ.order)
     eps = (1.0 - econ.eta) * den / spend - 1.0  # den > 0, so spend > 0
     _, base, _, _ = problem._arrays
     m = 1.0 - base / (1.0 + vec)
-    return PostMergerState(problem, vec, alpha, eps, d, d_outside, m, moments)
+    return PostMergerState(problem, vec, alpha, eps, d, d_outside, m, (spend, den, pair))
 
 
 def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
@@ -195,38 +212,86 @@ def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) ->
     return -1.0 / eps - m + pressure(eps, d, m, co_owned)
 
 
+def _diag(a: np.ndarray) -> np.ndarray:
+    """Writeable view of the diagonals of a square matrix or a stack of them."""
+    return np.einsum("...jj->...j", a)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
-    """d f / d pdd of the pricing conditions at the state ``s``, in closed form
-    (the formulas in the module docstring); it forms only T and G. Spending so
-    small that (eta - 1) / S_j overflows is refused."""
+    """d f / d pdd of the pricing conditions at the state ``s``, in closed form,
+    stacked for a batched state; it forms only T and G. Spending so small that
+    (eta - 1) / S_j overflows is refused.
+
+    The module docstring's formulas, with their delta_jq terms gathered into
+    one diagonal: with r_j = den_j / S_j and k_j = 1 + 1/eps_j,
+
+        df_jq = (1 - C_j) / eps_j^2 (b / S_j) b (2 T_jjq + (r_j - 1) P_jq)
+                + k_j co_jq D_jq (1 - m_q + b m_q)
+                - k_j b (2 G_jq + C_j (2 T_jjq - P_jq)) / den_j
+                + delta_jq ((1 - C_j) / eps_j^2 (b / S_j) b (den_j - S_j)
+                            - k_j C_j b (den_j - S_j) / den_j - (1 - m_j)),
+
+    grouped as the formulas group them, so that no product such as b^2 / S_j
+    or b / den_j overflows where they do not.
+    """
     b = 1.0 - s.problem.economy.eta
-    a = s.alpha[:, : len(s.m)]
-    wa, spend, den, pair = s.moments
-    if spend.min() < -b / np.finfo(float).max:
+    n = s.m.shape[-1]
+    a = s.alpha[..., :n]
+    spend, den, pair = s.moments
+    if spend.min() < -b / _FLOAT_MAX:
         raise InputValidationError("simulation Jacobian overflows: (eta - 1) / spending")
-    pair = pair[:, : len(s.m)]  # P_jq
-    c = (co_owned * s.d) @ s.m
-    third = (wa * a).T @ a  # T_jjq
-    g = (wa * (a @ (co_owned * s.m).T)).T @ a  # G_jq
-    d_spend = b * (np.diag(spend) - pair)
-    d_den = b * (np.diag(2.0 * den - spend) - pair + 2.0 * third)
-    d_eps = (b / spend)[:, None] * (d_den - (den / spend)[:, None] * d_spend)
-    d_c = (co_owned * s.d * (1.0 - s.m + b * s.m) + np.diag(b * c)
-           - (2.0 * b * g + c[:, None] * d_den) / den[:, None])
-    df = (((1.0 - c) / s.eps**2)[:, None] * d_eps + (1.0 + 1.0 / s.eps)[:, None] * d_c
-          - np.diag(1.0 - s.m))
-    return df / (1.0 + s.pdd)
+    wa = s.problem.economy._dense[1][:, None] * a  # the diversion kernel's spending block
+    pair = pair[..., :n]  # P_jq
+    co_d = co_owned * s.d
+    c = (co_d @ s.m[..., None])[..., 0]
+    third = _t(wa * a) @ a
+    third *= 2.0  # 2 T_jjq
+    block = a @ _t(co_owned * s.m[..., None, :])
+    block *= wa
+    g = _t(block) @ a
+    g *= 2.0  # 2 G_jq
+    del block
+    k1, k2, shift = (1.0 - c) / s.eps**2, 1.0 + 1.0 / s.eps, b * (den - spend)
+    slope = third + (den / spend - 1.0)[..., None] * pair
+    slope *= b
+    pull = g + c[..., None] * (third - pair)
+    pull *= b
+    pull /= den[..., None]
+    df = k1[..., None] * ((b / spend)[..., None] * slope)
+    df += k2[..., None] * (co_d * (1.0 - s.m + b * s.m)[..., None, :] - pull)
+    _diag(df)[...] += k1 * (b / spend * shift) - k2 * (c * shift / den) - (1.0 - s.m)
+    df /= (1.0 + s.pdd)[..., None, :]
+    return df
+
+
+@dataclass(frozen=True, eq=False)
+class FocJacobian:
+    """d f / d pdd of the pricing conditions from one state evaluation, built
+    when called: ``jacobian()`` at every row of ``state``, ``jacobian(rows)``
+    at the listed rows of a batched state."""
+
+    state: PostMergerState
+    co_owned: np.ndarray
+
+    def __call__(self, rows=None) -> np.ndarray:
+        return _foc_jacobian(self.state if rows is None else self.state.take(rows), self.co_owned)
 
 
 def foc_residual(problem: SimulationProblem, pdd, jacobian: bool = False):
     """Stacked post-merger pricing conditions at a candidate ``pdd`` (one entry
-    per inside product, ownership taken post-merger); with ``jacobian``, the
-    pair ``(f, jacobian)``, where ``jacobian()`` builds d f / d pdd from the
-    same state evaluation."""
+    per inside product, ownership taken post-merger; a batch of vectors gives
+    one row each); with ``jacobian``, the pair ``(f, jacobian)``, where the
+    :class:`FocJacobian` ``jacobian`` builds d f / d pdd from the same state
+    evaluation, ``jacobian.state``."""
     s = post_merger_state(problem, pdd)
     *_, post = problem._arrays
     f = _foc(s.eps, s.d, s.m, post)
-    return (f, lambda: _foc_jacobian(s, post)) if jacobian else f
+    return (f, FocJacobian(s, post)) if jacobian else f
 
 
 @dataclass(frozen=True)
@@ -291,19 +356,33 @@ def _gaps_and_warm_start(problem: SimulationProblem) -> tuple[np.ndarray, np.nda
     return -_foc(s.eps, s.d, m0, pre), pressure(s.eps, s.d, m0, post & ~pre) + base - (1.0 - m0)
 
 
+# Rows of simulate's Newton batch: the solve from the GUPPI warm start, then
+# the uniqueness re-solves from 0 and from twice the warm start.
+_PRIMARY = 0
+_RESOLVES = ((1, "0"), (2, "2x GUPPI"))
+
+
 def simulate(
     problem: SimulationProblem, config: SolverConfig | None = None
 ) -> SimulationResult:
     """Solve the post-merger pricing system for the percentage price changes.
 
     Damped Newton on ``foc_residual`` with its closed-form Jacobian, built
-    only where Newton steps, warm-started at the GUPPI vector. A converged
-    solve is re-solved from 0 and from twice the warm start; ``unique`` is
+    only where Newton steps, warm-started at the GUPPI vector. The
+    uniqueness re-solves from 0 and from twice the warm start run in the
+    same solve, as rows of one lock-step batch (``newton.damped_newton``):
+    one residual call and one Jacobian call per step serve all three, and
+    each follows the path it would follow alone. The result's post-merger
+    state is the solve's own last evaluation at the root.
+
+    Re-solves are read only when the main solve converged: ``unique`` is
     False only if a re-solve converges to a root more than 1e-6 away. So
-    ``unique`` means "no second root found": a re-solve that cannot start or
-    does not converge finds none, and is reported in ``warnings`` with its
-    start. A non-convergent run returns a diagnostic result with
-    ``converged=False`` rather than raising.
+    ``unique`` means "no second root found": a re-solve that cannot start,
+    stops on a refused Jacobian or does not converge finds none, and is
+    reported in ``warnings`` with its start. A non-convergent run returns a
+    diagnostic result with ``converged=False`` rather than raising; a main
+    solve whose start or Jacobian is undefined raises
+    ``InputValidationError``.
     """
     config = config or SolverConfig()
     warnings: list[str] = []
@@ -315,39 +394,40 @@ def simulate(
             f"pre-merger data not self-consistent: FOC residual {pre_norm:.3e} at zero price change"
         )
 
-    def solve(x0):
-        return damped_newton(
-            lambda x: foc_residual(problem, x, jacobian=True), x0,
-            config.tolerance, MAX_ITERATIONS, lower_bound=LOWER_BOUND,
-        )
-
-    x, f, its, ok = solve(g)
+    x, f, its, ok, errors, held = damped_newton(
+        lambda x: foc_residual(problem, x, jacobian=True), np.stack([g, 0.0 * g, 2.0 * g]),
+        config.tolerance, MAX_ITERATIONS, lower_bound=LOWER_BOUND,
+    )
+    if errors[_PRIMARY] is not None:
+        raise errors[_PRIMARY]
 
     unique = True
-    if ok:
-        for start, alt0 in (("0", np.zeros_like(g)), ("2x GUPPI", 2.0 * g)):
-            try:
-                alt, alt_f, alt_its, alt_ok = solve(alt0)
-            except InputValidationError as err:  # undefined state at the start
-                warnings.append(f"uniqueness re-solve from {start} could not start: {err}")
-                continue
-            if not alt_ok:
+    if ok[_PRIMARY]:
+        for row, start in _RESOLVES:
+            if held[row] is None:  # undefined state at the start
+                warnings.append(f"uniqueness re-solve from {start} could not start: {errors[row]}")
+            elif errors[row] is not None:
+                warnings.append(f"uniqueness re-solve from {start} stopped after {its[row]} "
+                                f"iterations: {errors[row]}")
+            elif not ok[row]:
                 warnings.append(
                     f"uniqueness re-solve from {start} did not converge: residual "
-                    f"{float(np.linalg.norm(alt_f, np.inf)):.3e} after {alt_its} iterations"
+                    f"{float(np.linalg.norm(f[row], np.inf)):.3e} after {its[row]} iterations"
                 )
-            elif float(np.linalg.norm(alt - x, np.inf)) > 1e-6:
+            elif float(np.linalg.norm(x[row] - x[_PRIMARY], np.inf)) > 1e-6:
                 unique = False
                 warnings.append("solver found a second root from a different start")
                 break
 
-    state = post_merger_state(problem, x)
+    jacobian, i = held[_PRIMARY]
+    state = jacobian.state.take(i)
+    root = x[_PRIMARY]
     return SimulationResult(
         order=problem.order,
-        price_changes={pid: float(x[i]) for i, pid in enumerate(problem.order)},
-        residual_norm=float(np.linalg.norm(f, np.inf)),
-        iterations=its,
-        converged=ok,
+        price_changes={pid: float(root[i]) for i, pid in enumerate(problem.order)},
+        residual_norm=float(np.linalg.norm(f[_PRIMARY], np.inf)),
+        iterations=its[_PRIMARY],
+        converged=ok[_PRIMARY],
         unique=unique,
         post_shares=state.shares,
         post_margins=state.margins,

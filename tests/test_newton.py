@@ -8,12 +8,51 @@ from uppkit.errors import InputValidationError
 from uppkit.newton import damped_newton, levenberg_marquardt
 
 
+def batched(fun):
+    """A batch residual from the one-system residual ``fun(x) -> (f,
+    jacobian())``, evaluated row by row."""
+
+    def batch(x):
+        out = [fun(row) for row in x]
+        return np.array([f for f, _ in out]), lambda rows: np.array([out[i][1]() for i in rows])
+
+    return batch
+
+
+def mixed(*systems):
+    """A batch residual over rows (x, k): the last entry picks ``systems[k]``,
+    solved in the other entries; k's own residual is 0 with a unit Jacobian
+    entry, so k never moves. Rows may so hold different systems, although
+    the solve passes only the rows still stepping."""
+
+    def one(row):
+        f, jac = systems[int(row[-1])](row[:-1])
+        n = len(f)
+
+        def jacobian():
+            full = np.eye(n + 1)
+            full[:n, :n] = jac()
+            return full
+
+        return np.append(f, 0.0), jacobian
+
+    return batched(one)
+
+
+def solve_one(fun, x0, tolerance, max_iterations, **kwargs):
+    """``damped_newton`` on one system, as a batch of one: (x, f, iterations,
+    converged)."""
+    out = damped_newton(batched(fun), np.asarray(x0, dtype=float)[None], tolerance,
+                        max_iterations, **kwargs)
+    return out.x[0], out.f[0], out.iterations[0], out.converged[0]
+
+
 def test_converges_on_smooth_system():
     def fun(x):
         f = np.array([x[0] ** 2 + x[1] - 3.0, x[0] - x[1] + 1.0])
         return f, lambda: np.array([[2.0 * x[0], 1.0], [1.0, -1.0]])
 
-    x, f, its, ok = damped_newton(fun, np.array([2.0, 2.0]), 1e-12, 50)
+    x, f, its, ok = solve_one(fun, np.array([2.0, 2.0]), 1e-12, 50)
     assert ok
     assert 0 < its < 10
     np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-12)
@@ -30,7 +69,7 @@ def test_singular_jacobian_stops_unconverged_at_start():
         calls.append(x.copy())
         return np.ones(2), lambda: np.zeros((2, 2))
 
-    x, f, its, ok = damped_newton(fun, x0, 1e-10, 100)
+    x, f, its, ok = solve_one(fun, x0, 1e-10, 100)
     assert not ok and its == 1 and len(calls) == 1
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(f, np.ones(2))
@@ -40,7 +79,7 @@ def test_no_progress_returns_unconverged_without_raising():
     """A regular Jacobian whose step never lowers the residual exhausts the
     line search, which ends the search unconverged after one step."""
     x0 = np.array([0.3, -0.2])
-    x, f, its, ok = damped_newton(lambda x: (np.ones(2), lambda: np.eye(2)), x0, 1e-10, 100)
+    x, f, its, ok = solve_one(lambda x: (np.ones(2), lambda: np.eye(2)), x0, 1e-10, 100)
     assert not ok and its == 1
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(f, np.ones(2))
@@ -48,7 +87,7 @@ def test_no_progress_returns_unconverged_without_raising():
 
 def test_iterates_respect_lower_bound():
     # root at -2 lies below the bound; the solver stops at the bound unconverged
-    x, _, _, ok = damped_newton(
+    x, _, _, ok = solve_one(
         lambda x: (x + 2.0, lambda: np.eye(1)), np.array([0.0]), 1e-10, 20, lower_bound=-0.99,
     )
     assert not ok
@@ -66,7 +105,7 @@ def test_undefined_candidates_are_no_improvement():
             raise InputValidationError("undefined state")
         return np.array([np.arctan(x[0] - 1.0)]), lambda: np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
 
-    x, f, _, ok = damped_newton(fun, np.array([0.0]), 1e-12, 50)
+    x, f, _, ok = solve_one(fun, np.array([0.0]), 1e-12, 50)
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
     assert max(tried) > 1.5  # the first full step was undefined and got halved
 
@@ -94,7 +133,7 @@ def test_supplied_jacobian_costs_one_evaluation_per_step():
         calls.append(x.copy())
         return fun(x), lambda: jac(x)
 
-    x, f, its, ok = damped_newton(fun_and_jac, np.zeros(n), 1e-12, 50)
+    x, f, its, ok = solve_one(fun_and_jac, np.zeros(n), 1e-12, 50)
     assert ok and its > 1
     assert len(calls) <= 2 * its + 1  # O(1) per step, not the 2n = 20 of central differences
     np.testing.assert_allclose(fun(x), 0.0, rtol=0.0, atol=1e-12)
@@ -115,7 +154,7 @@ def test_jacobian_built_only_where_a_step_is_taken():
 
         return fun(x), jacobian
 
-    x, f, its, ok = damped_newton(lazy, np.zeros(10), 1e-12, 50)
+    x, f, its, ok = solve_one(lazy, np.zeros(10), 1e-12, 50)
     assert ok and its > 1 and len(built) == its
     assert len(evaluated) >= its + 1  # the start, then one or more trials per step
     np.testing.assert_array_equal(built[0], np.zeros(10))
@@ -134,7 +173,7 @@ def test_jacobian_built_only_where_a_step_is_taken():
 
         return np.array([np.arctan(x[0] - 1.0)]), jacobian
 
-    x, f, its, ok = damped_newton(undefined_beyond, np.array([0.0]), 1e-12, 50)
+    x, f, its, ok = solve_one(undefined_beyond, np.array([0.0]), 1e-12, 50)
     assert ok and len(built) == its and max(tried) > 1.5
     assert max(built) <= 1.5 and x[0] not in built
 
@@ -150,9 +189,94 @@ def test_supplied_jacobian_undefined_candidates_are_no_improvement():
             return np.array([np.nan]), lambda: np.array([[np.nan]])
         return np.array([np.arctan(x[0] - 1.0)]), lambda: np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
 
-    x, f, _, ok = damped_newton(fun, np.array([0.0]), 1e-12, 50)
+    x, f, _, ok = solve_one(fun, np.array([0.0]), 1e-12, 50)
     assert ok and x[0] == pytest.approx(1.0, abs=1e-12)
     assert max(tried) > 1.5  # the first full step was undefined and got halved
+
+
+def arctan_system(undefined_beyond=np.inf, refuse_jacobian=False):
+    """Root at 1 of arctan(x - 1); NaN beyond ``undefined_beyond``; with
+    ``refuse_jacobian`` its Jacobian raises ``InputValidationError``."""
+
+    def fun(x):
+        if x[0] > undefined_beyond:
+            return np.array([np.nan]), lambda: np.array([[np.nan]])
+
+        def jacobian():
+            if refuse_jacobian:
+                raise InputValidationError("Jacobian refused")
+            return np.array([[1.0 / (1.0 + (x[0] - 1.0) ** 2)]])
+
+        return np.array([np.arctan(x[0] - 1.0)]), jacobian
+
+    return fun
+
+
+def padded(system):
+    """``system`` of one unknown in x[0]; x[1] is held by a zero residual."""
+
+    def fun(x):
+        f, jac = system(x[:1])
+
+        def jacobian():
+            full = np.eye(2)
+            full[:1, :1] = jac()
+            return full
+
+        return np.append(f, 0.0), jacobian
+
+    return fun
+
+
+def test_batch_rows_follow_their_standalone_paths():
+    """Rows stepped in lock step take the path each takes alone: same steps,
+    same convergence, the same point to the last bit, while a NaN trial
+    point, a singular J or a refused Jacobian stops or shortens another row."""
+    fun, jac = coupled_system(2)
+    systems = (
+        lambda x: (fun(x), lambda: jac(x)),
+        padded(arctan_system(undefined_beyond=1.5)),  # a first full step that is undefined
+        padded(lambda x: (np.ones(1), lambda: np.zeros((1, 1)))),  # singular J
+        padded(arctan_system(refuse_jacobian=True)),  # Jacobian refused at the start
+    )
+    rows = np.array([[0.0, 0.0, 0], [0.0, 0.0, 1], [0.3, 0.0, 2], [0.0, 0.0, 3], [3.0, -2.0, 0]])
+    alone = [damped_newton(mixed(*systems), row[None], 1e-12, 50) for row in rows]
+    for group in ([0, 4], [1, 2, 3], [2, 1], [3, 0, 1, 4], [0, 1, 2, 3, 4]):
+        out = damped_newton(mixed(*systems), rows[group], 1e-12, 50)
+        for k, r in enumerate(group):
+            assert out.iterations[k] == alone[r].iterations[0]
+            assert out.converged[k] == alone[r].converged[0]
+            assert (out.errors[k] is None) == (alone[r].errors[0] is None)
+            np.testing.assert_array_equal(out.x[k], alone[r].x[0])
+    assert alone[0].converged[0] and alone[1].converged[0] and alone[4].converged[0]
+    assert not alone[2].converged[0] and alone[2].iterations[0] == 1
+    assert str(alone[3].errors[0]) == "Jacobian refused"
+
+
+def test_refused_jacobian_stops_its_row_with_the_error():
+    """A Jacobian that raises ``InputValidationError`` stops that row at its
+    best point, unconverged, with the error; the other rows carry on."""
+    out = damped_newton(mixed(arctan_system(), arctan_system(refuse_jacobian=True)),
+                        np.array([[0.0, 0.0], [0.5, 1.0]]), 1e-12, 50)
+    assert out.converged == [True, False] and out.errors[0] is None
+    assert str(out.errors[1]) == "Jacobian refused" and out.iterations[1] == 0
+    assert out.x[1, 0] == 0.5 and out.held[1] is not None
+
+
+def test_start_that_raises_leaves_the_row_unstarted():
+    """A row whose starting point raises is never stepped and keeps its error;
+    ``held`` says it has no evaluation. The batch is evaluated again row by
+    row, so the other rows start and converge."""
+
+    def fun(x):
+        if x[0] < 0.0:
+            raise InputValidationError("undefined start")
+        return arctan_system()(x)
+
+    out = damped_newton(batched(fun), np.array([[0.5], [-1.0]]), 1e-12, 50)
+    assert out.converged == [True, False] and out.iterations[1] == 0
+    assert out.held[1] is None and str(out.errors[1]) == "undefined start"
+    assert np.isnan(out.f[1, 0]) and out.x[1, 0] == -1.0
 
 
 def rosenbrock(x):

@@ -12,6 +12,9 @@ from uppkit import market as mk
 from uppkit.ces import CESEconomy, Consumer
 from uppkit.errors import InputValidationError
 from uppkit.market import OUTSIDE
+from uppkit.newton import damped_newton
+
+from tests.test_harness import hard_ces_market, hard_merger_problem
 
 
 def self_consistent_market(alpha, eta, ids=None, budget=1.0, revenue_scale=1.0):
@@ -256,40 +259,44 @@ class TestFocJacobian:
         np.testing.assert_allclose(jac, cs, rtol=0.0, atol=1e-12 * np.max(np.abs(cs)))
 
     def test_state_evaluations_scale_with_iterations_not_products(self, monkeypatch):
-        """With the closed-form Jacobian each Newton step evaluates the state
-        about once; a central-difference Jacobian would take 2J = 40 per step."""
+        """With the closed-form Jacobian each Newton step of each member of the
+        batch evaluates its state about once, and one call serves every member
+        still stepping; a central-difference Jacobian would take 2J = 40 per step."""
         problem = forty_consumer_problem()
 
-        states, iterations = [], []
+        calls, rows, batches = [], [], []
         state, newton = simulation.post_merger_state, simulation.damped_newton
 
         def counting(prob, pdd):
-            states.append(1)
+            calls.append(1)
+            rows.append(len(np.atleast_2d(pdd)))
             return state(prob, pdd)
 
         def recording(*args, **kwargs):
             out = newton(*args, **kwargs)
-            iterations.append(out[2])
+            batches.append(out)
             return out
 
         monkeypatch.setattr(simulation, "post_merger_state", counting)
         monkeypatch.setattr(simulation, "damped_newton", recording)
         result = simulation.simulate(problem)
-        assert result.converged and result.unique and len(iterations) == 3
-        assert sum(iterations) > 0
-        # the zero-change state, each solve's start and steps, and the root's state
-        assert len(states) <= 2 + 3 * (sum(iterations) + len(iterations))
+        (batch,) = batches
+        steps = batch.iterations
+        assert result.converged and result.unique and len(steps) == 3 and min(steps) > 0
+        # the zero-change state, then per member its start and about one trial a step
+        assert sum(rows) <= 1 + 3 * (sum(steps) + len(steps))
+        assert len(calls) <= 2 + 3 * max(steps)
 
     def test_jacobian_built_once_per_newton_step(self, monkeypatch):
         """``foc_residual`` hands Newton a Jacobian callable, built only where a
-        step is taken: as many builds as steps over the three solves, none at a
-        root, while every trial point still evaluates the residual."""
-        builds, focs, iterations = [], [], []
+        step is taken: as many Jacobian rows as steps over the three members,
+        none at a root, while every trial point still evaluates the residual."""
+        built, focs, batches = [], [], []
         jacobian, foc, newton = (simulation._foc_jacobian, simulation.foc_residual,
                                  simulation.damped_newton)
 
         def counting_jacobian(s, co_owned):
-            builds.append(s.pdd.copy())
+            built.extend(np.atleast_2d(s.pdd).copy())
             return jacobian(s, co_owned)
 
         def counting_foc(*args, **kwargs):
@@ -298,18 +305,18 @@ class TestFocJacobian:
 
         def recording(*args, **kwargs):
             out = newton(*args, **kwargs)
-            iterations.append(out[2])
+            batches.append(out)
             return out
 
         monkeypatch.setattr(simulation, "_foc_jacobian", counting_jacobian)
         monkeypatch.setattr(simulation, "foc_residual", counting_foc)
         monkeypatch.setattr(simulation, "damped_newton", recording)
         result = simulation.simulate(forty_consumer_problem())
-        assert result.converged and len(iterations) == 3 and sum(iterations) > 3
-        assert len(builds) == sum(iterations)
-        assert len(focs) >= len(builds) + 3  # each solve also evaluates its start
-        root = np.array([result.price_changes[pid] for pid in result.order])
-        assert not any(np.array_equal(b, root) for b in builds)
+        (batch,) = batches
+        assert result.converged and len(batch.iterations) == 3 and sum(batch.iterations) > 3
+        assert len(built) == sum(batch.iterations)
+        assert len(focs) >= max(batch.iterations) + 1  # the starts, then the trials
+        assert not any(np.array_equal(b, root) for b in built for root in batch.x)
 
     @pytest.mark.parametrize("problem", jacobian_problems(), ids=["plain", "nested_mu_1"])
     @pytest.mark.parametrize("point", range(len(JACOBIAN_POINTS)))
@@ -322,12 +329,25 @@ class TestFocJacobian:
         a = state.alpha[:, :n]
         own = (1.0 - econ.eta) * (wb @ (a * (1.0 - a))) / (wb @ a)
         np.testing.assert_allclose(state.eps, own - 1.0, rtol=1e-15, atol=0.0)
-        wa, spend, den, pair = state.moments
+        spend, den, pair = state.moments
+        wa = ces._diversion_from_share_values(state.alpha, wb, econ.order)[2][0]
         np.testing.assert_array_equal(wa, wb[:, None] * a)
         np.testing.assert_allclose(spend, wb @ a, rtol=1e-15)
         np.testing.assert_allclose(den, spend - np.diag(pair[:, :n]), rtol=0.0,
                                    atol=1e-14 * np.max(spend))
         np.testing.assert_allclose(pair, wa.T @ state.alpha, rtol=1e-15)
+
+
+def undefined_at(pdd):
+    """``post_merger_state`` that refuses every batch holding the row ``pdd``."""
+    state = simulation.post_merger_state
+
+    def refusing(prob, x):
+        if any(np.array_equal(row, pdd) for row in np.atleast_2d(x)):
+            raise InputValidationError("diversion undefined")
+        return state(prob, x)
+
+    return refusing
 
 
 class TestSimulate:
@@ -417,67 +437,68 @@ class TestSimulate:
     def test_resolve_that_cannot_start_keeps_the_root(self, staples_bundle, staples_economy,
                                                       monkeypatch):
         """A uniqueness re-solve whose start has no defined state is a failed
-        re-solve; the converged main root stands."""
+        re-solve; the converged main root stands. The batch that holds it is
+        evaluated again row by row, so the other rows start."""
         problem = simulation.merger_problem(
             staples_bundle.market, staples_economy, staples_bundle.merger
         )
         expected = simulation.simulate(problem)
-        state, seen_zero = simulation.post_merger_state, []
-
-        def undefined_at_zero_after_warm_start(prob, pdd):
-            if not np.any(pdd):
-                seen_zero.append(True)
-                if len(seen_zero) > 1:
-                    raise InputValidationError("diversion undefined")
-            return state(prob, pdd)
-
-        monkeypatch.setattr(simulation, "post_merger_state", undefined_at_zero_after_warm_start)
+        twice = 2.0 * simulation._gaps_and_warm_start(problem)[1]
+        monkeypatch.setattr(simulation, "post_merger_state", undefined_at(twice))
         result = simulation.simulate(problem)
-        assert len(seen_zero) == 2
         assert result.converged and result.unique
         assert result.price_changes == expected.price_changes
+        assert result.iterations == expected.iterations
+        assert [w for w in result.warnings if "re-solve" in w] == [
+            "uniqueness re-solve from 2x GUPPI could not start: diversion undefined"]
 
     def test_failed_resolves_are_reported(self, staples_bundle, staples_economy, monkeypatch):
-        """A uniqueness re-solve that cannot start, or does not converge, is
-        named in the warnings with its start; neither finds a second root, so
-        the result still reads unique."""
+        """A uniqueness re-solve that does not converge, or whose Jacobian is
+        refused after k steps, is named in the warnings with its start and
+        stage; neither finds a second root, so the result still reads unique.
+        A refused Jacobian on the main solve raises, as its undefined start does."""
         problem = simulation.merger_problem(
             staples_bundle.market, staples_economy, staples_bundle.merger
         )
         expected = simulation.simulate(problem)
         assert not any("re-solve" in w for w in expected.warnings)
+        g = simulation._gaps_and_warm_start(problem)[1]
+        jacobian = simulation._foc_jacobian
 
-        newton, solves = simulation.damped_newton, []
+        def refusing(at, singular=False):
+            def jac(s, co_owned):
+                out = jacobian(s, co_owned)
+                hit = [np.array_equal(row, at) for row in np.atleast_2d(s.pdd)]
+                if any(hit) and not singular:
+                    raise InputValidationError("simulation Jacobian overflows: test")
+                out[np.array(hit)] = 0.0  # a singular J for that member alone
+                return out
+            return jac
 
-        def capped_resolves(fun, x0, tolerance, max_iterations, **kwargs):
-            solves.append(x0)
-            return newton(fun, x0, tolerance, max_iterations if len(solves) == 1 else 0, **kwargs)
-
-        monkeypatch.setattr(simulation, "damped_newton", capped_resolves)
-        result = simulation.simulate(problem)
-        assert len(solves) == 3 and result.converged and result.unique
-        assert result.price_changes == expected.price_changes
-        resolves = [w for w in result.warnings if "re-solve" in w]
-        assert len(resolves) == 2
-        assert resolves[0].startswith("uniqueness re-solve from 0 did not converge: residual ")
-        assert resolves[1].startswith("uniqueness re-solve from 2x GUPPI did not converge: ")
-        assert all(w.endswith("after 0 iterations") for w in resolves)
-
-        monkeypatch.setattr(simulation, "damped_newton", newton)
-        state, at_zero = simulation.post_merger_state, []
-
-        def undefined_at_zero_after_warm_start(prob, pdd):
-            if not np.any(pdd):
-                at_zero.append(True)
-                if len(at_zero) > 1:
-                    raise InputValidationError("diversion undefined")
-            return state(prob, pdd)
-
-        monkeypatch.setattr(simulation, "post_merger_state", undefined_at_zero_after_warm_start)
+        monkeypatch.setattr(simulation, "_foc_jacobian", refusing(np.zeros(2), singular=True))
         result = simulation.simulate(problem)
         assert result.converged and result.unique
+        assert result.price_changes == expected.price_changes
+        resolves = [w for w in result.warnings if "re-solve" in w]
+        assert len(resolves) == 1
+        assert resolves[0].startswith("uniqueness re-solve from 0 did not converge: residual ")
+        assert resolves[0].endswith("after 1 iterations")
+
+        monkeypatch.setattr(simulation, "_foc_jacobian", refusing(np.zeros(2)))
+        result = simulation.simulate(problem)
+        assert result.converged and result.unique
+        assert result.price_changes == expected.price_changes
         assert [w for w in result.warnings if "re-solve" in w] == [
-            "uniqueness re-solve from 0 could not start: diversion undefined"]
+            "uniqueness re-solve from 0 stopped after 0 iterations: "
+            "simulation Jacobian overflows: test"]
+
+        monkeypatch.setattr(simulation, "_foc_jacobian", refusing(g))
+        with pytest.raises(InputValidationError, match="Jacobian overflows: test"):
+            simulation.simulate(problem)
+        monkeypatch.setattr(simulation, "_foc_jacobian", jacobian)
+        monkeypatch.setattr(simulation, "post_merger_state", undefined_at(g))
+        with pytest.raises(InputValidationError, match="diversion undefined"):
+            simulation.simulate(problem)
 
     def test_third_firm_price_also_adjusts(self):
         """Non-merging firms re-optimize too: their price change is part of the
@@ -558,7 +579,8 @@ class TestSimulate:
 
     def test_one_state_at_zero_before_the_solve(self, staples_bundle, staples_economy, monkeypatch):
         """The pre-merger check and the GUPPI warm start share one evaluation at
-        pdd = 0; the only other one starts the uniqueness re-solve from 0."""
+        pdd = 0; the only other one is the uniqueness re-solve's start, a row
+        of the batch's first evaluation."""
         problem = simulation.merger_problem(
             staples_bundle.market, staples_economy, staples_bundle.merger
         )
@@ -566,13 +588,55 @@ class TestSimulate:
         state = simulation.post_merger_state
 
         def counting(prob, pdd):
-            at_zero.append(not np.any(pdd))
+            at_zero.append(sum(not np.any(row) for row in np.atleast_2d(pdd)))
             return state(prob, pdd)
 
         monkeypatch.setattr(simulation, "post_merger_state", counting)
         assert simulation.simulate(problem).converged
-        assert sum(at_zero) == 2
-        assert at_zero[0]
+        assert at_zero[:2] == [1, 1] and sum(at_zero) == 2
+
+
+def small_grid_problem(seed):
+    """A market like the benchmark's small simulation grid: 2-6 single-product
+    firms, 1-5 consumers who consider every product, margins from the
+    pre-merger pricing conditions; firms f0 and f1 merge."""
+    rng = np.random.default_rng(seed)
+    n_prod, n_cons = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+    ids = [f"g{j}" for j in range(n_prod)]
+    econ = CESEconomy(tuple(
+        Consumer(f"c{i}", float(rng.uniform(50.0, 150.0)),
+                 {pid: float(rng.normal()) for pid in ids}) for i in range(n_cons)
+    ), float(rng.uniform(3.0, 8.0)))
+    eps = ces.own_price_elasticity_of_demand(econ)
+    market = mk.Market(tuple(
+        mk.Product(pid, f"f{j}", 1.0, -1.0 / eps[pid]) for j, pid in enumerate(ids)))
+    return merged_problem(market, econ)
+
+
+class TestLockStepBatch:
+    @pytest.mark.parametrize("kind, seed", [("grid", k) for k in range(24)]
+                             + [("hard", k) for k in range(6)])
+    def test_rows_match_standalone_solves(self, kind, seed):
+        """simulate's batch (GUPPI start, 0, twice GUPPI): each row takes the
+        steps and reaches the convergence of a solve from its start alone,
+        at the same point to 1e-14."""
+        problem = (small_grid_problem(seed) if kind == "grid"
+                   else hard_merger_problem(hard_ces_market(seed)))
+        g = simulation._gaps_and_warm_start(problem)[1]
+        starts = np.stack([g, 0.0 * g, 2.0 * g])
+
+        def solve(x0):
+            return damped_newton(lambda x: simulation.foc_residual(problem, x, jacobian=True),
+                                 x0, simulation.SolverConfig().tolerance,
+                                 simulation.MAX_ITERATIONS, lower_bound=simulation.LOWER_BOUND)
+
+        batch = solve(starts)
+        assert batch.converged[0]
+        for r in range(3):
+            alone = solve(starts[r:r + 1])
+            assert batch.iterations[r] == alone.iterations[0]
+            assert batch.converged[r] == alone.converged[0]
+            np.testing.assert_allclose(batch.x[r], alone.x[0], rtol=0.0, atol=1e-14)
 
 
 class TestConsistencyCheck:
