@@ -212,11 +212,6 @@ def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) ->
     return -1.0 / eps - m + pressure(eps, d, m, co_owned)
 
 
-def _diag(a: np.ndarray) -> np.ndarray:
-    """Writeable view of the diagonals of a square matrix or a stack of them."""
-    return np.einsum("...jj->...j", a)
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of a matrix or of each matrix in a stack."""
     return np.swapaxes(a, -1, -2)
@@ -264,7 +259,8 @@ def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
     pull /= den[..., None]
     df = k1[..., None] * ((b / spend)[..., None] * slope)
     df += k2[..., None] * (co_d * (1.0 - s.m + b * s.m)[..., None, :] - pull)
-    _diag(df)[...] += k1 * (b / spend * shift) - k2 * (c * shift / den) - (1.0 - s.m)
+    np.einsum("...jj->...j", df)[...] += (  # a writeable view of the diagonals
+        k1 * (b / spend * shift) - k2 * (c * shift / den) - (1.0 - s.m))
     df /= (1.0 + s.pdd)[..., None, :]
     return df
 
@@ -395,7 +391,7 @@ def simulate(
         )
 
     x, f, its, ok, errors, held = damped_newton(
-        lambda x: foc_residual(problem, x, jacobian=True), np.stack([g, 0.0 * g, 2.0 * g]),
+        lambda x: foc_residual(problem, x, jacobian=True), np.stack([g, np.zeros_like(g), 2.0 * g]),
         config.tolerance, MAX_ITERATIONS, lower_bound=LOWER_BOUND,
     )
     if errors[_PRIMARY] is not None:

@@ -123,3 +123,16 @@ def test_geography_mutations(tmp_path):
     n, bad = failures(tmp_path, "G", GEOGRAPHY, lambda index: [
         (["fit", "G"], ("json", "table")[index % 2])], where)
     assert n > 500 and bad == []
+
+
+def test_fit_with_mu_at_the_edge_exits_3(tmp_path):
+    """budgets[0] = 1 drives the fitted mu to about 3e-65, where the logistic is
+    flat: the fit is reported unconverged (exit 3), not converged (exit 0)."""
+    geo = json.loads(json.dumps(GEOGRAPHY))
+    geo["budgets"][0] = 1
+    path = tmp_path / "geography.json"
+    path.write_text(json.dumps(geo))
+    result = CliRunner().invoke(main, ["fit", str(path), "--format", "json"])
+    assert result.exit_code == 3, result.output
+    doc = json.loads(result.output, parse_constant=pytest.fail)
+    assert not doc["result"]["converged"] and "edge of (0, 1)" in doc["result"]["message"]

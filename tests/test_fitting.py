@@ -191,6 +191,22 @@ class TestEstimatorSurface:
         assert not res.converged
         assert "not converged" in res.message
 
+    def test_mu_at_the_edge_is_not_converged(self):
+        """The 5x5 seed-5 geography with one budget of 1 drives mu into the
+        logistic's flat tail (about 3e-65), where the step test stopped the solve
+        as converged with a residual s.e. of about 107: it is reported
+        unconverged, naming the edge of (0, 1)."""
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=5, n_tracts=5, n_stores=5))
+        budgets = fx.budgets.copy()
+        budgets[0] = 1.0
+        res = fitting.fit_nested_ces(
+            np.array([fx.revenues[s] for s in fx.store_ids]), fx.design, budgets,
+            [fx.nests[s] for s in fx.store_ids], mask=fx.mask, consumer_weights=fx.weights)
+        assert not res.converged and res.mu < 1e-30
+        assert res.message.startswith("not converged: mu = ")
+        assert "at the edge of (0, 1)" in res.message
+
     def test_iteration_log_populated(self, fixture):
         res = fit_fixture(fixture)
         # one entry per residual evaluation: the Jacobian is analytic
