@@ -41,8 +41,9 @@ from .newton import levenberg_marquardt
 MU0 = 0.5  # the nesting parameter's start; theta starts at 0
 MAX_ITERATIONS = 500  # Levenberg-Marquardt trial steps, accepted or rejected
 MAX_SCALE = 1e100  # bound on budgets, weights, revenues and the solve's scales
-# A fit whose logistic slope mu (1 - mu) is below this sits at the edge of (0, 1),
-# where the Jacobian's mu column vanishes and a small step certifies no optimum.
+# A fit whose mu is below this sits at the lower edge of (0, 1], where the
+# logistic is flat, the Jacobian's mu column vanishes and a small step certifies
+# no optimum. The upper edge is a model, plain CES (mu = 1), and is not flagged.
 MU_EDGE = 1e-8
 
 
@@ -226,8 +227,8 @@ def fit_nested_ces(
     x0 = np.concatenate([np.zeros(k), [np.log(MU0 / (1.0 - MU0))]])
     x, res, _, converged, reason = levenberg_marquardt(evaluate, x0, MAX_ITERATIONS)
     mu = _expit(x[k])
-    if converged and mu * (1.0 - mu) < MU_EDGE:
-        converged, reason = False, (f"mu = {mu:.3g} at the edge of (0, 1), where the logistic "
+    if converged and mu < MU_EDGE:
+        converged, reason = False, (f"mu = {mu:.3g} at the lower edge of (0, 1], where the logistic "
                                     f"is flat, so the stop test ({reason}) certifies nothing")
     dof = max(n_s - (k + 1), 1)
     return FitResult(x[:k], mu, converged, float(np.sqrt(res @ res / dof)),

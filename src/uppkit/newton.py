@@ -4,7 +4,8 @@
 ``simulation.simulate`` (percentage price changes) and
 ``harness.solve_bertrand`` (log prices). It steps a batch of independent
 systems in lock step: one residual call and one Jacobian call serve every
-row still stepping, and each row follows the path it would follow alone.
+row still stepping, and each row follows the path it would follow alone
+while the first row, the main solve, steps or has converged.
 ``simulate`` solves from its GUPPI start and its two uniqueness starts as one
 batch, so at a few products and consumers, where numpy's per-call overhead
 is the cost of a step, the three solves cost about one; the harness passes
@@ -65,29 +66,31 @@ def _evaluate(fun, x):
 
 
 def _jacobians(held, rows, errors):
-    """The stacked Jacobians at ``rows`` (ascending), one call per evaluation
-    that holds them, and the rows they belong to. A call that raises
-    ``InputValidationError`` is made again row by row; a row whose Jacobian
-    is refused gets the error in ``errors`` and is left out."""
-    jacobian = held[rows[0]][0]
-    group = [r for r in rows if held[r][0] is jacobian]
-    try:
-        built, kept = [jacobian([held[r][1] for r in group])], group
-    except InputValidationError as err:
-        if len(group) == 1:
-            errors[group[0]] = err
-            built, kept = [], []
-        else:
-            parts = [_jacobians(held, [r], errors) for r in group]
-            built, kept = [jac for jac, ok in parts if ok], [r for _, ok in parts for r in ok]
-    if len(group) < len(rows):
-        jac, more = _jacobians(held, [r for r in rows if held[r][0] is not jacobian], errors)
-        if more:
-            built, kept = built + [jac], kept + more
+    """The stacked Jacobians at ``rows`` and the rows they belong to, in the
+    same order: one call per evaluation that holds some of them. A call that
+    raises ``InputValidationError`` is made again one row at a time; a row
+    whose Jacobian is refused gets the error in ``errors`` and is left out."""
+    groups = {}  # the rows each evaluation holds
+    for r in rows:
+        groups.setdefault(held[r][0], []).append(r)
+    built, kept = [], []
+    for jacobian, group in groups.items():
+        try:
+            built.append(jacobian([held[r][1] for r in group]))
+            kept += group
+        except InputValidationError as err:
+            if len(group) == 1:
+                errors[group[0]] = err
+                continue
+            for r in group:
+                try:
+                    built.append(jacobian([held[r][1]]))
+                    kept.append(r)
+                except InputValidationError as row_err:
+                    errors[r] = row_err
     if len(built) < 2:
         return (built[0] if built else None), kept
-    order = sorted(range(len(kept)), key=kept.__getitem__)  # back to the rows' order
-    return np.concatenate(built)[order], [kept[i] for i in order]
+    return np.concatenate(built), kept
 
 
 def _steps(jac, f):
@@ -126,7 +129,10 @@ def damped_newton(
     start where ``fun`` raises it leaves the row unstarted, with the error;
     elsewhere it reads as a NaN residual, and a non-finite candidate is no
     improvement. One row's undefined point, singular J or failed search
-    changes no other row's path. Failing to converge is reported, not raised.
+    changes no other row's path, with one exception: the first row is the
+    batch's main solve, and the batch ends once that row stops short of the
+    tolerance (unstarted, refused or stalled), the other rows where they
+    are. Failing to converge is reported, not raised.
     """
     x = np.maximum(x0, lower_bound)  # np.clip(x0, lower_bound, None), with less call overhead
     f, held, errors = _evaluate(fun, x)
@@ -136,9 +142,10 @@ def damped_newton(
     stepping = full = list(range(len(x)))
     while True:
         stepping = [r for r in stepping if norm[r] >= tolerance and its[r] < max_iterations]
-        if stepping:
+        # the batch ends when its first row stops short of the tolerance
+        if stepping and (0 in stepping or norm[0] < tolerance):
             jac, stepping = _jacobians(held, stepping, errors)
-        if not stepping:
+        if not stepping or not (0 in stepping or norm[0] < tolerance):
             break
         for r in stepping:
             its[r] += 1

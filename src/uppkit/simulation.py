@@ -371,9 +371,10 @@ def simulate(
     each follows the path it would follow alone. The result's post-merger
     state is the solve's own last evaluation at the root.
 
-    Re-solves are read only when the main solve converged: ``unique`` is
-    False only if a re-solve converges to a root more than 1e-6 away. So
-    ``unique`` means "no second root found": a re-solve that cannot start,
+    Re-solves are read only when the main solve converged, and stop with it
+    when it does not: ``unique`` is False only if a re-solve converges to a
+    root more than 1e-6 away. So ``unique`` means "no second root found":
+    a re-solve that cannot start,
     stops on a refused Jacobian or does not converge finds none, and is
     reported in ``warnings`` with its start. A non-convergent run returns a
     diagnostic result with ``converged=False`` rather than raising; a main

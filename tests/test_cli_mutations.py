@@ -135,4 +135,4 @@ def test_fit_with_mu_at_the_edge_exits_3(tmp_path):
     result = CliRunner().invoke(main, ["fit", str(path), "--format", "json"])
     assert result.exit_code == 3, result.output
     doc = json.loads(result.output, parse_constant=pytest.fail)
-    assert not doc["result"]["converged"] and "edge of (0, 1)" in doc["result"]["message"]
+    assert not doc["result"]["converged"] and "lower edge of (0, 1]" in doc["result"]["message"]

@@ -195,7 +195,7 @@ class TestEstimatorSurface:
         """The 5x5 seed-5 geography with one budget of 1 drives mu into the
         logistic's flat tail (about 3e-65), where the step test stopped the solve
         as converged with a residual s.e. of about 107: it is reported
-        unconverged, naming the edge of (0, 1)."""
+        unconverged, naming the lower edge of (0, 1]."""
         fx = fitting.generate_spatial_fixture(
             fitting.SpatialConfig(seed=5, n_tracts=5, n_stores=5))
         budgets = fx.budgets.copy()
@@ -205,7 +205,21 @@ class TestEstimatorSurface:
             [fx.nests[s] for s in fx.store_ids], mask=fx.mask, consumer_weights=fx.weights)
         assert not res.converged and res.mu < 1e-30
         assert res.message.startswith("not converged: mu = ")
-        assert "at the edge of (0, 1)" in res.message
+        assert "at the lower edge of (0, 1]" in res.message
+
+    def test_mu_at_the_upper_edge_is_a_fit(self):
+        """mu = 1 is plain CES, a model the fitter covers: noisy revenues from a
+        SpatialConfig(mu=1) geography fit with mu within 1e-8 of 1, and the fit
+        is reported converged by its stop test, as an interior one is."""
+        fx = fitting.generate_spatial_fixture(
+            fitting.SpatialConfig(seed=7, n_tracts=30, n_stores=10, mu=1.0))
+        revenues = np.array([fx.revenues[s] for s in fx.store_ids])
+        revenues *= np.exp(0.05 * np.random.default_rng(7).standard_normal(len(revenues)))
+        res = fitting.fit_nested_ces(
+            revenues, fx.design, fx.budgets, [fx.nests[s] for s in fx.store_ids],
+            mask=fx.mask, consumer_weights=fx.weights)
+        assert res.converged and 0.0 < 1.0 - res.mu < fitting.MU_EDGE
+        assert res.message == "relative cost reduction below 1e-08"
 
     def test_iteration_log_populated(self, fixture):
         res = fit_fixture(fixture)

@@ -231,7 +231,8 @@ def padded(system):
 def test_batch_rows_follow_their_standalone_paths():
     """Rows stepped in lock step take the path each takes alone: same steps,
     same convergence, the same point to the last bit, while a NaN trial
-    point, a singular J or a refused Jacobian stops or shortens another row."""
+    point, a singular J or a refused Jacobian stops or shortens another row
+    (the first row, the main solve, converges)."""
     fun, jac = coupled_system(2)
     systems = (
         lambda x: (fun(x), lambda: jac(x)),
@@ -241,7 +242,7 @@ def test_batch_rows_follow_their_standalone_paths():
     )
     rows = np.array([[0.0, 0.0, 0], [0.0, 0.0, 1], [0.3, 0.0, 2], [0.0, 0.0, 3], [3.0, -2.0, 0]])
     alone = [damped_newton(mixed(*systems), row[None], 1e-12, 50) for row in rows]
-    for group in ([0, 4], [1, 2, 3], [2, 1], [3, 0, 1, 4], [0, 1, 2, 3, 4]):
+    for group in ([0, 4], [1, 2, 3], [4, 2, 1], [0, 3, 1, 4], [1, 3, 0, 2, 4]):
         out = damped_newton(mixed(*systems), rows[group], 1e-12, 50)
         for k, r in enumerate(group):
             assert out.iterations[k] == alone[r].iterations[0]
@@ -251,6 +252,43 @@ def test_batch_rows_follow_their_standalone_paths():
     assert alone[0].converged[0] and alone[1].converged[0] and alone[4].converged[0]
     assert not alone[2].converged[0] and alone[2].iterations[0] == 1
     assert str(alone[3].errors[0]) == "Jacobian refused"
+
+
+def test_batch_ends_when_its_first_row_stops_short():
+    """The first row is the batch's main solve: once it stops unconverged,
+    on a singular J, a refused Jacobian or an undefined start, the other rows
+    stop where they are and no Jacobian is built for them again."""
+    fun, jac = coupled_system(2)
+    systems = (
+        lambda x: (fun(x), lambda: jac(x)),
+        padded(lambda x: (np.ones(1), lambda: np.zeros((1, 1)))),  # singular J
+        padded(arctan_system(refuse_jacobian=True)),  # Jacobian refused at the start
+    )
+    others = np.array([[0.0, 0.0, 0], [3.0, -2.0, 0]])
+    one_step = damped_newton(mixed(*systems), others, 1e-12, 1)
+    built = []
+
+    def counted(x):
+        f, jacobian = mixed(*systems)(x)
+        return f, lambda rows: built.append(len(rows)) or jacobian(rows)
+
+    out = damped_newton(counted, np.vstack([[[0.3, 0.0, 1]], others]), 1e-12, 50)
+    assert out.iterations == [1, 1, 1] and out.converged == [False] * 3
+    assert built == [3]  # the Jacobians of the first step, and no more
+    np.testing.assert_array_equal(out.x[1:], one_step.x)
+
+    out = damped_newton(mixed(*systems), np.vstack([[[0.0, 0.0, 2]], others]), 1e-12, 50)
+    assert out.iterations == [0, 0, 0] and str(out.errors[0]) == "Jacobian refused"
+    np.testing.assert_array_equal(out.x[1:], others)
+
+    def undefined_first(x):
+        if (x[:, 0] < 0.0).any():
+            raise InputValidationError("undefined start")
+        return mixed(*systems)(x)
+
+    out = damped_newton(undefined_first, np.vstack([[[-1.0, 0.0, 0]], others]), 1e-12, 50)
+    assert out.iterations == [0, 0, 0] and out.held[0] is None
+    assert out.held[1] is not None and out.converged == [False] * 3
 
 
 def test_refused_jacobian_stops_its_row_with_the_error():

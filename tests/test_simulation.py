@@ -500,6 +500,32 @@ class TestSimulate:
         with pytest.raises(InputValidationError, match="diversion undefined"):
             simulation.simulate(problem)
 
+    def test_unconverged_main_solve_returns_its_diagnostic_result(
+            self, staples_bundle, staples_economy, monkeypatch):
+        """A main solve that stops unconverged, here on a singular J at the
+        GUPPI start, gives its diagnostic result without raising: the start,
+        converged False, no re-solve read; the re-solves stop with it, so no
+        Jacobian is built after its one step."""
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        g = simulation._gaps_and_warm_start(problem)[1]
+        jacobian, rows_built = simulation._foc_jacobian, []
+
+        def singular_at_g(s, co_owned):
+            out = jacobian(s, co_owned)
+            rows_built.append(len(out))
+            out[[np.array_equal(row, g) for row in s.pdd]] = 0.0
+            return out
+
+        monkeypatch.setattr(simulation, "_foc_jacobian", singular_at_g)
+        result = simulation.simulate(problem)
+        assert not result.converged and result.unique and result.iterations == 1
+        assert rows_built == [3]
+        assert list(result.price_changes.values()) == g.tolist()
+        assert result.residual_norm > 1e-3
+        assert not any("re-solve" in w for w in result.warnings)
+
     def test_third_firm_price_also_adjusts(self):
         """Non-merging firms re-optimize too: their price change is part of the
         system and generally nonzero."""
