@@ -373,13 +373,12 @@ def simulate(
 
     Re-solves are read only when the main solve converged, and stop with it
     when it does not: ``unique`` is False only if a re-solve converges to a
-    root more than 1e-6 away. So ``unique`` means "no second root found":
-    a re-solve that cannot start,
-    stops on a refused Jacobian or does not converge finds none, and is
-    reported in ``warnings`` with its start. A non-convergent run returns a
-    diagnostic result with ``converged=False`` rather than raising; a main
-    solve whose start or Jacobian is undefined raises
-    ``InputValidationError``.
+    root more than 1e-6 away. So ``unique`` means "no second root found": a
+    re-solve that cannot start, stops on a refused Jacobian or does not
+    converge finds none, and is reported in ``warnings`` with its start. A
+    non-convergent run returns a diagnostic result with ``converged=False``
+    rather than raising; a main solve whose start or Jacobian is undefined
+    raises ``InputValidationError``.
     """
     config = config or SolverConfig()
     warnings: list[str] = []
