@@ -376,7 +376,9 @@ def identify_eta(share_map: Mapping[str, float], eps: Mapping[str, float]) -> Et
 def second_choice_diversion(economy: CESEconomy, removed: str) -> dict[str, float]:
     """Revenue diversion from removing one product from all consideration sets:
     each surviving alternative's revenue gain divided by the removed product's
-    lost revenue. Under CES this equals the marginal (price-based) diversion."""
+    lost revenue. With one consumer under CES this equals the marginal
+    (price-based) diversion; across heterogeneous consumers the two weight
+    consumers differently (a B against a (1 - a) B) and part."""
     u, wb = economy._softmax_arrays("second-choice diversion")
     if removed == OUTSIDE:
         raise InputValidationError("cannot remove the outside option")

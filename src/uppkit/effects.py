@@ -262,7 +262,8 @@ def naive_cmcr(
 
         (m_j D_jk D_kj + m_k D_jk) / ((1 - m_j)(1 - D_jk D_kj)).
 
-    Only defined when both merging firms are single-product.
+    Only defined when both merging firms are single-product and
+    D_jk D_kj < 1: at D_jk D_kj = 1 the two firms lose no sales to anyone else.
     """
     pj, pk = single_product_pair(market, merger,
                                  "naive CMCR is unsupported for multi-product merging firms")
@@ -270,6 +271,9 @@ def naive_cmcr(
     for j, k in ((pj, pk), (pk, pj)):
         d_jk = diversion.get(j.id, k.id)
         d_kj = diversion.get(k.id, j.id)
+        if d_jk * d_kj >= 1.0:
+            raise InputValidationError(
+                f"naive CMCR undefined: D_jk x D_kj = {d_jk * d_kj:g} is not below 1")
         out[j.id] = (j.margin * d_jk * d_kj + k.margin * d_jk) / ((1.0 - j.margin) * (1.0 - d_jk * d_kj))
     return out
 

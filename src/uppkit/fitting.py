@@ -45,6 +45,9 @@ MAX_SCALE = 1e100  # bound on budgets, weights, revenues and the solve's scales
 # logistic is flat, the Jacobian's mu column vanishes and a small step certifies
 # no optimum. The upper edge is a model, plain CES (mu = 1), and is not flagged.
 MU_EDGE = 1e-8
+# A residual norm within this many ulps of the weighted revenues' norm is round-off:
+# an exact fit, where no step lowers the cost and the solver's stop tests cannot fire.
+EXACT_ULPS = 4
 
 
 def _expit(x: float) -> float:
@@ -227,6 +230,11 @@ def fit_nested_ces(
     x0 = np.concatenate([np.zeros(k), [np.log(MU0 / (1.0 - MU0))]])
     x, res, _, converged, reason = levenberg_marquardt(evaluate, x0, MAX_ITERATIONS)
     mu = _expit(x[k])
+    if not converged:
+        norm = np.linalg.norm(res)
+        if norm <= EXACT_ULPS * np.spacing(np.linalg.norm(revenues / scale)):
+            converged, reason = True, (f"exact fit: residual norm {norm:.3g} is round-off, "
+                                       f"within {EXACT_ULPS} ulps of the revenues' norm ({reason})")
     if converged and mu < MU_EDGE:
         converged, reason = False, (f"mu = {mu:.3g} at the lower edge of (0, 1], where the logistic "
                                     f"is flat, so the stop test ({reason}) certifies nothing")
@@ -277,7 +285,7 @@ class SpatialFixture:
 def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
     """Tracts and stores on a plane; consideration within ``radius`` miles;
     utilities linear in [1, distance, log size, discount flag]; budgets uniform
-    on [50, 150]; revenues from the nested-CES share kernel at (theta, mu).
+    on [50, 150]; revenues from the fitter's model at (theta, mu).
     Draws come from the Philox stream keyed by (seed, 0)."""
     rng = np.random.Generator(np.random.Philox(key=[config.seed & (2**64 - 1), 0]))
     tracts = rng.uniform(0.0, config.extent, size=(config.n_tracts, 2))
@@ -299,10 +307,8 @@ def generate_spatial_fixture(config: SpatialConfig) -> SpatialFixture:
     store_ids = tuple(f"s{j}" for j in range(config.n_stores))
     nests = {store_ids[j]: ("discount" if discount[j] else "regular")
              for j in range(config.n_stores)}
-    u = np.column_stack([np.where(mask, design @ theta, -np.inf), np.zeros(config.n_tracts)])
-    pairs = _pair_layout(np.isfinite(u), _nest_columns([nests[sid] for sid in store_ids]))
-    a = _nested_share_rows(u[pairs.rows, pairs.cols], pairs, config.mu)
-    revenues = np.bincount(pairs.cols, budgets[pairs.rows] * a, pairs.n_cols)[:-1]
+    revenues = _model_revenues(theta, config.mu, *_prepare(
+        design, budgets, [nests[sid] for sid in store_ids], mask, None))
     return SpatialFixture(
         design=design,
         mask=mask,

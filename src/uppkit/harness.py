@@ -132,9 +132,6 @@ class LogitGroundTruth:
     def quantities(self, prices: np.ndarray) -> np.ndarray:
         return self.share_rows(prices)[0]
 
-    def revenues(self, prices: np.ndarray) -> np.ndarray:
-        return prices * self.quantities(prices)
-
     def derivatives(self, prices: np.ndarray):
         """``(q, Q, hessian)`` from one share evaluation: Q_lj = dq_l/dp_j = -a q_l
         (delta_lj - s_j), and ``hessian()`` builds H_ljq = d2q_l/dp_j dp_q =

@@ -190,11 +190,11 @@ def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     / D^2 = 1e-2; Nielsen's update scales it by max(1/3, 1 - (2 rho - 1)^3) on
     an accepted step (rho: actual over predicted cost reduction) and by 2, 4,
     8, ... on successive rejected ones. A step is rejected unless the cost
-    falls and f, J are finite; ``fun`` raising ``InputValidationError`` rejects
-    it. Converged: max_j |J_j'f| / (|J_j| |f|) <= GTOL, or, after an accepted
-    step only (a rejected one's small predicted reduction reflects a large lam,
-    not an optimum), both reductions <= FTOL times the cost or |D h| <= XTOL
-    (|D x| + XTOL). ``max_iterations`` caps the trial steps, one evaluation
+    falls, the predicted reduction is positive and f, J are finite; ``fun``
+    raising ``InputValidationError`` rejects it. Converged: max_j |J_j'f| /
+    (|J_j| |f|) <= GTOL, or, after an accepted step only (a rejected one's
+    small predicted reduction reflects a large lam, not an optimum), both
+    reductions <= FTOL times the cost or |D h| <= XTOL (|D x| + XTOL). ``max_iterations`` caps the trial steps, one evaluation
     each; a solve whose damping overflows, every trial step rejected, stops
     unconverged. Returns ``(x, f, steps, converged, reason)``.
     """
@@ -214,7 +214,8 @@ def levenberg_marquardt(fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
             h = np.linalg.solve(jtj + lam * np.diag(dd), -g)
             fc, Jc = _value(fun, x + h)
             predicted, cost_c = 0.5 * h @ (lam * dd * h - g), 0.5 * fc @ fc
-            rho = (cost - cost_c) / predicted
+            # a step that predicts no reduction, as at a round-off cost, is rejected
+            rho = (cost - cost_c) / predicted if predicted > 0.0 else -1.0
             if rho > 0.0 and np.all(np.isfinite(Jc)):  # rho > 0 is False for NaN
                 break
             lam, nu = float(lam) * nu, 2.0 * nu  # Python floats overflow to inf silently

@@ -30,10 +30,10 @@ from .simulation import SimulationProblem, _foc_jacobian, post_merger_state
 
 @dataclass(frozen=True)
 class PassthroughInputs:
-    """Everything the pass-through needs, for products j and k."""
+    """Everything the pass-through needs, for products j and k. The inside
+    shares are not among them: the diversion pair fixes them
+    (:func:`shares_from_diversion`)."""
 
-    alpha_j: float
-    alpha_k: float
     m_j: float
     m_k: float
     eps_jj: float
@@ -48,10 +48,6 @@ class PassthroughInputs:
             raise InputValidationError(f"pass-through inputs must be finite: {', '.join(bad)}")
         if not (0.0 <= self.m_j < 1.0 and 0.0 <= self.m_k < 1.0):
             raise InputValidationError("margins must lie in [0, 1)")
-        if not (0.0 < self.alpha_j < 1.0 and 0.0 < self.alpha_k < 1.0):
-            raise InputValidationError("shares must lie in (0, 1)")
-        if self.alpha_j + self.alpha_k >= 1.0:
-            raise InputValidationError("inside shares must sum below 1 (outside option required)")
         if self.eps_jj >= -1.0 or self.eps_kk >= -1.0:
             raise InputValidationError("own-price elasticities must be < -1")
         if self.eta <= 1.0:
@@ -66,8 +62,8 @@ def passthrough_matrix(
     """M = -J^(-1), with J the Jacobian of the merged firm's pricing conditions
     at pdd = 0 (``simulation._foc_jacobian``): its levels are the observed
     elasticities and diversion pair, its slopes those of the one-consumer CES
-    economy with shares (alpha_j, alpha_k) and ``eta``."""
-    a_j, a_k = inputs.alpha_j, inputs.alpha_k
+    economy with ``eta`` and the shares the diversion pair implies."""
+    a_j, a_k = shares_from_diversion(inputs.d_jk, inputs.d_kj)
     economy = economy_from_shares(
         {"i": {"j": a_j, "k": a_k, OUTSIDE: 1.0 - a_j - a_k}}, {"i": 1.0}, inputs.eta)
     market = Market((Product("j", "f", 1.0, inputs.m_j), Product("k", "f", 1.0, inputs.m_k)))
@@ -120,8 +116,5 @@ def passthrough_matrix_from_market(
     alpha_j, alpha_k = shares_from_diversion(d_jk, d_kj)
     eps = own_price_elasticities(market, diversion, merger)
     eta = identify_eta({pj.id: alpha_j, pk.id: alpha_k}, eps).eta
-    inputs = PassthroughInputs(
-        alpha_j, alpha_k, pj.margin, pk.margin,
-        eps[pj.id], eps[pk.id], d_jk, d_kj, eta,
-    )
+    inputs = PassthroughInputs(pj.margin, pk.margin, eps[pj.id], eps[pk.id], d_jk, d_kj, eta)
     return passthrough_matrix(inputs, (pj.id, pk.id))

@@ -218,22 +218,9 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
-    """d f / d pdd of the pricing conditions at the state ``s``, in closed form,
-    stacked for a batched state; it forms only T and G. Spending so small that
-    (eta - 1) / S_j overflows is refused.
-
-    The module docstring's formulas, with their delta_jq terms gathered into
-    one diagonal: with r_j = den_j / S_j and k_j = 1 + 1/eps_j,
-
-        df_jq = (1 - C_j) / eps_j^2 (b / S_j) b (2 T_jjq + (r_j - 1) P_jq)
-                + k_j co_jq D_jq (1 - m_q + b m_q)
-                - k_j b (2 G_jq + C_j (2 T_jjq - P_jq)) / den_j
-                + delta_jq ((1 - C_j) / eps_j^2 (b / S_j) b (den_j - S_j)
-                            - k_j C_j b (den_j - S_j) / den_j - (1 - m_j)),
-
-    grouped as the formulas group them, so that no product such as b^2 / S_j
-    or b / den_j overflows where they do not.
-    """
+    """d f / d pdd of the pricing conditions at the state ``s``: the module
+    docstring's formulas, term by term, stacked for a batched state; it forms
+    only T and G. Spending so small that (eta - 1) / S_j overflows is refused."""
     b = 1.0 - s.problem.economy.eta
     n = s.m.shape[-1]
     a = s.alpha[..., :n]
@@ -241,28 +228,20 @@ def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
     if spend.min() < -b / _FLOAT_MAX:
         raise InputValidationError("simulation Jacobian overflows: (eta - 1) / spending")
     wa = s.problem.economy._dense[1][:, None] * a  # the diversion kernel's spending block
-    pair = pair[..., :n]  # P_jq
+    p = pair[..., :n]  # P_jq
+    t = _t(wa * a) @ a  # T_jjq
+    g = _t(wa * (a @ _t(co_owned * s.m[..., None, :]))) @ a  # G_jq
     co_d = co_owned * s.d
-    c = (co_d @ s.m[..., None])[..., 0]
-    third = _t(wa * a) @ a
-    third *= 2.0  # 2 T_jjq
-    block = a @ _t(co_owned * s.m[..., None, :])
-    block *= wa
-    g = _t(block) @ a
-    g *= 2.0  # 2 G_jq
-    del block
-    k1, k2, shift = (1.0 - c) / s.eps**2, 1.0 + 1.0 / s.eps, b * (den - spend)
-    slope = third + (den / spend - 1.0)[..., None] * pair
-    slope *= b
-    pull = g + c[..., None] * (third - pair)
-    pull *= b
-    pull /= den[..., None]
-    df = k1[..., None] * ((b / spend)[..., None] * slope)
-    df += k2[..., None] * (co_d * (1.0 - s.m + b * s.m)[..., None, :] - pull)
-    np.einsum("...jj->...j", df)[...] += (  # a writeable view of the diagonals
-        k1 * (b / spend * shift) - k2 * (c * shift / den) - (1.0 - s.m))
-    df /= (1.0 + s.pdd)[..., None, :]
-    return df
+    c = (co_d @ s.m[..., None])[..., 0]  # C_j
+    delta = np.eye(n)
+    spend, den, c, eps, m = (v[..., None] for v in (spend, den, c, s.eps, s.m))
+    d_spend = b * (delta * spend - p)
+    d_den = b * (delta * (2.0 * den - spend) - p + 2.0 * t)
+    d_eps = (b / spend) * (d_den - (den / spend) * d_spend)
+    d_c = (co_d * (1.0 - s.m + b * s.m)[..., None, :] + b * delta * c
+           - (2.0 * b * g + c * d_den) / den)
+    df = (1.0 - c) * d_eps / eps**2 - delta * (1.0 - m) + (1.0 + 1.0 / eps) * d_c
+    return df / (1.0 + s.pdd)[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)

@@ -355,6 +355,46 @@ class TestCmcrCommand:
         assert "56.9%" in result.output
 
 
+class TestCaptiveDiversion:
+    """Two single-product firms that divert all their lost sales to each other:
+    D_jk = D_kj = 1, nothing to the outside option. ``validate`` accepts it."""
+
+    def write(self, tmp_path, margin=None):
+        doc = _market_with(matrix=[[-1.0, 1.0], [1.0, -1.0]], outside=[0.0, 0.0])
+        for product in doc["products"]:
+            product["margin"] = product["margin"] if margin is None else margin
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_naive_cmcr_undefined(self, runner, tmp_path):
+        """1 - D_jk D_kj = 0 in the naive formula: ``cmcr --naive`` exits 2 and
+        the welfare report's naive CMCR is null, not a ZeroDivisionError."""
+        path = self.write(tmp_path)
+        assert runner.invoke(main, ["validate", path]).exit_code == 0
+        result = runner.invoke(main, ["cmcr", path, "--naive"])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "naive CMCR undefined" in result.output
+        result = runner.invoke(main, ["welfare", path, "--format", "json"])
+        assert result.exit_code == 0, (result.output, result.exception)
+        products = json.loads(result.output)["result"]["products"]
+        assert [p["naive_cmcr"] for p in products] == [None, None]
+
+    def test_singular_cmcr_system_exits_3(self, runner, tmp_path):
+        result = runner.invoke(main, ["cmcr", self.write(tmp_path, margin=1e-13)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "did not converge: CMCR system singular" in result.output
+
+    def test_ill_conditioned_cmcr_is_a_caveat(self, runner, tmp_path):
+        result = runner.invoke(main, ["welfare", self.write(tmp_path, margin=1e-9),
+                                      "--format", "json"])
+        assert result.exit_code == 0, (result.output, result.exception)
+        caveats = json.loads(result.output)["result"]["caveats"]
+        assert any(c.startswith("CMCR system ill-conditioned (condition number 2e+09)")
+                   for c in caveats)
+
+
 class TestFitCommand:
     def test_synthetic_fit(self, runner):
         result = runner.invoke(main, ["fit", "--synthetic-seed", "5", "--tracts", "20",

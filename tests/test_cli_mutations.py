@@ -24,6 +24,9 @@ ECONOMY = json.loads(Path(fixture_path("staples_od_economy.json")).read_text())
 # a full-rank 5-tract x 5-store geography, fitted to mu = 0.46 in 11 evaluations
 GEOGRAPHY = spatial_fixture_to_dict(fitting.generate_spatial_fixture(
     fitting.SpatialConfig(seed=5, n_tracts=5, n_stores=5)))
+# the Staples market with all diversion between the two firms: 1 - D_jk D_kj = 0
+CAPTIVE = copy.deepcopy(MARKET)
+CAPTIVE["diversion"].update(matrix=[[-1.0, 1.0], [1.0, -1.0]], outside=[0.0, 0.0])
 DELETE = object()
 VALUES = [0, 1, -1, 1e300, -1e300, 1e-300, 1e-320, float("inf"), float("-inf"), float("nan"),
           "x", None, [], {}, DELETE]
@@ -107,6 +110,19 @@ def test_market_mutations(tmp_path):
     n, bad = failures(tmp_path, "M", MARKET, lambda index: [
         variants[(4 * index + 5 * k) % len(variants)] for k in range(4)])
     assert n > 400 and bad == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_captive_market_mutations(tmp_path):
+    """The captive market at its margins and diversion entries, where the naive
+    CMCR divides by 1 - D_jk D_kj, with four variants per case as above."""
+    variants = [(command, fmt) for fmt in ("json", "table") for command in MARKET_COMMANDS]
+    where = [("products", j, "margin") for j in (0, 1)]
+    where += [("diversion", "matrix", j, 1 - j) for j in (0, 1)]
+    where += [("diversion", "outside", j) for j in (0, 1)]
+    n, bad = failures(tmp_path, "M", CAPTIVE, lambda index: [
+        variants[(4 * index + 5 * k) % len(variants)] for k in range(4)], where)
+    assert n == 90 and bad == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -221,6 +221,23 @@ class TestEstimatorSurface:
         assert res.converged and 0.0 < 1.0 - res.mu < fitting.MU_EDGE
         assert res.message == "relative cost reduction below 1e-08"
 
+    @pytest.mark.parametrize("seed", [11, 5, 41])
+    def test_exact_fit_is_a_fit(self, seed):
+        """Noiseless revenues from a SpatialConfig(mu=1) geography fit to a
+        residual at their round-off, where no trial step lowers the cost and the
+        solver stops with its damping overflowed. The fit is exact, so it is
+        reported converged under its own message, and the suite's
+        RuntimeWarning filter sees no 0/0 on the way."""
+        fx = fitting.generate_spatial_fixture(fitting.SpatialConfig(seed=seed, mu=1.0))
+        revenues = np.array([fx.revenues[s] for s in fx.store_ids])
+        res = fitting.fit_nested_ces(
+            revenues, fx.design, fx.budgets, [fx.nests[s] for s in fx.store_ids],
+            mask=fx.mask, consumer_weights=fx.weights)
+        assert res.converged and res.message.startswith("exact fit: residual norm")
+        assert res.residual_se < 1e-12 * revenues.mean()
+        np.testing.assert_allclose(res.theta, fx.theta, rtol=0, atol=1e-12)
+        assert 0.0 < 1.0 - res.mu < 1e-12
+
     def test_iteration_log_populated(self, fixture):
         res = fit_fixture(fixture)
         # one entry per residual evaluation: the Jacobian is analytic

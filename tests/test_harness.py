@@ -87,6 +87,18 @@ class TestBertrandSolver:
         eq = harness.solve_bertrand(demand, np.array([0.8, 0.8]), (0, 1))
         assert eq.prices[0] == pytest.approx(eq.prices[1], rel=1e-10)
 
+    def test_start_far_outside_the_elastic_region_fails_closed(self):
+        """From prices of 1e80 every inside share underflows, so the warm
+        start's margin solve is not finite: a ConvergenceError, no warning."""
+        demand = harness.CESGroundTruth(np.array([[1.4, 1.1]]), np.array([1.0]), 6.0)
+        with pytest.raises(ConvergenceError, match="margin iteration left the elastic region"):
+            harness.solve_bertrand(demand, np.ones(2), (0, 1), p0=np.array([1e80, 1e80]))
+
+    def test_step_cap_fails_closed(self):
+        demand = harness.CESGroundTruth(np.array([[1.4, 1.1]]), np.array([1.0]), 6.0)
+        with pytest.raises(ConvergenceError, match="Bertrand solver stalled at residual"):
+            harness.solve_bertrand(demand, np.ones(2), (0, 1), max_iterations=1)
+
     @pytest.mark.parametrize("model", ["ces", "logit"])
     def test_random_four_product_market(self, model, monkeypatch):
         monkeypatch.setattr(harness, "N_PRODUCTS_RANGE", (4, 4))
@@ -585,6 +597,22 @@ class TestTrialRecipe:
         assert result.failure_reasons == {
             t: "post-merger: Bertrand solver stalled at residual 1.000e-03" for t in (0, 1)}
         assert result.summary["n_failed"] == 2
+
+
+    @pytest.mark.parametrize("kwargs, reason", [
+        ({"max_iterations": 1}, "post-merger: Bertrand solver stalled at residual "),
+        ({"p0": np.array([1e80] * 6)}, "post-merger: margin iteration left the elastic region"),
+    ], ids=["stalled", "inelastic"])
+    def test_real_solver_failure_is_filed_with_its_stage(self, kwargs, reason, monkeypatch):
+        """The solver's own failure exits, not a stub: each failed trial is
+        dropped and its reason filed under its stage."""
+        solve = harness.solve_bertrand
+        monkeypatch.setattr(harness, "N_PRODUCTS_RANGE", (6, 6))
+        monkeypatch.setattr(harness, "solve_bertrand",
+                            lambda *args, **kw: solve(*args, **{**kw, **kwargs}))
+        result = harness.run_accuracy_experiment(harness.HarnessConfig(seed=3, n_markets=2))
+        assert result.records == () and result.failures == (0, 1)
+        assert all(r.startswith(reason) for r in result.failure_reasons.values())
 
 
 class TestSpatialFixture:

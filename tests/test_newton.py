@@ -393,3 +393,17 @@ def test_lm_damping_overflow_stops_unconverged():
     x, f, steps, ok, reason = levenberg_marquardt(fun, np.array([0.0]), 500)
     assert not ok and "damping overflowed" in reason
     assert steps < 100 and x[0] == 0.0
+
+
+def test_lm_round_off_cost_rejects_steps_without_dividing():
+    """At a residual of 1e-300 the cost underflows to 0 and, once lam is large,
+    so does the trial step and its predicted reduction: rho would be 0/0. Such a
+    step is rejected without dividing, and the solve stops at its damping
+    overflow with no RuntimeWarning."""
+
+    def fun(x):
+        return x * 0.0 + 1e-300, np.array([[1.0]])
+
+    x, f, steps, ok, reason = levenberg_marquardt(fun, np.array([0.0]), 500)
+    assert not ok and "damping overflowed" in reason
+    assert x[0] == 0.0 and f[0] == 1e-300

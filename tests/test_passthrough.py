@@ -16,35 +16,43 @@ from uppkit.passthrough import (
     shares_from_diversion,
 )
 
+STAPLES_SHARES = (0.473, 0.316)
 STAPLES = dict(
-    alpha_j=0.473, alpha_k=0.316, m_j=0.258, m_k=0.234,
+    m_j=0.258, m_k=0.234,
     eps_jj=-1.0 / 0.258, eps_kk=-1.0 / 0.234,
     d_jk=0.316 / 0.527, d_kj=0.473 / 0.684,
     eta=6.121535812935443,
 )
 
 VANISHING = dict(
-    alpha_j=1e-9, alpha_k=1e-9, m_j=0.3, m_k=0.3,
-    eps_jj=-3.0, eps_kk=-3.0, d_jk=1e-9, d_kj=1e-9, eta=4.0,
+    m_j=0.3, m_k=0.3, eps_jj=-3.0, eps_kk=-3.0, d_jk=1e-9, d_kj=1e-9, eta=4.0,
 )
 
 
 def consistent_inputs(rng):
     """Draw (alpha, m, eta) and derive the elasticities/diversion a single
-    representative CES consumer implies, so the closed form's premises hold."""
+    representative CES consumer implies, so the closed form's premises hold.
+    The shares themselves are not inputs: the diversion pair fixes them."""
     alpha_j = rng.uniform(0.1, 0.6)
     alpha_k = rng.uniform(0.1, min(0.98 - alpha_j, 0.6))
     eta = rng.uniform(2.5, 8.0)
     m_j = rng.uniform(0.1, 0.6)
     m_k = rng.uniform(0.1, 0.6)
     return PassthroughInputs(
-        alpha_j=alpha_j, alpha_k=alpha_k, m_j=m_j, m_k=m_k,
+        m_j=m_j, m_k=m_k,
         eps_jj=(1.0 - eta) * (1.0 - alpha_j) - 1.0,
         eps_kk=(1.0 - eta) * (1.0 - alpha_k) - 1.0,
         d_jk=alpha_k / (1.0 - alpha_j),
         d_kj=alpha_j / (1.0 - alpha_k),
         eta=eta,
     )
+
+
+def pair_shares(inputs: PassthroughInputs) -> tuple[float, float]:
+    """The one consumer's inside shares, solved from D_jk = alpha_k / (1 - alpha_j)
+    and D_kj = alpha_j / (1 - alpha_k)."""
+    alpha_j = inputs.d_kj * (1.0 - inputs.d_jk) / (1.0 - inputs.d_jk * inputs.d_kj)
+    return alpha_j, inputs.d_jk * (1.0 - alpha_j)
 
 
 def oracle_passthrough(inputs: PassthroughInputs, step: float = 1e-6) -> np.ndarray:
@@ -56,8 +64,8 @@ def oracle_passthrough(inputs: PassthroughInputs, step: float = 1e-6) -> np.ndar
     central differences.
     """
     eta = inputs.eta
-    alpha_out = 1.0 - inputs.alpha_j - inputs.alpha_k
-    u0 = np.log(np.array([inputs.alpha_j, inputs.alpha_k]) / alpha_out)  # outside at 0
+    shares = np.array(pair_shares(inputs))
+    u0 = np.log(shares / (1.0 - shares.sum()))  # outside at 0
     m0 = np.array([inputs.m_j, inputs.m_k])
 
     def h(logp: np.ndarray) -> np.ndarray:
@@ -125,22 +133,16 @@ def closed_form_passthrough(inputs: PassthroughInputs) -> np.ndarray:
         )
         return own, cross
 
-    jj, jk = row(inputs.alpha_j, inputs.alpha_k, inputs.m_j, inputs.m_k,
-                 inputs.eps_jj, inputs.d_jk)
-    kk, kj = row(inputs.alpha_k, inputs.alpha_j, inputs.m_k, inputs.m_j,
-                 inputs.eps_kk, inputs.d_kj)
+    alpha_j, alpha_k = pair_shares(inputs)
+    jj, jk = row(alpha_j, alpha_k, inputs.m_j, inputs.m_k, inputs.eps_jj, inputs.d_jk)
+    kk, kj = row(alpha_k, alpha_j, inputs.m_k, inputs.m_j, inputs.eps_kk, inputs.d_kj)
     return -np.linalg.inv(np.array([[jj, jk], [kj, kk]]))
 
 
 def perturbed_inputs(seed: int) -> PassthroughInputs:
     """A consistent draw whose elasticities are moved off the values its
     economy implies, so the observed levels and the economy's slopes disagree.
-
-    D^R stays the shares' own, as on the market path, which recovers the
-    shares from D^R. Moved off them, the two derivations place the observed D^R
-    differently in its own slope and part by up to 0.3 when D^R is scaled
-    by 0.8-1.2.
-    """
+    D^R cannot be moved: it fixes the shares."""
     base = consistent_inputs(np.random.default_rng(seed))
     f = np.random.default_rng(1000 + seed).uniform(0.8, 1.25, size=2)
     return replace(base, eps_jj=base.eps_jj * f[0], eps_kk=base.eps_kk * f[1])
@@ -180,11 +182,11 @@ class TestClosedForm:
         setting where the taxed system has an underlying economy), the closed
         form agrees with the numeric derivative to 1e-4."""
         eta = STAPLES["eta"]
-        a_j, a_k = STAPLES["alpha_j"], STAPLES["alpha_k"]
+        a_j, a_k = STAPLES_SHARES
         eps_j = (1.0 - eta) * (1.0 - a_j) - 1.0
         eps_k = (1.0 - eta) * (1.0 - a_k) - 1.0
         inputs = PassthroughInputs(
-            alpha_j=a_j, alpha_k=a_k, m_j=-1.0 / eps_j, m_k=-1.0 / eps_k,
+            m_j=-1.0 / eps_j, m_k=-1.0 / eps_k,
             eps_jj=eps_j, eps_kk=eps_k,
             d_jk=STAPLES["d_jk"], d_kj=STAPLES["d_kj"], eta=eta,
         )
@@ -212,15 +214,13 @@ class TestClosedForm:
             rtol=0, atol=1e-12)
 
     def test_singular_jacobian_rejected(self):
-        """Symmetric inputs engineered so the cross partial cancels the own
-        partial: (1 + 1/eps) d = 1 with vanishing curvature terms."""
-        eps = -11.0
+        """Symmetric inputs with consistent shares (0.1 each, so D = 1/9) and the
+        elasticity where det J changes sign, found by bisection."""
+        eps = -3.8886549603917495
         with pytest.raises(InputValidationError, match="singular"):
             passthrough_matrix(PassthroughInputs(
-                alpha_j=1e-9, alpha_k=1e-9, m_j=0.3, m_k=0.3,
-                eps_jj=eps, eps_kk=eps,
-                d_jk=1.0 / (1.0 + 1.0 / eps), d_kj=1.0 / (1.0 + 1.0 / eps),
-                eta=1.0 + 1e-9,
+                m_j=0.9, m_k=0.9, eps_jj=eps, eps_kk=eps,
+                d_jk=0.1 / 0.9, d_kj=0.1 / 0.9, eta=3.0,
             ))
 
 
@@ -229,7 +229,7 @@ class TestClosedForm:
         ("m_k", -0.1, "margins must lie in"),
         ("m_j", np.nan, "finite: m_j"),  # reached np.linalg.det as a RuntimeWarning
         ("eps_jj", np.nan, "finite: eps_jj"),
-        ("d_jk", 1e300, "singular"),  # a bare OverflowError squaring max|J|
+        ("d_jk", 1e300, "not consistent with interior shares"),
     ] + [(f.name, np.inf, f"finite: {f.name}") for f in fields(PassthroughInputs)]
 
     @pytest.mark.parametrize("name, value, match", BAD, ids=[f"{n}={v}" for n, v, _ in BAD])

@@ -526,6 +526,27 @@ class TestSimulate:
         assert result.residual_norm > 1e-3
         assert not any("re-solve" in w for w in result.warnings)
 
+    def test_second_root_clears_unique(self, staples_bundle, staples_economy, monkeypatch):
+        """A re-solve that converges 1e-3 away from the main root is a second
+        root: ``unique`` is False, the warning names it, and the re-solve
+        after it is not read (its failure here would otherwise be reported)."""
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        solve = simulation.damped_newton
+
+        def second_root_from_zero(*args, **kwargs):
+            batch = solve(*args, **kwargs)
+            batch.x[1] = batch.x[0] + 1e-3  # the re-solve from 0
+            batch.converged[2] = False  # the re-solve from 2x GUPPI
+            return batch
+
+        monkeypatch.setattr(simulation, "damped_newton", second_root_from_zero)
+        result = simulation.simulate(problem)
+        assert result.converged and not result.unique
+        assert result.warnings[-1] == "solver found a second root from a different start"
+        assert not any("re-solve" in w for w in result.warnings)
+
     def test_third_firm_price_also_adjusts(self):
         """Non-merging firms re-optimize too: their price change is part of the
         system and generally nonzero."""
