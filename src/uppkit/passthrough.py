@@ -8,8 +8,8 @@ conditions, so this module only wires observables into it:
 
 - the levels in J are observed: own-price elasticities implied by the
   margins (eps_jj = -1/m_j) and the supplied diversion pair D^R;
-- the slopes come from the one-consumer CES economy calibrated to the
-  inside shares (recovered from the diversion pair) and eta.
+- the slopes come from eta and the one CES consumer's share row
+  [a_j, a_k, 1 - a_j - a_k] that the diversion pair implies.
 
 Scope is still two single-product firms with one representative consumer;
 anything larger routes to the identity approximation upstream.
@@ -17,15 +17,15 @@ anything larger routes to the identity approximation upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ces import economy_from_shares, identify_eta
+from . import ces
 from .effects import PassThroughMatrix, own_price_elasticities, single_product_pair
 from .errors import InputValidationError
-from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE, Product
-from .simulation import SimulationProblem, _foc_jacobian, post_merger_state
+from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
+from .simulation import PostMergerState, _foc_jacobian
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,19 @@ def passthrough_matrix(
 ) -> PassThroughMatrix:
     """M = -J^(-1), with J the Jacobian of the merged firm's pricing conditions
     at pdd = 0 (``simulation._foc_jacobian``): its levels are the observed
-    elasticities and diversion pair, its slopes those of the one-consumer CES
-    economy with ``eta`` and the shares the diversion pair implies."""
+    margins, elasticities and diversion pair, its slopes those of one CES
+    consumer with ``eta`` and the shares the diversion pair implies."""
     a_j, a_k = shares_from_diversion(inputs.d_jk, inputs.d_kj)
-    economy = economy_from_shares(
-        {"i": {"j": a_j, "k": a_k, OUTSIDE: 1.0 - a_j - a_k}}, {"i": 1.0}, inputs.eta)
-    market = Market((Product("j", "f", 1.0, inputs.m_j), Product("k", "f", 1.0, inputs.m_k)))
-    problem = SimulationProblem(market, economy, {"j": "f", "k": "f"})
-    state = replace(post_merger_state(problem, np.zeros(2)),
-                    eps=np.array([inputs.eps_jj, inputs.eps_kk]),
-                    d=np.array([[-1.0, inputs.d_jk], [inputs.d_kj, -1.0]]))
+    alpha, wb = np.array([[a_j, a_k, 1.0 - a_j - a_k]]), np.ones(1)
+    _, d_outside, (_, spend, den, pair) = ces._diversion_from_share_values(
+        alpha, wb, (*order, OUTSIDE))
+    state = PostMergerState(inputs.eta, wb, np.zeros(2), alpha,
+                            np.array([inputs.eps_jj, inputs.eps_kk]),
+                            np.array([[-1.0, inputs.d_jk], [inputs.d_kj, -1.0]]), d_outside,
+                            np.array([inputs.m_j, inputs.m_k]), (spend, den, pair))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            jac = _foc_jacobian(state, problem._arrays[3])
+            jac = _foc_jacobian(state, ~np.eye(2, dtype=bool))
     except FloatingPointError as exc:
         raise InputValidationError(f"pass-through Jacobian not finite ({exc})") from None
     # det(J / max|J|) = det(J) / max|J|^2 for the 2x2 J, without overflowing the square
@@ -115,6 +115,6 @@ def passthrough_matrix_from_market(
     d_kj = diversion.get(pk.id, pj.id)
     alpha_j, alpha_k = shares_from_diversion(d_jk, d_kj)
     eps = own_price_elasticities(market, diversion, merger)
-    eta = identify_eta({pj.id: alpha_j, pk.id: alpha_k}, eps).eta
+    eta = ces.identify_eta({pj.id: alpha_j, pk.id: alpha_k}, eps).eta
     inputs = PassthroughInputs(pj.margin, pk.margin, eps[pj.id], eps[pk.id], d_jk, d_kj, eta)
     return passthrough_matrix(inputs, (pj.id, pk.id))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -83,10 +83,14 @@ class SimulationProblem:
                 raise InputValidationError(f"product {pid}: margin missing from market data")
             if pid not in self.post_ownership:
                 raise InputValidationError(f"product {pid}: no post-merger owner")
-        for pid in market_ids:
-            if pid not in self.order:
-                raise InputValidationError(f"product {pid}: no consumer considers it")
+        for p in self.market.products:
+            if p.id not in self.order:
+                raise InputValidationError(f"product {p.id}: no consumer considers it")
+            if not 0.0 < p.margin < 1.0:  # NaN included
+                raise InputValidationError(f"product {p.id}: margin {p.margin} outside (0, 1)")
         for pid, c in self.efficiencies.items():
+            if pid not in market_ids:
+                raise InputValidationError(f"product {pid}: efficiency for a product not in the market")
             if not -1.0 < c <= 0.0:
                 raise InputValidationError(f"product {pid}: efficiency {c} outside (-1, 0]")
 
@@ -95,15 +99,12 @@ class SimulationProblem:
         """Inside products, economy order (its last column is the outside option)."""
         return self.economy.order[:-1]
 
-    def efficiency(self, pid: str) -> float:
-        return float(self.efficiencies.get(pid, 0.0))
-
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-product arrays in ``order``: pre-merger margins m, (1 - m)(1 + c),
         and the pre- and post-merger co-ownership masks (diagonal excluded)."""
         m = np.array([self.market.product(pid).margin for pid in self.order])
-        c = np.array([self.efficiency(pid) for pid in self.order])
+        c = np.array([self.efficiencies.get(pid, 0.0) for pid in self.order])
         pre = co_ownership([self.market.product(pid).firm for pid in self.order])
         post = co_ownership([self.post_ownership[pid] for pid in self.order])
         return m, (1.0 - m) * (1.0 + c), pre, post
@@ -120,18 +121,17 @@ def merger_problem(
     return SimulationProblem(market, economy, post, dict(merger.efficiencies))
 
 
-@dataclass(frozen=True)
-class PostMergerState:
-    """Demand-side arrays induced by a candidate price-change vector ``pdd``: shares
-    per consumer (OUTSIDE last), and per inside product the quantity own-price
-    elasticities, revenue diversion (with its outside column) and margins;
-    ``moments`` are the diversion kernel's (S, den, P). For a batch of
-    price-change vectors every array has a leading batch axis, and
-    :meth:`take` picks rows. The keyed views ``shares``, ``elasticities``,
-    ``diversion`` and ``margins`` of a single vector's state are built on
-    first use."""
+class PostMergerState(NamedTuple):
+    """The arrays of the pricing conditions at a price-change vector ``pdd``:
+    the economy's ``eta`` and consumer spending weights ``wb``, shares
+    ``alpha`` per consumer (OUTSIDE last), and per inside product the
+    quantity own-price elasticities ``eps``, revenue diversion ``d`` with its
+    outside column ``d_outside``, and margins ``m``; ``moments`` are the
+    diversion kernel's (S, den, P). For a batch of price-change vectors every
+    array but ``wb`` has a leading batch axis, and :meth:`take` picks rows."""
 
-    problem: SimulationProblem
+    eta: float
+    wb: np.ndarray
     pdd: np.ndarray
     alpha: np.ndarray
     eps: np.ndarray
@@ -140,34 +140,13 @@ class PostMergerState:
     m: np.ndarray
     moments: tuple[np.ndarray, ...]
 
-    @property
-    def order(self) -> tuple[str, ...]:
-        return self.problem.order
-
     def take(self, rows) -> PostMergerState:
         """The state of row ``rows`` of a batch, or of the rows it lists."""
         if rows == list(range(len(self.pdd))):
             return self
-        return PostMergerState(self.problem, self.pdd[rows], self.alpha[rows], self.eps[rows],
-                               self.d[rows], self.d_outside[rows], self.m[rows],
+        return PostMergerState(self.eta, self.wb, self.pdd[rows], self.alpha[rows],
+                               self.eps[rows], self.d[rows], self.d_outside[rows], self.m[rows],
                                tuple(a[rows] for a in self.moments))
-
-    @cached_property
-    def shares(self) -> ShareTable:
-        econ = self.problem.economy
-        return ShareTable(tuple(c.id for c in econ.consumers), econ.order, self.alpha)
-
-    @cached_property
-    def elasticities(self) -> dict[str, float]:
-        return dict(zip(self.order, self.eps.tolist()))
-
-    @cached_property
-    def diversion(self) -> DiversionMatrix:
-        return DiversionMatrix(self.order, self.d, self.d_outside)
-
-    @cached_property
-    def margins(self) -> dict[str, float]:
-        return dict(zip(self.order, self.m.tolist()))
 
 
 def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
@@ -180,14 +159,14 @@ def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
                 f"price-change vector has shape {vec.shape}, expected ({len(problem.order)},)"
                 f" or a batch of rows of that length"
             )
-    if (vec <= -1.0).any():
-        raise InputValidationError("price changes must exceed -1")
+    if not np.isfinite(vec).all() or (vec <= -1.0).any():
+        raise InputValidationError("price changes must be finite and exceed -1")
     return vec
 
 
 def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
-    """Shares, elasticities, diversion, and margins at ``pdd``: one
-    price-change vector, or a batch of them stacked as rows."""
+    """The :class:`PostMergerState` arrays at ``pdd``, in ``problem.order``:
+    one price-change vector, or a batch of them stacked as rows."""
     vec = _as_vector(problem, pdd)
     econ = problem.economy
     u, wb = econ._dense  # the problem passed the plain-CES gate when it was built
@@ -203,7 +182,7 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     eps = (1.0 - econ.eta) * den / spend - 1.0  # den > 0, so spend > 0
     _, base, _, _ = problem._arrays
     m = 1.0 - base / (1.0 + vec)
-    return PostMergerState(problem, vec, alpha, eps, d, d_outside, m, (spend, den, pair))
+    return PostMergerState(econ.eta, wb, vec, alpha, eps, d, d_outside, m, (spend, den, pair))
 
 
 def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
@@ -221,13 +200,13 @@ def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
     """d f / d pdd of the pricing conditions at the state ``s``: the module
     docstring's formulas, term by term, stacked for a batched state; it forms
     only T and G. Spending so small that (eta - 1) / S_j overflows is refused."""
-    b = 1.0 - s.problem.economy.eta
+    b = 1.0 - s.eta
     n = s.m.shape[-1]
     a = s.alpha[..., :n]
     spend, den, pair = s.moments
     if spend.min() < -b / _FLOAT_MAX:
         raise InputValidationError("simulation Jacobian overflows: (eta - 1) / spending")
-    wa = s.problem.economy._dense[1][:, None] * a  # the diversion kernel's spending block
+    wa = s.wb[:, None] * a  # the diversion kernel's spending block
     p = pair[..., :n]  # P_jq
     t = _t(wa * a) @ a  # T_jjq
     g = _t(wa * (a @ _t(co_owned * s.m[..., None, :]))) @ a  # G_jq
@@ -396,18 +375,19 @@ def simulate(
 
     jacobian, i = held[_PRIMARY]
     state = jacobian.state.take(i)
-    root = x[_PRIMARY]
+    order = problem.order
     return SimulationResult(
-        order=problem.order,
-        price_changes={pid: float(root[i]) for i, pid in enumerate(problem.order)},
+        order=order,
+        price_changes=dict(zip(order, x[_PRIMARY].tolist())),
         residual_norm=float(np.linalg.norm(f[_PRIMARY], np.inf)),
         iterations=its[_PRIMARY],
         converged=ok[_PRIMARY],
         unique=unique,
-        post_shares=state.shares,
-        post_margins=state.margins,
-        post_elasticities=state.elasticities,
-        post_diversion=state.diversion,
+        post_shares=ShareTable(tuple(c.id for c in problem.economy.consumers),
+                               problem.economy.order, state.alpha),
+        post_margins=dict(zip(order, state.m.tolist())),
+        post_elasticities=dict(zip(order, state.eps.tolist())),
+        post_diversion=DiversionMatrix(order, state.d, state.d_outside),
         warnings=tuple(warnings),
     )
 

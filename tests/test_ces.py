@@ -331,6 +331,11 @@ class TestSecondChoice:
         with pytest.raises(InputValidationError, match="no consideration set"):
             ces.second_choice_diversion(econ, "Z")
 
+    def test_outside_option_cannot_be_removed(self):
+        econ = single_consumer({"A": 0.1})
+        with pytest.raises(InputValidationError, match="cannot remove the outside option"):
+            ces.second_choice_diversion(econ, OUTSIDE)
+
     def test_nested_economy_rejected_below_mu_one(self, staples_economy):
         """Removal diversion uses plain CES shares: a nested economy with
         mu < 1 is refused, and at mu = 1 it gives the plain economy's numbers."""
@@ -435,6 +440,12 @@ class TestCompensatingVariation:
         econ = single_consumer({"A": 0.1})
         with pytest.raises(InputValidationError, match="unknown product 'Z'"):
             ces.compensating_variation(econ, {"Z": 0.1})
+
+    def test_zero_outside_change_is_no_change(self):
+        econ = single_consumer({"A": 0.1, "B": -0.2})
+        with_outside = ces.compensating_variation(econ, {OUTSIDE: 0.0, "A": 0.2})
+        assert with_outside == ces.compensating_variation(econ, {"A": 0.2})
+        assert ces.compensating_variation(econ, {OUTSIDE: 0.0}).total == 0.0
 
     @pytest.mark.parametrize("pdd", [float("nan"), float("inf"), -1.0, -2.0])
     def test_non_finite_or_at_most_minus_one_rejected(self, pdd):
@@ -628,6 +639,10 @@ class TestEconomyIO:
         with pytest.raises(InputValidationError, match="mu must be in"):
             ces.economy_from_dict({**doc, "mu": 0.0})
         assert ces.economy_from_dict({**doc, "mu": 1.0}).mu == 1.0
+
+    def test_no_consumers(self):
+        with pytest.raises(InputValidationError, match="economy has no consumers"):
+            CESEconomy((), eta=2.0)
 
     def test_eta_validation(self):
         with pytest.raises(InputValidationError, match="eta"):

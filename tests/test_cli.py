@@ -102,6 +102,19 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", "/nope/nothing.json"])
         assert result.exit_code == 2
 
+    def test_csv_pair_through_products_path(self, runner, tmp_path):
+        """A path to products.csv reads diversion.csv beside it."""
+        (tmp_path / "products.csv").write_text("id,firm,revenue,margin\nA,f1,100,0.3\nB,f2,50,0.25\n")
+        (tmp_path / "diversion.csv").write_text("from,to,value\nA,B,-0.4\nB,A,0.5\n")
+        result = runner.invoke(main, ["validate", str(tmp_path / "products.csv")])
+        assert result.exit_code == 2
+        assert "[negative-diversion] A" in result.output
+
+    def test_directory_without_products_csv_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["guppi", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"cannot read {tmp_path / 'products.csv'}" in result.output
+
     def test_lists_each_finding(self, runner, tmp_path):
         """A bad margin, a negative revenue and a negative diversion are three
         findings, one per line and one per JSON entry."""
@@ -179,8 +192,9 @@ def test_nested_economy_exits_2(runner, tmp_path, argv):
     ["fit", "--synthetic-seed", "1", "--tracts", "-5"],
     ["fit", "--synthetic-seed", "1", "--stores", "-1"],
     ["fit", "--synthetic-seed", "1", "--mu", "2"],
+    ["guppi", MARKET, "--efficiency", "0.5"],
 ], ids=["tolerance-negative", "tolerance-nan", "tracts-negative", "stores-negative",
-        "mu-above-one"])
+        "mu-above-one", "efficiency-positive"])
 def test_option_out_of_range_exits_2(runner, argv):
     """A solver tolerance that is not finite and positive, or a synthetic
     geography without tracts or stores or with mu above 1, is refused before
@@ -420,6 +434,12 @@ class TestFitCommand:
         result = runner.invoke(main, ["fit"])
         assert result.exit_code == 2
 
+    def test_directory_is_not_a_geography_file(self, runner, tmp_path):
+        result = runner.invoke(main, ["fit", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"cannot read {tmp_path}" in result.output
+        assert "Is a directory" in result.output
+
 
 class TestHarnessCommand:
     def test_deterministic_csv(self, runner, tmp_path):
@@ -476,6 +496,13 @@ class TestOutputPlumbing:
         manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
         assert manifest["command"] == "guppi"
 
+    def test_out_reports_the_written_path(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["guppi", MARKET, "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output == f"wrote {out}\n"
+        assert out.exists()
+
     def test_unwritable_out_exits_4(self, runner):
         result = runner.invoke(main, ["guppi", MARKET, "--out", "/nope/dir/x.json"])
         assert result.exit_code == 4
@@ -493,6 +520,12 @@ class TestOutputPlumbing:
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("id,firm,margin")
         assert lines[1].startswith("SP,")
+
+    def test_csv_manifest_goes_to_stderr(self, runner):
+        result = runner.invoke(main, ["guppi", MARKET, "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("id,firm,margin")
+        assert json.loads(result.stderr)["command"] == "guppi"
 
 
 # Each command's manifest flags as the command line has always hashed them.

@@ -226,6 +226,14 @@ class TestPriceEffects:
         with pytest.raises(InputValidationError, match="does not match"):
             effects.price_effects({"A": 0.1, "B": 0.2}, pt)
 
+    def test_matrix_not_square_over_order(self):
+        with pytest.raises(InputValidationError, match="must be square over 2 products"):
+            effects.PassThroughMatrix(("A", "B"), np.eye(3))
+
+    def test_matrix_not_finite(self):
+        with pytest.raises(InputValidationError, match="non-finite entries"):
+            effects.PassThroughMatrix(("A", "B"), np.array([[1.0, np.nan], [0.0, 1.0]]))
+
 
 class TestWelfare:
     def test_hand_values(self):
@@ -260,6 +268,16 @@ class TestWelfare:
         market, div, merger = two_firm_market(r1=r)
         w = effects.welfare(market, {"A": pdd}, merger, {"A": eps})
         assert w.cs["A"] < w.cs_mid["A"] < w.cs_upper["A"] < 0.0
+
+    def test_price_change_at_minus_one_refused(self):
+        market, div, merger = two_firm_market()
+        with pytest.raises(InputValidationError, match="price change -1.0 <= -1"):
+            effects.welfare(market, {"A": -1.0}, merger, {"A": -3.0})
+
+    def test_inelastic_demand_refused(self):
+        market, div, merger = two_firm_market()
+        with pytest.raises(InputValidationError, match="elasticity -0.5 >= -1"):
+            effects.welfare(market, {"A": 0.1}, merger, {"A": -0.5})
 
     def test_producer_surplus_formula(self):
         """(pdd - cdd(1-m)) R (1 + eps pdd) + eps R pdd m, spot-checked."""

@@ -97,6 +97,12 @@ class TestValidation:
         with pytest.raises(InputValidationError, match=">= 0"):
             fitting.fit_nested_ces(rev, fixture.design, fixture.budgets, nests)
 
+    def test_revenues_of_wrong_length_rejected(self, fixture):
+        rev = np.array([fixture.revenues[s] for s in fixture.store_ids])
+        nests = [fixture.nests[s] for s in fixture.store_ids]
+        with pytest.raises(InputValidationError, match=r"revenues must have shape \(20,\)"):
+            fitting.fit_nested_ces(rev[:-1], fixture.design, fixture.budgets, nests)
+
     def test_design_without_covariates(self, fixture):
         with pytest.raises(InputValidationError, match="a covariate"):
             fit_fixture(dataclasses.replace(fixture, design=fixture.design[:, :, :0]))

@@ -236,6 +236,20 @@ class TestGroundTruthDerivatives:
         assert steps >= 6 and len(builds) == steps
 
 
+class TestGroundTruthValidation:
+    def test_ces_qualities_must_be_positive(self):
+        with pytest.raises(InputValidationError, match="qualities must be positive"):
+            harness.CESGroundTruth(np.array([[1.0, 0.0]]), np.ones(1), 4.0)
+
+    def test_ces_eta_above_one(self):
+        with pytest.raises(InputValidationError, match="eta must be > 1"):
+            harness.CESGroundTruth(np.ones((1, 2)), np.ones(1), 1.0)
+
+    def test_logit_price_coefficient_positive(self):
+        with pytest.raises(InputValidationError, match="price coefficient must be positive"):
+            harness.LogitGroundTruth(np.zeros(2), 0.0)
+
+
 class TestPostMerger:
     def test_no_ownership_change_zero_effect(self):
         prim = ces_duopoly()

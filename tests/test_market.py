@@ -156,6 +156,22 @@ class TestLoading:
             mk.load_market(tmp_path)
 
 
+class TestLookups:
+    def test_unknown_product(self):
+        m = mk.Market((mk.Product("A", "f1", 1.0, 0.3),))
+        with pytest.raises(KeyError, match="unknown product 'Z'"):
+            m.product("Z")
+
+    def test_diversion_without_outside_column(self):
+        d = mk.DiversionMatrix(("A", "B"), np.array([[-1.0, 0.4], [0.5, -1.0]]))
+        with pytest.raises(KeyError, match="no outside column"):
+            d.get("A", mk.OUTSIDE)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(InputValidationError, match="doc: top-level JSON must be an object"):
+            mk.market_bundle_from_dict([], where="doc")
+
+
 class TestValidate:
     def test_valid_two_firm_market(self, staples_bundle):
         assert mk.validate(staples_bundle.market, staples_bundle.diversion,
@@ -209,6 +225,19 @@ class TestValidate:
         spec = mk.MergerSpec("f1", "f2", {"C": -0.1})
         findings = mk.validate(m, None, spec)
         assert any(v.rule == "efficiency-nonparty" for v in findings)
+
+    def test_no_products(self):
+        assert [v.rule for v in mk.validate(mk.Market(()))] == ["no-products"]
+
+    def test_diversion_shape_mismatch(self):
+        m = mk.Market((mk.Product("A", "f1", 1.0, 0.3), mk.Product("B", "f2", 1.0, 0.3)))
+        findings = mk.validate(m, mk.DiversionMatrix(("A", "B"), -np.eye(3)))
+        assert [v.rule for v in findings] == ["diversion-shape"]
+
+    def test_explicit_passthrough_not_finite(self):
+        m = mk.Market((mk.Product("A", "f1", 1.0, 0.3), mk.Product("B", "f2", 1.0, 0.3)))
+        spec = mk.MergerSpec("f1", "f2", passthrough=np.array([[1.0, np.inf], [0.0, 1.0]]))
+        assert [v.rule for v in mk.validate(m, None, spec)] == ["passthrough-finite"]
 
     def test_explicit_passthrough_shape(self):
         m = mk.Market((mk.Product("A", "f1", 1.0, 0.3), mk.Product("B", "f2", 1.0, 0.3)))

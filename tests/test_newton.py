@@ -349,6 +349,19 @@ def test_lm_linear_zero_residual_accepts_every_step():
     np.testing.assert_allclose(x, root, rtol=0.0, atol=1e-12)
 
 
+def test_lm_starting_at_least_squares_solution_takes_no_step():
+    """At the least-squares point of an overdetermined linear system the
+    residual is nonzero but orthogonal to J's columns: the scaled-gradient
+    test stops before the first trial step."""
+    a = np.array([[3.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
+    b = np.array([1.0, -2.0, 4.0])
+    x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+    x, f, steps, ok, reason = levenberg_marquardt(lambda x: (a @ x - b, a), x0, 500)
+    assert np.linalg.norm(f) > 1.0
+    assert ok and steps == 0 and reason == "scaled gradient below 1e-08"
+    np.testing.assert_array_equal(x, x0)
+
+
 def test_lm_step_cap_returns_unconverged_without_raising():
     calls = []
 

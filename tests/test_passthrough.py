@@ -230,6 +230,9 @@ class TestClosedForm:
         ("m_j", np.nan, "finite: m_j"),  # reached np.linalg.det as a RuntimeWarning
         ("eps_jj", np.nan, "finite: eps_jj"),
         ("d_jk", 1e300, "not consistent with interior shares"),
+        ("eps_kk", -0.5, "elasticities must be < -1"),
+        ("eta", 1.0, "eta must be > 1"),
+        ("d_kj", -0.1, "diversion ratios must be non-negative"),
     ] + [(f.name, np.inf, f"finite: {f.name}") for f in fields(PassthroughInputs)]
 
     @pytest.mark.parametrize("name, value, match", BAD, ids=[f"{n}={v}" for n, v, _ in BAD])

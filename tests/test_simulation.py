@@ -1,6 +1,7 @@
 """Merger simulation in percentage-price-change space."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,13 +45,13 @@ class TestPostMergerState:
         problem = merged_problem(market, econ)
         state = simulation.post_merger_state(problem, np.zeros(2))
         pre_tab = ces.shares(econ)
-        np.testing.assert_allclose(state.shares.values, pre_tab.values, atol=1e-14)
+        np.testing.assert_allclose(state.alpha, pre_tab.values, atol=1e-14)
         pre_eps = ces.own_price_elasticity_of_demand(econ)
-        for pid in problem.order:
-            assert state.elasticities[pid] == pytest.approx(pre_eps[pid], abs=1e-14)
-            assert state.margins[pid] == pytest.approx(market.product(pid).margin, abs=1e-14)
+        for k, pid in enumerate(problem.order):
+            assert state.eps[k] == pytest.approx(pre_eps[pid], abs=1e-14)
+            assert state.m[k] == pytest.approx(market.product(pid).margin, abs=1e-14)
         pre_div = ces.revenue_diversion(econ)
-        np.testing.assert_allclose(state.diversion.values, pre_div.values, atol=1e-14)
+        np.testing.assert_allclose(state.d, pre_div.values, atol=1e-14)
 
     def test_margin_update_formula(self):
         market, econ = self_consistent_market([0.3, 0.25, 0.45], eta=5.0)
@@ -59,7 +60,8 @@ class TestPostMergerState:
         )
         state = simulation.post_merger_state(problem, np.zeros(2))
         m_pre = market.product("g0").margin
-        assert state.margins["g0"] == pytest.approx(1.0 - 0.9 * (1.0 - m_pre), abs=1e-14)
+        g0 = problem.order.index("g0")
+        assert state.m[g0] == pytest.approx(1.0 - 0.9 * (1.0 - m_pre), abs=1e-14)
 
     def test_price_change_below_minus_one_rejected(self):
         market, econ = self_consistent_market([0.3, 0.25, 0.45], eta=5.0)
@@ -95,7 +97,7 @@ def loop_foc_residual(problem, pdd):
 
     margins = {
         pid: 1.0 - (1.0 - problem.market.product(pid).margin)
-        * (1.0 + problem.efficiency(pid)) / (1.0 + x)
+        * (1.0 + problem.efficiencies.get(pid, 0.0)) / (1.0 + x)
         for pid, x in zip(order, pdd)
     }
     res = []
@@ -199,8 +201,8 @@ def complex_foc(problem, pdd):
     den = (wa * (1.0 - a)).sum(axis=0)
     eps = (1.0 - econ.eta) * den / wa.sum(axis=0) - 1.0
     diversion = (wa.T @ a) / den[:, None]
-    base = np.array([(1.0 - problem.market.product(pid).margin) * (1.0 + problem.efficiency(pid))
-                     for pid in order])
+    base = np.array([(1.0 - problem.market.product(pid).margin)
+                     * (1.0 + problem.efficiencies.get(pid, 0.0)) for pid in order])
     margins = 1.0 - base / (1.0 + pdd)
     owners = np.array([problem.post_ownership[pid] for pid in order])
     co_owned = (owners[:, None] == owners[None, :]) & ~np.eye(len(order), dtype=bool)
@@ -726,3 +728,49 @@ class TestConsistencyCheck:
             simulation.SimulationProblem(
                 partial, econ, {p.id: p.firm for p in market.products}
             )
+
+
+class TestProblemFailsClosed:
+    """A problem refuses what ``market.validate`` would refuse, and the state
+    refuses price changes it cannot evaluate, instead of returning NaN or
+    absurd prices."""
+
+    @staticmethod
+    def staples_problem(bundle, economy, margin=None, efficiencies=()):
+        products = tuple(replace(p, margin=margin) if p.id == "SP" and margin is not None else p
+                         for p in bundle.market.products)
+        return simulation.SimulationProblem(mk.Market(products), economy,
+                                            {p.id: "AB" for p in products}, dict(efficiencies))
+
+    @pytest.mark.parametrize("margin", [np.nan, -0.2, 1.0], ids=["nan", "negative", "one"])
+    def test_margin_outside_unit_interval(self, staples_bundle, staples_economy, margin):
+        with pytest.raises(InputValidationError, match=rf"product SP: margin {margin} outside"):
+            self.staples_problem(staples_bundle, staples_economy, margin)
+
+    def test_efficiency_for_unknown_product(self, staples_bundle, staples_economy):
+        with pytest.raises(InputValidationError, match="product Sp: efficiency for a product"):
+            self.staples_problem(staples_bundle, staples_economy, efficiencies={"Sp": -0.5})
+
+    def test_efficiency_outside_range(self, staples_bundle, staples_economy):
+        with pytest.raises(InputValidationError, match=r"efficiency 0.1 outside \(-1, 0\]"):
+            self.staples_problem(staples_bundle, staples_economy, efficiencies={"SP": 0.1})
+
+    def test_non_finite_price_change(self, staples_bundle, staples_economy):
+        problem = self.staples_problem(staples_bundle, staples_economy)
+        for pdd in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(InputValidationError, match="exceed -1"):
+                simulation.post_merger_state(problem, pdd)
+
+    def test_price_change_vector_of_wrong_length(self, staples_bundle, staples_economy):
+        problem = self.staples_problem(staples_bundle, staples_economy)
+        with pytest.raises(InputValidationError, match=r"shape \(3,\), expected \(2,\)"):
+            simulation.post_merger_state(problem, np.zeros(3))
+
+    def test_product_without_post_merger_owner(self, staples_bundle, staples_economy):
+        with pytest.raises(InputValidationError, match="product OD: no post-merger owner"):
+            simulation.SimulationProblem(staples_bundle.market, staples_economy, {"SP": "AB"})
+
+    def test_product_no_consumer_considers(self, staples_bundle, staples_economy):
+        extra = mk.Market(staples_bundle.market.products + (mk.Product("X", "f", 1.0, 0.3),))
+        with pytest.raises(InputValidationError, match="product X: no consumer considers it"):
+            simulation.SimulationProblem(extra, staples_economy, {p.id: "AB" for p in extra.products})
