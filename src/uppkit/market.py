@@ -103,9 +103,10 @@ class DiversionMatrix:
 
 
 def co_ownership(owners: Sequence) -> np.ndarray:
-    """Boolean [j, l]: products j != l have the same entry in ``owners``."""
+    """Boolean [..., j, l]: products j != l have the same entry in ``owners``,
+    whose leading axes (one row per market) carry over."""
     owners = np.asarray(owners)
-    return (owners[:, None] == owners) & ~np.eye(len(owners), dtype=bool)
+    return (owners[..., :, None] == owners[..., None, :]) & ~np.eye(owners.shape[-1], dtype=bool)
 
 
 @dataclass(frozen=True)

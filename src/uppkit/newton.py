@@ -5,11 +5,13 @@
 ``harness.solve_bertrand`` (log prices). It steps a batch of independent
 systems in lock step: one residual call and one Jacobian call serve every
 row still stepping, and each row follows the path it would follow alone
-while the first row, the main solve, steps or has converged.
-``simulate`` solves from its GUPPI start and its two uniqueness starts as one
-batch, so at a few products and consumers, where numpy's per-call overhead
-is the cost of a step, the three solves cost about one; the harness passes
-a batch of one. J is built only at the points a row steps from.
+while the first row, the main solve, steps or has converged. At a few
+products and consumers numpy's per-call overhead is the cost of a step, so a
+batch of k rows costs about one solve: ``simulate`` solves from its GUPPI
+start and its two uniqueness starts as one batch, and the accuracy harness
+solves all its post-merger markets of one size as one batch, each row a
+different market (the residual is told which rows it evaluates). J is built
+only at the points a row steps from.
 ``levenberg_marquardt`` is the least-squares solver of the nested-CES
 fitter. The step and stop rules live only here.
 """
@@ -49,19 +51,20 @@ class NewtonBatch(NamedTuple):
     held: list[tuple[Callable, int] | None]
 
 
-def _evaluate(fun, x):
-    """``fun`` on the batch ``x``, per row: the residuals, the ``(jacobian, i)``
-    that holds each row, and the error of a row where ``fun`` raises
+def _evaluate(fun, x, rows):
+    """``fun`` on the batch ``x``, whose rows are the rows ``rows`` of the
+    solve's ``x0``, per row: the residuals, the ``(jacobian, i)`` that holds
+    each row, and the error of a row where ``fun`` raises
     ``InputValidationError``, whose residual reads NaN. A batch that raises is
     evaluated again row by row, so one undefined row spoils no other."""
     try:
-        f, jacobian = fun(x)
+        f, jacobian = fun(x, rows)
     except InputValidationError as err:
         if len(x) == 1:
             return np.full(x.shape, np.nan), [None], [err]
-        rows = [_evaluate(fun, x[i:i + 1]) for i in range(len(x))]
-        return (np.concatenate([f for f, _, _ in rows]), [held[0] for _, held, _ in rows],
-                [errors[0] for _, _, errors in rows])
+        each = [_evaluate(fun, x[i:i + 1], rows[i:i + 1]) for i in range(len(x))]
+        return (np.concatenate([f for f, _, _ in each]), [held[0] for _, held, _ in each],
+                [errors[0] for _, _, errors in each])
     return f, [(jacobian, i) for i in range(len(x))], [None] * len(x)
 
 
@@ -104,7 +107,7 @@ def _steps(jac, f):
 
 
 def damped_newton(
-    fun: Callable[[np.ndarray], tuple[np.ndarray, Callable[[list[int]], np.ndarray]]],
+    fun: Callable[[np.ndarray, list[int]], tuple[np.ndarray, Callable[[list[int]], np.ndarray]]],
     x0: np.ndarray,
     tolerance: float,
     max_iterations: int,
@@ -112,11 +115,13 @@ def damped_newton(
 ) -> NewtonBatch:
     """Damped Newton on each row of the batch ``x0`` (rows x unknowns).
 
-    ``fun(x)`` takes a batch and returns ``(f, jacobian)``, f one residual
-    row per row of x; ``jacobian(rows)`` builds the stacked Jacobians at
-    those rows of x from that evaluation, and is called only for rows the
-    solve steps from: n steps of a row build its J n times, never at a
-    rejected trial or the returned point.
+    ``fun(x, rows)`` takes a batch x whose rows are the rows ``rows`` of
+    ``x0``, in the order x holds them (not always ascending), so rows may be
+    different systems; it returns ``(f, jacobian)``, f one residual row per
+    row of x. ``jacobian(pos)`` builds the stacked Jacobians at the rows
+    ``pos`` of that x (positions in the evaluation, in any order), and is
+    called only for rows the solve steps from: n steps of a row build its J
+    n times, never at a rejected trial or the returned point.
 
     Every row still stepping takes its step together with the others. Each
     step halves its length up to 30 times until the row's inf-norm of ``f``
@@ -135,11 +140,11 @@ def damped_newton(
     are. Failing to converge is reported, not raised.
     """
     x = np.maximum(x0, lower_bound)  # np.clip(x0, lower_bound, None), with less call overhead
-    f, held, errors = _evaluate(fun, x)
+    stepping = full = list(range(len(x)))
+    f, held, errors = _evaluate(fun, x, full)
     f = f.copy()  # rows are overwritten below; the caller's evaluation may still read it
     norm = np.abs(f).max(axis=1).tolist()
     its = [0] * len(x)
-    stepping = full = list(range(len(x)))
     while True:
         stepping = [r for r in stepping if norm[r] >= tolerance and its[r] < max_iterations]
         # the batch ends when its first row stops short of the tolerance
@@ -159,10 +164,10 @@ def damped_newton(
         # base may be x itself: a row written below has left the search
         base, search, t = x if whole else x[stepping], list(range(len(stepping))), 1.0
         for _ in range(30):
-            cand = np.maximum(base + t * step, lower_bound)
+            cand, rows = np.maximum(base + t * step, lower_bound), stepping
             if len(search) < len(stepping):
-                cand = cand[search]
-            fc, hc, _ = _evaluate(fun, cand)
+                cand, rows = cand[search], [stepping[k] for k in search]
+            fc, hc, _ = _evaluate(fun, cand, rows)
             nc = np.abs(fc).max(axis=1).tolist()
             left = []  # positions in stepping of the rows still searching
             for i, k in enumerate(search):

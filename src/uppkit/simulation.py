@@ -151,6 +151,9 @@ class PostMergerState(NamedTuple):
 
 def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
     if isinstance(pdd, Mapping):
+        unknown = [pid for pid in pdd if pid not in problem.order]
+        if unknown:
+            raise InputValidationError(f"price changes for products not in the problem: {unknown}")
         vec = np.array([float(pdd.get(pid, 0.0)) for pid in problem.order])
     else:
         vec = np.asarray(pdd, dtype=float)
@@ -349,8 +352,9 @@ def simulate(
         )
 
     x, f, its, ok, errors, held = damped_newton(
-        lambda x: foc_residual(problem, x, jacobian=True), np.stack([g, np.zeros_like(g), 2.0 * g]),
-        config.tolerance, MAX_ITERATIONS, lower_bound=LOWER_BOUND,
+        lambda x, rows: foc_residual(problem, x, jacobian=True),
+        np.stack([g, np.zeros_like(g), 2.0 * g]), config.tolerance, MAX_ITERATIONS,
+        lower_bound=LOWER_BOUND,
     )
     if errors[_PRIMARY] is not None:
         raise errors[_PRIMARY]

@@ -552,23 +552,26 @@ def count_bertrand_solves(monkeypatch):
 
 class TestTrialRecipe:
     """Each trial checks the drawn pre-merger prices and solves only the
-    post-merger market."""
+    post-merger market, stacked with the other markets of its size."""
 
     @pytest.mark.parametrize("model", ["ces", "logit"])
-    def test_one_bertrand_solve_per_trial(self, model, monkeypatch):
+    def test_one_bertrand_solve_per_market_size(self, model, monkeypatch):
         calls = count_bertrand_solves(monkeypatch)
-        result = harness.run_accuracy_experiment(
-            harness.HarnessConfig(seed=12, n_markets=10, model=model))
+        config = harness.HarnessConfig(seed=12, n_markets=10, model=model)
+        result = harness.run_accuracy_experiment(config)
         assert result.failures == ()
-        assert len(calls) == 10
+        sizes = {len(harness.random_primitives(config, t)[0].ids) for t in range(10)}
+        assert len(calls) == len(sizes) > 1
 
     @pytest.mark.parametrize("model", ["ces", "logit"])
     def test_matches_the_re_solving_recipe(self, model):
         """Oracle: re-solve the pre-merger equilibrium from a cold start,
-        observe and screen there, then solve post-merger. The post-merger
-        solve starts from the drawn prices either way, so the truth is
-        bitwise equal; the screening moves only by the re-solve's error."""
+        observe and screen there, then solve post-merger alone. The
+        post-merger solve starts from the drawn prices either way and a
+        stacked market takes its lone path, so the truth is bitwise equal;
+        the screening moves only by the re-solve's error."""
         config = harness.HarnessConfig(seed=11, n_markets=20, model=model)
+        experiment = harness.run_accuracy_experiment(config)
         for trial in range(config.n_markets):
             prim, pair = harness.random_primitives(config, trial)
             eq = solve_pre_merger_equilibrium(prim)
@@ -577,7 +580,7 @@ class TestTrialRecipe:
             g = effects.guppi(market, diversion, merger)
             c = effects.cmcr(market, diversion, merger).efficiencies
             _, pdd_true = harness.solve_post_merger_equilibrium(prim, pair)
-            records = harness._run_trial(config, trial)
+            records = [r for r in experiment.records if r.trial_id == trial]
             assert [r.product_id for r in records] == list(g)
             for r in records:
                 j = prim.ids.index(r.product_id)
@@ -627,6 +630,117 @@ class TestTrialRecipe:
         result = harness.run_accuracy_experiment(harness.HarnessConfig(seed=3, n_markets=2))
         assert result.records == () and result.failures == (0, 1)
         assert all(r.startswith(reason) for r in result.failure_reasons.values())
+
+
+def stacked_markets(seed, model, n_markets, size=None):
+    """Seeded criterion-10 draws grouped by size, as the experiment stacks
+    them: {size: [(primitives, pair), ...]}, or one size's list."""
+    config = harness.HarnessConfig(seed=seed, n_markets=n_markets, model=model)
+    groups = {}
+    for trial in range(n_markets):
+        prim, pair = harness.random_primitives(config, trial)
+        groups.setdefault(len(prim.ids), []).append((prim, pair))
+    return groups if size is None else groups[size]
+
+
+def solve_stack(markets, p0=None, **kwargs):
+    """``solve_bertrand`` on the post-merger stack of ``markets``, from the
+    drawn prices unless ``p0`` is given."""
+    return harness.solve_bertrand(
+        harness._stack([prim.demand for prim, _ in markets]),
+        np.stack([prim.costs for prim, _ in markets]),
+        [harness._merged(prim.ownership, pair) for prim, pair in markets],
+        p0=np.stack([prim.prices for prim, _ in markets]) if p0 is None else p0, **kwargs)
+
+
+def lone_outcome(prim, pair, **kwargs):
+    """A lone post-merger solve: its Equilibrium, or its ConvergenceError text."""
+    try:
+        return harness.solve_bertrand(prim.demand, prim.costs,
+                                      harness._merged(prim.ownership, pair), **kwargs)
+    except ConvergenceError as err:
+        return str(err)
+
+
+class TestStackedSolve:
+    """Post-merger markets of one size solved as one stack: each market takes
+    the path it takes alone."""
+
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_stack_matches_lone_solves(self, model):
+        """On the 200 seed-11 draws: the same Newton steps, CES prices bitwise
+        equal and logit prices within 4 ulps."""
+        for markets in stacked_markets(11, model, 200).values():
+            eq = solve_stack(markets)
+            lone = [harness.solve_post_merger_equilibrium(prim, pair)[0] for prim, pair in markets]
+            assert eq.failures == {}
+            assert eq.iterations == sum(e.iterations for e in lone)
+            prices = np.stack([e.prices for e in lone])
+            if model == "ces":
+                np.testing.assert_array_equal(eq.prices, prices)
+            else:
+                np.testing.assert_array_max_ulp(eq.prices, prices, maxulp=4)
+            np.testing.assert_array_equal(eq.residual, [e.residual for e in lone])
+
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_step_counts_per_market(self, model, monkeypatch):
+        """Each market's Newton steps in the stack are those of its lone solve."""
+        markets = stacked_markets(11, model, 40, size=4)
+        batches, newton = [], harness.damped_newton
+        monkeypatch.setattr(harness, "damped_newton",
+                            lambda *a, **kw: batches.append(newton(*a, **kw)) or batches[-1])
+        solve_stack(markets)
+        (batch,) = batches
+        for k, (prim, pair) in enumerate(markets):
+            alone = harness.solve_post_merger_equilibrium(prim, pair)[0]
+            assert batch.iterations[k] == alone.iterations - 1 and batch.converged[k]
+
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_stalled_first_market_leaves_the_others_to_their_lone_solves(self, model):
+        """With one Newton step allowed, the first market and the fourth, from
+        their drawn prices, stall and end the batch; the others start at
+        their own roots. Every market comes out as it does alone, the stalled
+        ones with the lone solve's message."""
+        markets = stacked_markets(11, model, 60, size=3)[:8]
+        roots = [harness.solve_post_merger_equilibrium(prim, pair)[0].prices
+                 for prim, pair in markets]
+        p0 = np.stack([prim.prices if k in (0, 3) else roots[k]
+                       for k, (prim, _) in enumerate(markets)])
+        eq = solve_stack(markets, p0=p0, max_iterations=1)
+        assert set(eq.failures) == {0, 3}
+        for k, (prim, pair) in enumerate(markets):
+            lone = lone_outcome(prim, pair, p0=p0[k], max_iterations=1)
+            if k in eq.failures:
+                assert eq.failures[k] == lone
+                assert lone.startswith("Bertrand solver stalled at residual ")
+                assert np.isnan(eq.prices[k]).all()
+            else:
+                np.testing.assert_array_equal(eq.prices[k], lone.prices)
+                assert eq.residual[k] == lone.residual
+
+    @pytest.mark.parametrize("model", ["ces", "logit"])
+    def test_warm_start_outside_the_elastic_region_fails_one_market(self, model):
+        markets = stacked_markets(11, model, 60, size=3)[:8]
+        p0 = np.stack([prim.prices for prim, _ in markets])
+        p0[0] = 1e80
+        eq = solve_stack(markets, p0=p0)
+        assert eq.failures == {0: "margin iteration left the elastic region"}
+        assert lone_outcome(*markets[0], p0=p0[0]) == eq.failures[0]
+        for k, (prim, pair) in enumerate(markets[1:], start=1):
+            lone = harness.solve_post_merger_equilibrium(prim, pair)[0]
+            np.testing.assert_array_equal(eq.prices[k], lone.prices)
+
+
+@pytest.mark.parametrize("model", ["ces", "logit"])
+def test_a_trial_does_not_depend_on_the_other_trials(model):
+    """The first 10 trials of a 40-market experiment give the records and
+    failures of a 10-market one, byte for byte, though their stacks differ."""
+    short, full = (harness.run_accuracy_experiment(harness.HarnessConfig(seed=11, n_markets=n,
+                                                                         model=model))
+                   for n in (10, 40))
+    rows = list(full.to_csv_rows())
+    assert list(short.to_csv_rows()) == [rows[0]] + [r for r in rows[1:] if r[0] < 10]
+    assert short.failure_reasons == {t: r for t, r in full.failure_reasons.items() if t < 10}
 
 
 class TestSpatialFixture:

@@ -8,35 +8,22 @@ from uppkit.errors import InputValidationError
 from uppkit.newton import damped_newton, levenberg_marquardt
 
 
-def batched(fun):
-    """A batch residual from the one-system residual ``fun(x) -> (f,
-    jacobian())``, evaluated row by row."""
+def mixed(*systems):
+    """A batch residual whose row r of x0 solves ``systems[r]``, each a
+    one-system residual ``fun(x) -> (f, jacobian())``, evaluated row by row:
+    the solve says which rows of x0 it passes, so rows may hold different
+    systems although it passes only the rows still stepping."""
 
-    def batch(x):
-        out = [fun(row) for row in x]
-        return np.array([f for f, _ in out]), lambda rows: np.array([out[i][1]() for i in rows])
+    def batch(x, rows):
+        out = [systems[r](row) for r, row in zip(rows, x)]
+        return np.array([f for f, _ in out]), lambda pos: np.array([out[i][1]() for i in pos])
 
     return batch
 
 
-def mixed(*systems):
-    """A batch residual over rows (x, k): the last entry picks ``systems[k]``,
-    solved in the other entries; k's own residual is 0 with a unit Jacobian
-    entry, so k never moves. Rows may so hold different systems, although
-    the solve passes only the rows still stepping."""
-
-    def one(row):
-        f, jac = systems[int(row[-1])](row[:-1])
-        n = len(f)
-
-        def jacobian():
-            full = np.eye(n + 1)
-            full[:n, :n] = jac()
-            return full
-
-        return np.append(f, 0.0), jacobian
-
-    return batched(one)
+def batched(fun):
+    """A batch residual that solves ``fun`` in every row."""
+    return lambda x, rows: mixed(*[fun] * len(x))(x, range(len(x)))
 
 
 def solve_one(fun, x0, tolerance, max_iterations, **kwargs):
@@ -234,16 +221,18 @@ def test_batch_rows_follow_their_standalone_paths():
     point, a singular J or a refused Jacobian stops or shortens another row
     (the first row, the main solve, converges)."""
     fun, jac = coupled_system(2)
+    coupled = lambda x: (fun(x), lambda: jac(x))  # noqa: E731
     systems = (
-        lambda x: (fun(x), lambda: jac(x)),
+        coupled,
         padded(arctan_system(undefined_beyond=1.5)),  # a first full step that is undefined
         padded(lambda x: (np.ones(1), lambda: np.zeros((1, 1)))),  # singular J
         padded(arctan_system(refuse_jacobian=True)),  # Jacobian refused at the start
+        coupled,
     )
-    rows = np.array([[0.0, 0.0, 0], [0.0, 0.0, 1], [0.3, 0.0, 2], [0.0, 0.0, 3], [3.0, -2.0, 0]])
-    alone = [damped_newton(mixed(*systems), row[None], 1e-12, 50) for row in rows]
+    rows = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, 0.0], [0.0, 0.0], [3.0, -2.0]])
+    alone = [damped_newton(mixed(system), row[None], 1e-12, 50) for system, row in zip(systems, rows)]
     for group in ([0, 4], [1, 2, 3], [4, 2, 1], [0, 3, 1, 4], [1, 3, 0, 2, 4]):
-        out = damped_newton(mixed(*systems), rows[group], 1e-12, 50)
+        out = damped_newton(mixed(*[systems[r] for r in group]), rows[group], 1e-12, 50)
         for k, r in enumerate(group):
             assert out.iterations[k] == alone[r].iterations[0]
             assert out.converged[k] == alone[r].converged[0]
@@ -259,34 +248,33 @@ def test_batch_ends_when_its_first_row_stops_short():
     on a singular J, a refused Jacobian or an undefined start, the other rows
     stop where they are and no Jacobian is built for them again."""
     fun, jac = coupled_system(2)
-    systems = (
-        lambda x: (fun(x), lambda: jac(x)),
-        padded(lambda x: (np.ones(1), lambda: np.zeros((1, 1)))),  # singular J
-        padded(arctan_system(refuse_jacobian=True)),  # Jacobian refused at the start
-    )
-    others = np.array([[0.0, 0.0, 0], [3.0, -2.0, 0]])
-    one_step = damped_newton(mixed(*systems), others, 1e-12, 1)
+    coupled = lambda x: (fun(x), lambda: jac(x))  # noqa: E731
+    singular = padded(lambda x: (np.ones(1), lambda: np.zeros((1, 1))))
+    refused = padded(arctan_system(refuse_jacobian=True))  # Jacobian refused at the start
+    others = np.array([[0.0, 0.0], [3.0, -2.0]])
+    one_step = damped_newton(mixed(coupled, coupled), others, 1e-12, 1)
     built = []
 
-    def counted(x):
-        f, jacobian = mixed(*systems)(x)
-        return f, lambda rows: built.append(len(rows)) or jacobian(rows)
+    def counted(x, rows):
+        f, jacobian = mixed(singular, coupled, coupled)(x, rows)
+        return f, lambda pos: built.append(len(pos)) or jacobian(pos)
 
-    out = damped_newton(counted, np.vstack([[[0.3, 0.0, 1]], others]), 1e-12, 50)
+    out = damped_newton(counted, np.vstack([[[0.3, 0.0]], others]), 1e-12, 50)
     assert out.iterations == [1, 1, 1] and out.converged == [False] * 3
     assert built == [3]  # the Jacobians of the first step, and no more
     np.testing.assert_array_equal(out.x[1:], one_step.x)
 
-    out = damped_newton(mixed(*systems), np.vstack([[[0.0, 0.0, 2]], others]), 1e-12, 50)
+    out = damped_newton(mixed(refused, coupled, coupled), np.vstack([[[0.0, 0.0]], others]),
+                        1e-12, 50)
     assert out.iterations == [0, 0, 0] and str(out.errors[0]) == "Jacobian refused"
     np.testing.assert_array_equal(out.x[1:], others)
 
-    def undefined_first(x):
+    def undefined_first(x, rows):
         if (x[:, 0] < 0.0).any():
             raise InputValidationError("undefined start")
-        return mixed(*systems)(x)
+        return mixed(coupled, coupled, coupled)(x, rows)
 
-    out = damped_newton(undefined_first, np.vstack([[[-1.0, 0.0, 0]], others]), 1e-12, 50)
+    out = damped_newton(undefined_first, np.vstack([[[-1.0, 0.0]], others]), 1e-12, 50)
     assert out.iterations == [0, 0, 0] and out.held[0] is None
     assert out.held[1] is not None and out.converged == [False] * 3
 
@@ -295,7 +283,7 @@ def test_refused_jacobian_stops_its_row_with_the_error():
     """A Jacobian that raises ``InputValidationError`` stops that row at its
     best point, unconverged, with the error; the other rows carry on."""
     out = damped_newton(mixed(arctan_system(), arctan_system(refuse_jacobian=True)),
-                        np.array([[0.0, 0.0], [0.5, 1.0]]), 1e-12, 50)
+                        np.array([[0.0], [0.5]]), 1e-12, 50)
     assert out.converged == [True, False] and out.errors[0] is None
     assert str(out.errors[1]) == "Jacobian refused" and out.iterations[1] == 0
     assert out.x[1, 0] == 0.5 and out.held[1] is not None
@@ -315,6 +303,27 @@ def test_start_that_raises_leaves_the_row_unstarted():
     assert out.converged == [True, False] and out.iterations[1] == 0
     assert out.held[1] is None and str(out.errors[1]) == "undefined start"
     assert np.isnan(out.f[1, 0]) and out.x[1, 0] == -1.0
+
+
+def test_rows_name_the_rows_of_x0_in_every_evaluation():
+    """``fun`` is told which rows of x0 the batch x holds: at the start, in
+    the line search (the rows still searching) and in the row-by-row retry
+    of a batch that raises. Row r solves arctan(x - (r + 1)), undefined
+    beyond r + 2.5, so a misnamed row converges to the wrong root."""
+    calls = []
+
+    def fun(x, rows):
+        calls.append(list(rows))
+        roots = np.array(rows, dtype=float)[:, None] + 1.0
+        if (x > roots + 1.5).any():
+            raise InputValidationError("undefined candidate")
+        return np.arctan(x - roots), lambda pos: (1.0 / (1.0 + (x[pos] - roots[pos]) ** 2))[:, :, None]
+
+    out = damped_newton(fun, np.zeros((3, 1)), 1e-12, 50)
+    assert out.converged == [True] * 3
+    np.testing.assert_allclose(out.x[:, 0], [1.0, 2.0, 3.0], rtol=0.0, atol=1e-12)
+    assert calls[:5] == [[0, 1, 2], [0, 1, 2], [0], [1], [2]]  # the start, a trial, its retry
+    assert [1, 2] in calls  # row 0 accepted its full step, the others searched on
 
 
 def rosenbrock(x):

@@ -69,6 +69,15 @@ class TestPostMergerState:
         with pytest.raises(InputValidationError, match="exceed -1"):
             simulation.post_merger_state(problem, np.array([-1.0, 0.0]))
 
+    def test_mistyped_price_change_key_refused(self, staples_bundle, staples_economy):
+        """A key that names no product of the problem is refused, not read as
+        a zero price change for the product it was meant to name."""
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        with pytest.raises(InputValidationError, match=r"not in the problem: \['Sp'\]"):
+            simulation.post_merger_state(problem, {"Sp": 0.143, "OD": 0.180})
+
     def test_staples_residual_near_paper_root(self, staples_bundle, staples_economy):
         """At the 3-decimal reported solution the conditions are ~2.6e-4 from
         zero (rounding error in the inputs), comfortably below 1e-3."""
@@ -114,6 +123,16 @@ def loop_foc_residual(problem, pdd):
 
 
 class TestFocResidual:
+    def test_mistyped_price_change_key_refused(self, staples_bundle, staples_economy):
+        problem = simulation.merger_problem(
+            staples_bundle.market, staples_economy, staples_bundle.merger
+        )
+        with pytest.raises(InputValidationError, match=r"not in the problem: \['Sp'\]"):
+            simulation.foc_residual(problem, {"Sp": 0.143, "OD": 0.180})
+        # a partial mapping still reads the missing product as no change
+        np.testing.assert_array_equal(simulation.foc_residual(problem, {"OD": 0.180}),
+                                      simulation.foc_residual(problem, {"SP": 0.0, "OD": 0.180}))
+
     def test_matches_per_product_reference(self):
         """Weighted consumers with different consideration sets, a merging firm
         with two products and an efficiency: the masked-matmul residual equals
@@ -675,7 +694,7 @@ class TestLockStepBatch:
         starts = np.stack([g, 0.0 * g, 2.0 * g])
 
         def solve(x0):
-            return damped_newton(lambda x: simulation.foc_residual(problem, x, jacobian=True),
+            return damped_newton(lambda x, _: simulation.foc_residual(problem, x, jacobian=True),
                                  x0, simulation.SolverConfig().tolerance,
                                  simulation.MAX_ITERATIONS, lower_bound=simulation.LOWER_BOUND)
 
