@@ -5,8 +5,12 @@ elasticities, GUPPIs, first-order price and welfare effects, and compensating
 marginal cost reductions; CES demand assumptions additionally identify the
 diversion ratios themselves and make full merger simulation feasible in
 percentage-price-change space.
+
+``import uppkit`` loads numpy and no uppkit module: each public name loads its
+module on first use, so a command or script pays only for what it calls.
 """
 
+import importlib as _importlib
 import os as _os
 import sys as _sys
 
@@ -22,59 +26,39 @@ if "numpy" not in _sys.modules and not {
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .ces import (
-    CESEconomy,
-    CompensatingVariation,
-    Consumer,
-    ShareTable,
-    compensating_variation,
-    economy_from_dict,
-    economy_from_shares,
-    identify_eta,
-    load_economy,
-    nested_shares,
-    own_price_elasticity_of_demand,
-    own_price_revenue_elasticity,
-    revenue_diversion,
-    second_choice_diversion,
-    shares,
-)
-from .effects import (
-    CmcrResult,
-    EffectsReport,
-    PassThroughMatrix,
-    WelfareReport,
-    cmcr,
-    effects_report,
-    guppi,
-    naive_cmcr,
-    naive_guppi,
-    price_effects,
-    welfare,
-)
-from .errors import ConvergenceError, InputValidationError, UppkitError
-from .fitting import FitResult, fit_nested_ces
-from .market import (
-    OUTSIDE,
-    DiversionMatrix,
-    Market,
-    MarketBundle,
-    MergerSpec,
-    Product,
-    Violation,
-    load_market,
-    validate,
-)
-from .passthrough import PassthroughInputs, passthrough_matrix, passthrough_matrix_from_market
-from .simulation import (
-    SimulationProblem,
-    SimulationResult,
-    SolverConfig,
-    consistency_check,
-    foc_residual,
-    merger_problem,
-    post_merger_state,
-    simulate,
-)
+# Public name -> its module, which loads on first use of one of its names (PEP 562).
+_MODULES = {
+    "ces": "CESEconomy CompensatingVariation Consumer ShareTable compensating_variation "
+           "economy_from_dict economy_from_shares identify_eta load_economy nested_shares "
+           "own_price_elasticity_of_demand own_price_revenue_elasticity revenue_diversion "
+           "second_choice_diversion shares",
+    "effects": "CmcrResult EffectsReport PassThroughMatrix WelfareReport cmcr effects_report "
+               "guppi naive_cmcr naive_guppi price_effects welfare",
+    "errors": "ConvergenceError InputValidationError UppkitError",
+    "fitting": "FitResult fit_nested_ces",
+    "market": "OUTSIDE DiversionMatrix Market MarketBundle MergerSpec Product Violation "
+              "load_market validate",
+    "passthrough": "PassthroughInputs passthrough_matrix passthrough_matrix_from_market",
+    "simulation": "SimulationProblem SimulationResult SolverConfig consistency_check "
+                  "foc_residual merger_problem post_merger_state simulate",
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+# Submodules that resolve as package attributes (``uppkit.ces``); newton has no public name.
+_SUBMODULES = {*_MODULES, "newton"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_MODULE_OF[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ so results can be reproduced, writes the output, and exits with the returned
 code, so a non-zero exit a command returns (``validate`` with findings,
 ``simulate`` or ``fit`` without convergence) still comes with its output.
 Tables render fractions as percentages with one decimal; JSON always carries
-full-precision fractions.
+full-precision fractions. A command imports the modules beyond ``market`` and
+``effects`` that it runs, so a screen starts without the simulator or the harness.
 
 Exit codes: 0 ok, 2 validation failure, 3 non-convergence, 4 I/O error.
 """
@@ -23,6 +24,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import click
 import numpy as np
 
-from . import __version__, ces, effects, fitting, harness, market as mk, simulation
+from . import __version__, effects, market as mk
 from .errors import ConvergenceError, InputValidationError
 
 EXIT_VALIDATION = 2
@@ -325,6 +327,8 @@ def passthrough(market_file):
 @click.option("--tolerance", type=float, default=1e-10, show_default=True)
 def simulate(market_file, economy_file, tolerance):
     """Merger simulation: equilibrium percentage price changes."""
+    from . import ces, simulation
+
     bundle = _load_bundle_with_merger(market_file)
     economy = ces.load_economy(economy_file)
     problem = simulation.merger_problem(bundle.market, economy, bundle.merger)
@@ -370,6 +374,8 @@ def simulate(market_file, economy_file, tolerance):
 @click.option("--remove", required=True, help="Product to remove.")
 def second_choice(economy_file, remove):
     """Revenue diversion implied by removing one product."""
+    from . import ces
+
     div = ces.second_choice_diversion(ces.load_economy(economy_file), remove)
     return Result({"removed": remove, "diversion": div},
                   _table(["to", "diversion"], [[pid, _pct(v)] for pid, v in div.items()]),
@@ -388,6 +394,8 @@ def second_choice(economy_file, remove):
               show_default=True)
 def fit(fixture_file, synthetic_seed, tracts, stores, mu, weighting):
     """Fit nested-CES utility parameters to store revenues."""
+    from . import fitting
+
     if (fixture_file is None) == (synthetic_seed is None):
         raise InputValidationError("give exactly one of FIXTURE_FILE or --synthetic-seed")
     if synthetic_seed is not None:
@@ -432,10 +440,17 @@ def harness_cmd(model, n, seed):
 
     With --out, the per-trial CSV goes to that path and the summary to stdout.
     """
+    from . import harness
+
     result = harness.run_accuracy_experiment(
         harness.HarnessConfig(seed=seed, n_markets=n, model=model))
     rows = [[k, str(v)] for k, v in result.summary.items()]
-    return Result({"summary": result.summary}, _table(["statistic", "value"], rows),
+    # each reason starts with its stage, "pre-merger:" or "post-merger:"
+    stages = Counter(reason.split(":", 1)[0] for reason in result.failure_reasons.values())
+    failures = dict(sorted(stages.items()))
+    return Result({"summary": result.summary, **({"failures": failures} if failures else {})},
+                  _table(["statistic", "value"], rows)
+                  + "".join(f"\nfailed at {stage}: {count}" for stage, count in failures.items()),
                   [["statistic", "value"]] + rows, detail=list(result.to_csv_rows()))
 
 

@@ -1,12 +1,25 @@
 import importlib.resources
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uppkit
 from uppkit import ces, fitting, harness, market
 
 
 def fixture_path(name: str):
     return importlib.resources.files("uppkit.fixtures").joinpath(name)
+
+
+def run_python(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports uppkit from this tree."""
+    src = str(Path(uppkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def spatial_fixture_to_dict(fx: fitting.SpatialFixture) -> dict:

@@ -37,7 +37,8 @@ def threads_after(imports: str, **set_vars: str) -> tuple[int, str]:
     return int(count), var
 
 
-@pytest.mark.parametrize("imports", ["import uppkit", "from uppkit.cli import main"])
+@pytest.mark.parametrize("imports", ["import uppkit", "from uppkit.cli import main",
+                                     "from uppkit import guppi"])
 def test_uppkit_loads_numpy_with_one_blas_thread(imports):
     assert threads_after(imports) == (1, "None")
 

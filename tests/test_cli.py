@@ -1,18 +1,14 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import uppkit
 from uppkit import cli, effects, fitting, harness, simulation
 from uppkit.cli import main
-from tests.conftest import fixture_path, spatial_fixture_to_dict
+from tests.conftest import fixture_path, run_python, spatial_fixture_to_dict
 
 MARKET = str(fixture_path("staples_od.json"))
 ECONOMY = str(fixture_path("staples_od_economy.json"))
@@ -484,6 +480,32 @@ class TestHarnessCommand:
         assert summary["n_failed"] == 2
         assert summary["share_conservative"] is None
 
+    def test_failures_counted_by_stage(self, runner, monkeypatch):
+        """Trial 1 fails before the merger, the others when their post-merger
+        stacks are solved; without a failure neither count is printed."""
+        from uppkit.errors import ConvergenceError
+
+        run_trial = harness._run_trial
+
+        def fail_trial_1(config, trial):
+            if trial == 1:
+                raise ConvergenceError("pre-merger: stalled")
+            return run_trial(config, trial)
+
+        def stall(*args, **kwargs):
+            raise ConvergenceError("stalled")
+
+        args = ["harness", "--n", "3", "--seed", "1"]
+        assert "failures" not in json.loads(runner.invoke(main, [*args, "--format", "json"]).output)["result"]
+        assert "failed at" not in runner.invoke(main, args).output
+        monkeypatch.setattr(harness, "_run_trial", fail_trial_1)
+        monkeypatch.setattr(harness, "solve_bertrand", stall)
+        doc = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)["result"]
+        assert doc["failures"] == {"post-merger": 2, "pre-merger": 1}
+        assert doc["summary"]["n_failed"] == 3
+        table = runner.invoke(main, args).output.splitlines()
+        assert table[-3:-1] == ["failed at post-merger: 2", "failed at pre-merger: 1"]
+
 
 class TestOutputPlumbing:
     def test_out_writes_file_and_manifest(self, runner, tmp_path):
@@ -713,11 +735,36 @@ def test_cli_import_leaves_scipy_out():
     fit = ("from uppkit.cli import main\ntry:\n    main(['fit', '--synthetic-seed', '1', "
            "'--tracts', '20', '--stores', '8', '--format', 'json'])\n"
            "except SystemExit as end:\n    assert not end.code\n")
-    src = str(Path(uppkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     for code in ("import uppkit.cli\n", fit):
-        out = subprocess.run([sys.executable, "-c", "import sys\n" + code + no_scipy], env=env,
-                             capture_output=True, text=True, check=True)
-        *doc, flag = out.stdout.splitlines()
+        *doc, flag = run_python("import sys\n" + code + no_scipy).splitlines()
         assert flag == "False"
     assert json.loads("\n".join(doc))["result"]["converged"]
+
+
+SIMULATOR_AND_UP = {"ces", "simulation", "newton", "passthrough", "fitting", "harness"}
+
+
+@pytest.mark.parametrize("argvs, unloaded", [
+    ([["guppi", MARKET], ["cmcr", MARKET], ["validate", MARKET],
+      ["welfare", MARKET, "--passthrough", "identity"]], SIMULATOR_AND_UP),
+    # the Staples file configures CES pass-through, so its file mode is the third command
+    ([["simulate", MARKET, ECONOMY], ["passthrough", MARKET], ["welfare", MARKET]],
+     {"fitting", "harness"}),
+], ids=["screens", "simulators"])
+def test_each_command_loads_only_what_it_runs(argvs, unloaded):
+    """One interpreter runs the commands in turn and lists uppkit's loaded
+    modules after each; the lists only grow, so each holds for every command
+    before it too."""
+    code = ("import sys\nfrom uppkit.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    try:\n        main(argv)\n    except SystemExit as end:\n        assert not end.code\n"
+            "    print('loaded:', *sorted(m for m in sys.modules if m.startswith('uppkit.')))\n")
+    loaded = [line.split()[1:] for line in run_python(code).splitlines() if line.startswith("loaded:")]
+    assert len(loaded) == len(argvs)
+    for argv, modules in zip(argvs, loaded):
+        assert not {f"uppkit.{m}" for m in unloaded} & set(modules), (argv, modules)
+
+
+def test_bare_import_loads_no_uppkit_module():
+    assert run_python("import sys\nimport uppkit\n"
+                   "print([m for m in sys.modules if m.startswith('uppkit.')])") == "[]\n"
