@@ -282,6 +282,12 @@ def revenues(economy: CESEconomy) -> dict[str, float]:
 
 
 _TINY = np.finfo(float).tiny  # smallest normal float
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Sequence[str]):
@@ -291,19 +297,19 @@ def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Seque
     Row j: numerator P_jk = sum_i wb_i a_ij a_ik, denominator den_j = sum_i
     wb_i a_ij (1 - a_ij); shares are zero off consideration sets, so only
     shoppers of both j and k count, and the common per-consumer slope factor
-    cancels between the two. ``moments`` is ``(wa, S, den, P)``: the inside
-    spending block wa_ij = wb_i a_ij, its column sums S_j, den, and P with
-    the outside column last. A den below the smallest normal float is
-    refused, naming its cause: no consumer with positive weight x budget
-    holds an interior share of j, or else the spending moments underflow.
+    cancels between the two. ``moments`` is ``(S, den, P)``, the layout
+    :class:`PostMergerState` stores: the inside spending S_j = sum_i wb_i a_ij,
+    den, and P with the outside column last. A den below the smallest normal
+    float is refused, naming its cause: no consumer with positive weight x
+    budget holds an interior share of j, or else the spending moments underflow.
     """
     n = len(order) - 1  # OUTSIDE is last
     inside = alpha[..., :n]
     slope = 1.0 - inside
-    slope *= inside  # a_ij (1 - a_ij); freed before wa is formed, so one block is made at a time
+    slope *= inside  # a_ij (1 - a_ij); freed before wb_i a_ij is formed: one block at a time
     den = wb @ slope
     del slope
-    wa, spend = wb[:, None] * inside, wb @ inside
+    spend = wb @ inside
     if den.min(initial=np.inf) < _TINY:
         held = ((wb[:, None] > 0.0) & (inside > 0.0) & (inside < 1.0)).any(axis=-2)
         why, bad = (("that no consumer with positive weight x budget holds at an interior share",
@@ -312,10 +318,93 @@ def _diversion_from_share_values(alpha: np.ndarray, wb: np.ndarray, order: Seque
         bad = bad.reshape(-1, n).any(axis=0)
         raise InputValidationError(
             f"diversion undefined for products {why}: {[order[j] for j in np.flatnonzero(bad)]}")
-    pair = np.swapaxes(wa, -1, -2) @ alpha
+    pair = _t(wb[:, None] * inside) @ alpha
     full = pair / den[..., None]
     np.einsum("...jj->...j", full[..., :n])[...] = -1.0
-    return full[..., :n], full[..., n], (wa, spend, den, pair)
+    return full[..., :n], full[..., n], (spend, den, pair)
+
+
+def _revenue_elasticity(eta: float, moments: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Own-price revenue elasticities (1 - eta) den_j / S_j from the kernel's ``moments``."""
+    spend, den, _ = moments
+    return (1.0 - eta) * den / spend
+
+
+class PostMergerState(NamedTuple):
+    """The arrays of the pricing conditions at a price-change vector ``pdd``:
+    the economy's ``eta`` and consumer spending weights ``wb``, shares
+    ``alpha`` per consumer (OUTSIDE last), and per inside product the
+    quantity own-price elasticities ``eps``, revenue diversion ``d`` with its
+    outside column ``d_outside``, and margins ``m``; ``moments`` are the
+    diversion kernel's (S, den, P). For a batch of price-change vectors every
+    array but ``wb`` has a leading batch axis, and :meth:`take` picks rows."""
+
+    eta: float
+    wb: np.ndarray
+    pdd: np.ndarray
+    alpha: np.ndarray
+    eps: np.ndarray
+    d: np.ndarray
+    d_outside: np.ndarray
+    m: np.ndarray
+    moments: tuple[np.ndarray, ...]
+
+    def take(self, rows) -> PostMergerState:
+        """The state of row ``rows`` of a batch, or of the rows it lists."""
+        if rows == list(range(len(self.pdd))):
+            return self
+        return PostMergerState(self.eta, self.wb, self.pdd[rows], self.alpha[rows],
+                               self.eps[rows], self.d[rows], self.d_outside[rows], self.m[rows],
+                               tuple(a[rows] for a in self.moments))
+
+
+def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
+    """d f / d pdd of the pricing conditions at the state ``s``, stacked for a
+    batched state. Spending so small that (eta - 1) / S_j overflows is refused.
+
+    With L_q = log(1 + pdd_q), b = 1 - eta and w_i = weight_i * budget_i, the softmax gives
+
+        d alpha_ik / d L_q = b alpha_ik (delta_kq - alpha_iq),
+        d m_j / d L_q      = delta_jq (1 - m_j),
+
+    so the conditions differentiate into the diversion kernel's moments (S, den, P)
+    (den_j = S_j - P_jj, D_jk = P_jk / den_j) and T_jkq = sum_i w_i a_ij a_ik a_iq.
+    With co_jk = 1 when k != j shares j's post-merger owner, the co-owned
+    pressure C_j = sum_k co_jk m_k D_jk and G_jq = sum_k co_jk m_k T_jkq, only
+    T_jjq and G are formed, never a pair (j, k). The pricing condition is
+    f_j = -1/eps_j - m_j + (1 + 1/eps_j) C_j with eps_j = b den_j / S_j - 1;
+    with dX_j standing for d X_j / d L_q:
+
+        dS_j   = b (delta_jq S_j - P_jq)
+        dden_j = b (delta_jq (2 den_j - S_j) - P_jq + 2 T_jjq)
+        deps_j = (b / S_j) (dden_j - (den_j / S_j) dS_j)
+        dC_j   = co_jq D_jq (1 - m_q + b m_q) + b delta_jq C_j
+                 - (2 b G_jq + C_j dden_j) / den_j
+        df_j   = (1 - C_j) deps_j / eps_j^2 - delta_jq (1 - m_j) + (1 + 1/eps_j) dC_j
+
+    Column q of d f / d pdd is then column q of df divided by 1 + pdd_q.
+    """
+    b = 1.0 - s.eta
+    n = s.m.shape[-1]
+    a = s.alpha[..., :n]
+    spend, den, pair = s.moments
+    if spend.min() < -b / _FLOAT_MAX:
+        raise InputValidationError("pricing-condition Jacobian overflows: (eta - 1) / spending")
+    wa = s.wb[:, None] * a  # w_i a_ij, as the diversion kernel forms it
+    p = pair[..., :n]  # P_jq
+    t = _t(wa * a) @ a  # T_jjq
+    g = _t(wa * (a @ _t(co_owned * s.m[..., None, :]))) @ a  # G_jq
+    co_d = co_owned * s.d
+    c = (co_d @ s.m[..., None])[..., 0]  # C_j
+    delta = np.eye(n)
+    spend, den, c, eps, m = (v[..., None] for v in (spend, den, c, s.eps, s.m))
+    d_spend = b * (delta * spend - p)
+    d_den = b * (delta * (2.0 * den - spend) - p + 2.0 * t)
+    d_eps = (b / spend) * (d_den - (den / spend) * d_spend)
+    d_c = (co_d * (1.0 - s.m + b * s.m)[..., None, :] + b * delta * c
+           - (2.0 * b * g + c * d_den) / den)
+    df = (1.0 - c) * d_eps / eps**2 - delta * (1.0 - m) + (1.0 + 1.0 / eps) * d_c
+    return df / (1.0 + s.pdd)[..., None, :]
 
 
 def revenue_diversion(economy: CESEconomy) -> DiversionMatrix:
@@ -334,8 +423,8 @@ def own_price_revenue_elasticity(economy: CESEconomy) -> dict[str, float]:
     (1 - eta) den_j / S_j from the diversion kernel's moments (refused where
     :func:`revenue_diversion` is)."""
     u, wb = economy._softmax_arrays("own-price elasticity")
-    _, _, (_, spend, den, _) = _diversion_from_share_values(_softmax_rows(u), wb, economy.order)
-    return dict(zip(economy.order[:-1], ((1.0 - economy.eta) * den / spend).tolist()))
+    _, _, moments = _diversion_from_share_values(_softmax_rows(u), wb, economy.order)
+    return dict(zip(economy.order[:-1], _revenue_elasticity(economy.eta, moments).tolist()))
 
 
 def own_price_elasticity_of_demand(economy: CESEconomy) -> dict[str, float]:
@@ -365,8 +454,10 @@ def identify_eta(share_map: Mapping[str, float], eps: Mapping[str, float]) -> Et
     per: dict[str, float] = {}
     for pid, e in eps.items():
         a = share_map[pid]
-        if a >= 1.0:
+        if not a < 1.0:  # NaN included
             raise InputValidationError(f"product {pid}: share {a} must be < 1 to identify eta")
+        if not np.isfinite(e):
+            raise InputValidationError(f"product {pid}: elasticity {e} must be finite")
         per[pid] = 1.0 - (1.0 + e) / (1.0 - a)
     vals = list(per.values())
     spread = max(vals) - min(vals) if len(vals) > 1 else 0.0

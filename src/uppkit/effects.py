@@ -109,17 +109,29 @@ def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _
     """Evaluate every screening statistic of ``merger`` but the CMCR, with D
     the diversion block of the merging products.
 
+    A merger it cannot screen raises, naming the firm or product: a firm that
+    merges with itself or owns no product, or an efficiency outside (-1, 0].
     The elasticities use the owner's sum S = (same∘D) m. One that would not
     be finite and in the elastic region (< -1) raises, naming the first such
     product, firm_a's first: the margins are then not consistent with Bertrand
     pricing (a subnormal margin overflows the elasticity to -inf).
     """
+    if merger.firm_a == merger.firm_b:
+        raise InputValidationError(f"firm {merger.firm_a}: cannot merge with itself")
     order = tuple(merging_products(market, merger))
     prods = [market.product(pid) for pid in order]
+    firms = [p.firm for p in prods]
+    for firm in (merger.firm_a, merger.firm_b):
+        if firm not in firms:
+            raise InputValidationError(f"firm {firm}: owns no product in the market")
+    c = [merger.efficiency(pid) for pid in order]
+    for pid, cj in zip(order, c):
+        if not -1.0 < cj <= 0.0:  # NaN included
+            raise InputValidationError(f"product {pid}: efficiency {cj} outside (-1, 0]")
     m = np.array([p.margin for p in prods])
     idx = np.array([diversion._pos[pid] for pid in order], dtype=int)
     d = diversion.values[idx[:, None], idx]
-    is_a = np.array([p.firm == merger.firm_a for p in prods], dtype=bool)
+    is_a = np.array([f == merger.firm_a for f in firms], dtype=bool)
     s = (co_ownership(is_a) * d) @ m
     denom = m - s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -133,8 +145,7 @@ def _screen(market: Market, diversion: DiversionMatrix, merger: MergerSpec) -> _
         raise InputValidationError(f"product {order[j]}: margins inconsistent with Bertrand FOC ({detail})")
     rival = is_a[:, None] != is_a
     push = pressure(eps, d, m, rival)
-    c = np.array([merger.efficiency(pid) for pid in order])
-    return _Screen(order, m, d, eps, (rival * d) @ m, push, c * (1.0 - m) + push)
+    return _Screen(order, m, d, eps, (rival * d) @ m, push, np.array(c) * (1.0 - m) + push)
 
 
 def own_price_elasticities(
@@ -177,6 +188,9 @@ def price_effects(
             f"pass-through order {passthrough.order} does not match GUPPI keys {sorted(guppis)}"
         )
     g = np.array([guppis[pid] for pid in passthrough.order])
+    bad = [pid for pid, v in zip(passthrough.order, g) if not np.isfinite(v)]
+    if bad:
+        raise InputValidationError(f"GUPPI not finite for products {bad}")
     pdd = passthrough.values @ g
     return dict(zip(passthrough.order, pdd.tolist()))
 
@@ -219,11 +233,11 @@ def welfare(
     ps: dict[str, float] = {}
     for pid, pdd in price_changes.items():
         p = market.product(pid)
-        if pdd <= -1.0:
-            raise InputValidationError(f"product {pid}: price change {pdd} <= -1")
+        if not pdd > -1.0:  # NaN included
+            raise InputValidationError(f"product {pid}: price change {pdd} must be > -1")
         e = eps[pid]
-        if e >= -1.0:
-            raise InputValidationError(f"product {pid}: elasticity {e} >= -1")
+        if not e < -1.0:
+            raise InputValidationError(f"product {pid}: elasticity {e} must be < -1")
         r = p.revenue
         cdd = merger.efficiency(pid)
         cs[pid] = -pdd * r
@@ -271,7 +285,7 @@ def naive_cmcr(
     for j, k in ((pj, pk), (pk, pj)):
         d_jk = diversion.get(j.id, k.id)
         d_kj = diversion.get(k.id, j.id)
-        if d_jk * d_kj >= 1.0:
+        if not d_jk * d_kj < 1.0:  # NaN included
             raise InputValidationError(
                 f"naive CMCR undefined: D_jk x D_kj = {d_jk * d_kj:g} is not below 1")
         out[j.id] = (j.margin * d_jk * d_kj + k.margin * d_jk) / ((1.0 - j.margin) * (1.0 - d_jk * d_kj))

@@ -3,8 +3,9 @@
 The merging firms' post-merger pricing conditions f(p) = 0, in log prices,
 respond to a small cost-like wedge t via the implicit function theorem:
 M = -J^(-1), with J = df/dp at the pre-merger point. J is
-``simulation._foc_jacobian``, the package's one derivative of the pricing
-conditions, so this module only wires observables into it:
+``ces._foc_jacobian``, the package's one derivative of the pricing conditions
+(the simulator's Newton steps use it too), so this module only wires
+observables into it and loads no solver:
 
 - the levels in J are observed: own-price elasticities implied by the
   margins (eps_jj = -1/m_j) and the supplied diversion pair D^R;
@@ -25,7 +26,6 @@ from . import ces
 from .effects import PassThroughMatrix, own_price_elasticities, single_product_pair
 from .errors import InputValidationError
 from .market import DiversionMatrix, Market, MergerSpec, OUTSIDE
-from .simulation import PostMergerState, _foc_jacobian
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,19 @@ def passthrough_matrix(
     inputs: PassthroughInputs, order: tuple[str, str] = ("j", "k")
 ) -> PassThroughMatrix:
     """M = -J^(-1), with J the Jacobian of the merged firm's pricing conditions
-    at pdd = 0 (``simulation._foc_jacobian``): its levels are the observed
+    at pdd = 0 (``ces._foc_jacobian``): its levels are the observed
     margins, elasticities and diversion pair, its slopes those of one CES
     consumer with ``eta`` and the shares the diversion pair implies."""
     a_j, a_k = shares_from_diversion(inputs.d_jk, inputs.d_kj)
     alpha, wb = np.array([[a_j, a_k, 1.0 - a_j - a_k]]), np.ones(1)
-    _, d_outside, (_, spend, den, pair) = ces._diversion_from_share_values(
-        alpha, wb, (*order, OUTSIDE))
-    state = PostMergerState(inputs.eta, wb, np.zeros(2), alpha,
-                            np.array([inputs.eps_jj, inputs.eps_kk]),
-                            np.array([[-1.0, inputs.d_jk], [inputs.d_kj, -1.0]]), d_outside,
-                            np.array([inputs.m_j, inputs.m_k]), (spend, den, pair))
+    _, d_outside, moments = ces._diversion_from_share_values(alpha, wb, (*order, OUTSIDE))
+    state = ces.PostMergerState(inputs.eta, wb, np.zeros(2), alpha,
+                                np.array([inputs.eps_jj, inputs.eps_kk]),
+                                np.array([[-1.0, inputs.d_jk], [inputs.d_kj, -1.0]]), d_outside,
+                                np.array([inputs.m_j, inputs.m_k]), moments)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            jac = _foc_jacobian(state, ~np.eye(2, dtype=bool))
+            jac = ces._foc_jacobian(state, ~np.eye(2, dtype=bool))
     except FloatingPointError as exc:
         raise InputValidationError(f"pass-through Jacobian not finite ({exc})") from None
     # det(J / max|J|) = det(J) / max|J|^2 for the 2x2 J, without overflowing the square

@@ -10,52 +10,27 @@ function of the percentage price changes pdd:
     m_j(pdd)    = 1 - (1 - m_j) (1 + cdd_j) / (1 + pdd_j)
 
 The solver finds the root of the stacked ownership-aware pricing conditions
-f(pdd) = 0 with a damped Newton iteration warm-started at the GUPPI vector.
-
-The Newton Jacobian is closed-form, built only at the points Newton steps
-from, out of the share moments the residual's state holds. With
-L_q = log(1 + pdd_q), b = 1 - eta and consumer spending weights
-w_i = weight_i * budget_i, the softmax gives
-
-    d alpha_ik / d L_q = b alpha_ik (delta_kq - alpha_iq),
-    d m_j / d L_q      = delta_jq (1 - m_j),
-
-so the conditions differentiate into share moments: spend
-S_j = sum_i w_i a_ij, P_jq = sum_i w_i a_ij a_iq, den_j = S_j - P_jj (the
-diversion denominator, D_jk = P_jk / den_j) and T_jkq = sum_i w_i a_ij a_ik a_iq.
-Write co_jk = 1 when k != j shares j's post-merger owner,
-C_j = sum_k co_jk m_k D_jk for the co-owned pressure and
-G_jq = sum_k co_jk m_k T_jkq, so no pair (j, k) is formed explicitly. The
-pricing condition is f_j = -1/eps_j - m_j + (1 + 1/eps_j) C_j with
-eps_j = b den_j / S_j - 1, and with dX_j standing for d X_j / d L_q:
-
-    dS_j   = b (delta_jq S_j - P_jq)
-    dden_j = b (delta_jq (2 den_j - S_j) - P_jq + 2 T_jjq)
-    deps_j = (b / S_j) (dden_j - (den_j / S_j) dS_j)
-    dC_j   = co_jq D_jq (1 - m_q + b m_q) + b delta_jq C_j
-             - (2 b G_jq + C_j dden_j) / den_j
-    df_j   = (1 - C_j) deps_j / eps_j^2 - delta_jq (1 - m_j) + (1 + 1/eps_j) dC_j
-
-Column q of d f / d pdd is then column q of df divided by 1 + pdd_q.
+f(pdd) = 0 with a damped Newton iteration warm-started at the GUPPI vector. Its
+closed-form Jacobian, ``ces._foc_jacobian``, is built from the share moments
+the residual's state holds, only at the points Newton steps from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from . import ces
-from .ces import CESEconomy, ShareTable
+from .ces import CESEconomy, PostMergerState, ShareTable
 from .effects import pressure
 from .errors import InputValidationError
 from .market import DiversionMatrix, Market, MergerSpec, co_ownership
 from .newton import damped_newton
 
 LOWER_BOUND = -0.99  # floor on every iterate's price change
-_FLOAT_MAX = np.finfo(float).max
 MAX_ITERATIONS = 200  # Newton steps per solve
 
 
@@ -121,34 +96,6 @@ def merger_problem(
     return SimulationProblem(market, economy, post, dict(merger.efficiencies))
 
 
-class PostMergerState(NamedTuple):
-    """The arrays of the pricing conditions at a price-change vector ``pdd``:
-    the economy's ``eta`` and consumer spending weights ``wb``, shares
-    ``alpha`` per consumer (OUTSIDE last), and per inside product the
-    quantity own-price elasticities ``eps``, revenue diversion ``d`` with its
-    outside column ``d_outside``, and margins ``m``; ``moments`` are the
-    diversion kernel's (S, den, P). For a batch of price-change vectors every
-    array but ``wb`` has a leading batch axis, and :meth:`take` picks rows."""
-
-    eta: float
-    wb: np.ndarray
-    pdd: np.ndarray
-    alpha: np.ndarray
-    eps: np.ndarray
-    d: np.ndarray
-    d_outside: np.ndarray
-    m: np.ndarray
-    moments: tuple[np.ndarray, ...]
-
-    def take(self, rows) -> PostMergerState:
-        """The state of row ``rows`` of a batch, or of the rows it lists."""
-        if rows == list(range(len(self.pdd))):
-            return self
-        return PostMergerState(self.eta, self.wb, self.pdd[rows], self.alpha[rows],
-                               self.eps[rows], self.d[rows], self.d_outside[rows], self.m[rows],
-                               tuple(a[rows] for a in self.moments))
-
-
 def _as_vector(problem: SimulationProblem, pdd) -> np.ndarray:
     if isinstance(pdd, Mapping):
         unknown = [pid for pid in pdd if pid not in problem.order]
@@ -177,53 +124,19 @@ def post_merger_state(problem: SimulationProblem, pdd) -> PostMergerState:
     u_post[...] = u
     u_post[..., : vec.shape[-1]] += (1.0 - econ.eta) * np.log1p(vec)[..., None, :]
     alpha = ces._softmax_rows(u_post.reshape(-1, u.shape[1])).reshape(u_post.shape)
-    # Peak memory: a batch of a large market holds a few consumer x product
-    # blocks per row, so u_post is freed here, and the spending block wa is
-    # not kept in the state (the Jacobian forms it again).
+    # Peak memory: a batch of a large market holds a few blocks per row, so free u_post
     del u_post
-    d, d_outside, (_, spend, den, pair) = ces._diversion_from_share_values(alpha, wb, econ.order)
-    eps = (1.0 - econ.eta) * den / spend - 1.0  # den > 0, so spend > 0
+    d, d_outside, moments = ces._diversion_from_share_values(alpha, wb, econ.order)
+    eps = ces._revenue_elasticity(econ.eta, moments) - 1.0  # den > 0, so spend > 0
     _, base, _, _ = problem._arrays
     m = 1.0 - base / (1.0 + vec)
-    return PostMergerState(econ.eta, wb, vec, alpha, eps, d, d_outside, m, (spend, den, pair))
+    return PostMergerState(econ.eta, wb, vec, alpha, eps, d, d_outside, m, moments)
 
 
 def _foc(eps: np.ndarray, d: np.ndarray, m: np.ndarray, co_owned: np.ndarray) -> np.ndarray:
     """Pricing conditions -1/eps_j - m_j + (1 + 1/eps_j) sum_l m_l D_jl, the sum
     over the products l that ``co_owned[j, l]`` marks as sharing j's owner."""
     return -1.0 / eps - m + pressure(eps, d, m, co_owned)
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
-
-
-def _foc_jacobian(s: PostMergerState, co_owned: np.ndarray) -> np.ndarray:
-    """d f / d pdd of the pricing conditions at the state ``s``: the module
-    docstring's formulas, term by term, stacked for a batched state; it forms
-    only T and G. Spending so small that (eta - 1) / S_j overflows is refused."""
-    b = 1.0 - s.eta
-    n = s.m.shape[-1]
-    a = s.alpha[..., :n]
-    spend, den, pair = s.moments
-    if spend.min() < -b / _FLOAT_MAX:
-        raise InputValidationError("simulation Jacobian overflows: (eta - 1) / spending")
-    wa = s.wb[:, None] * a  # the diversion kernel's spending block
-    p = pair[..., :n]  # P_jq
-    t = _t(wa * a) @ a  # T_jjq
-    g = _t(wa * (a @ _t(co_owned * s.m[..., None, :]))) @ a  # G_jq
-    co_d = co_owned * s.d
-    c = (co_d @ s.m[..., None])[..., 0]  # C_j
-    delta = np.eye(n)
-    spend, den, c, eps, m = (v[..., None] for v in (spend, den, c, s.eps, s.m))
-    d_spend = b * (delta * spend - p)
-    d_den = b * (delta * (2.0 * den - spend) - p + 2.0 * t)
-    d_eps = (b / spend) * (d_den - (den / spend) * d_spend)
-    d_c = (co_d * (1.0 - s.m + b * s.m)[..., None, :] + b * delta * c
-           - (2.0 * b * g + c * d_den) / den)
-    df = (1.0 - c) * d_eps / eps**2 - delta * (1.0 - m) + (1.0 + 1.0 / eps) * d_c
-    return df / (1.0 + s.pdd)[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +149,7 @@ class FocJacobian:
     co_owned: np.ndarray
 
     def __call__(self, rows=None) -> np.ndarray:
-        return _foc_jacobian(self.state if rows is None else self.state.take(rows), self.co_owned)
+        return ces._foc_jacobian(self.state if rows is None else self.state.take(rows), self.co_owned)
 
 
 def foc_residual(problem: SimulationProblem, pdd, jacobian: bool = False):

@@ -268,6 +268,14 @@ class TestIdentifyEta:
         with pytest.raises(InputValidationError):
             ces.identify_eta({"A": 1.0}, {"A": -2.0})
 
+    @pytest.mark.parametrize("share, eps, message", [
+        (np.nan, -2.0, "share nan must be < 1 to identify eta"),
+        (0.3, np.nan, "elasticity nan must be finite"),
+    ], ids=["share", "elasticity"])
+    def test_nan_refused(self, share, eps, message):
+        with pytest.raises(InputValidationError, match=f"product A: {message}"):
+            ces.identify_eta({"A": share, "B": 0.3}, {"A": eps, "B": -2.5})
+
 
 class TestSecondChoice:
     def test_single_consumer_reference(self, staples_economy):

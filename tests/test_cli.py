@@ -296,7 +296,7 @@ def test_subnormal_margin_exits_2_without_warning(runner, tmp_path, command):
 @pytest.mark.parametrize("eta, budget, message", [
     (6.0, 1e-320, "spending moments underflow: ['SP', 'OD']"),
     (1e300, 2.05e9, "(eta - 1) x total weight x budget overflows"),
-    (10.0, 2e-307, "simulation Jacobian overflows: (eta - 1) / spending"),
+    (10.0, 2e-307, "pricing-condition Jacobian overflows: (eta - 1) / spending"),
     (1e100, 2.05e9, "no consumer with positive weight x budget holds at an interior share: "
                     "['SP', 'OD']"),
 ], ids=["budget-subnormal", "eta-overflow", "jacobian-overflow", "eta-underflows-shares"])
@@ -747,10 +747,11 @@ SIMULATOR_AND_UP = {"ces", "simulation", "newton", "passthrough", "fitting", "ha
 @pytest.mark.parametrize("argvs, unloaded", [
     ([["guppi", MARKET], ["cmcr", MARKET], ["validate", MARKET],
       ["welfare", MARKET, "--passthrough", "identity"]], SIMULATOR_AND_UP),
-    # the Staples file configures CES pass-through, so its file mode is the third command
+    # the Staples file configures CES pass-through, so welfare's file mode runs it
+    ([["passthrough", MARKET], ["welfare", MARKET]], {"simulation", "newton", "fitting", "harness"}),
     ([["simulate", MARKET, ECONOMY], ["passthrough", MARKET], ["welfare", MARKET]],
      {"fitting", "harness"}),
-], ids=["screens", "simulators"])
+], ids=["screens", "pass-through", "simulators"])
 def test_each_command_loads_only_what_it_runs(argvs, unloaded):
     """One interpreter runs the commands in turn and lists uppkit's loaded
     modules after each; the lists only grow, so each holds for every command
@@ -763,6 +764,11 @@ def test_each_command_loads_only_what_it_runs(argvs, unloaded):
     assert len(loaded) == len(argvs)
     for argv, modules in zip(argvs, loaded):
         assert not {f"uppkit.{m}" for m in unloaded} & set(modules), (argv, modules)
+
+
+def test_passthrough_import_leaves_the_simulator_out():
+    assert run_python("import sys\nimport uppkit.passthrough\n"
+                      "print({'uppkit.simulation', 'uppkit.newton'} & set(sys.modules))") == "set()\n"
 
 
 def test_bare_import_loads_no_uppkit_module():

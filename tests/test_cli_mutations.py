@@ -98,7 +98,7 @@ def failures(tmp_path, which, doc, runs, where=None):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_economy_mutations(tmp_path):
     """Includes a budget of 1e-320, whose subnormal spending would overflow the
-    simulation Jacobian, and eta = 1e300, whose elasticity would overflow."""
+    pricing-condition Jacobian, and eta = 1e300, whose elasticity would overflow."""
     every = [(command, fmt) for command in ECONOMY_COMMANDS for fmt in ("json", "table")]
     n, bad = failures(tmp_path, "E", ECONOMY, lambda index: every)
     assert n > 100 and bad == []

@@ -110,6 +110,26 @@ class TestMultiProductScreen:
             assert len(calls) == count, mode
 
 
+class TestScreenRefusals:
+    """A merger the screen cannot evaluate is refused by name, by every
+    function that runs the screen, however the merger was built."""
+
+    @pytest.mark.parametrize("merger, message", [
+        (mk.MergerSpec("X", "Y"), "firm X: owns no product in the market"),
+        (mk.MergerSpec("f1", "Y"), "firm Y: owns no product in the market"),
+        (mk.MergerSpec("f1", "f1"), "firm f1: cannot merge with itself"),
+        (mk.MergerSpec("f1", "f2", {"A": -5.0}), r"product A: efficiency -5.0 outside \(-1, 0\]"),
+        (mk.MergerSpec("f1", "f2", {"B": np.nan}), r"product B: efficiency nan outside \(-1, 0\]"),
+    ], ids=["no-firm-owns", "one-firm-owns-nothing", "same-firm", "efficiency-low",
+            "efficiency-nan"])
+    @pytest.mark.parametrize("screen", [effects.guppi, effects.cmcr, effects.effects_report],
+                             ids=["guppi", "cmcr", "report"])
+    def test_refused(self, screen, merger, message):
+        market, div, _ = two_firm_market()
+        with pytest.raises(InputValidationError, match=message):
+            screen(market, div, merger)
+
+
 class TestOwnPriceElasticity:
     def test_lerner_single_product(self, staples_bundle):
         eps = effects.own_price_elasticities(
@@ -234,6 +254,11 @@ class TestPriceEffects:
         with pytest.raises(InputValidationError, match="non-finite entries"):
             effects.PassThroughMatrix(("A", "B"), np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_nan_guppi_refused(self):
+        pt = effects.PassThroughMatrix.identity(("A", "B"))
+        with pytest.raises(InputValidationError, match=r"GUPPI not finite for products \['B'\]"):
+            effects.price_effects({"A": 0.1, "B": np.nan}, pt)
+
 
 class TestWelfare:
     def test_hand_values(self):
@@ -271,13 +296,22 @@ class TestWelfare:
 
     def test_price_change_at_minus_one_refused(self):
         market, div, merger = two_firm_market()
-        with pytest.raises(InputValidationError, match="price change -1.0 <= -1"):
+        with pytest.raises(InputValidationError, match="price change -1.0 must be > -1"):
             effects.welfare(market, {"A": -1.0}, merger, {"A": -3.0})
 
     def test_inelastic_demand_refused(self):
         market, div, merger = two_firm_market()
-        with pytest.raises(InputValidationError, match="elasticity -0.5 >= -1"):
+        with pytest.raises(InputValidationError, match="elasticity -0.5 must be < -1"):
             effects.welfare(market, {"A": 0.1}, merger, {"A": -0.5})
+
+    @pytest.mark.parametrize("pdd, eps, message", [
+        (np.nan, -3.0, "price change nan must be > -1"),
+        (0.1, np.nan, "elasticity nan must be < -1"),
+    ], ids=["price-change", "elasticity"])
+    def test_nan_refused(self, pdd, eps, message):
+        market, div, merger = two_firm_market()
+        with pytest.raises(InputValidationError, match=f"product A: {message}"):
+            effects.welfare(market, {"A": pdd}, merger, {"A": eps})
 
     def test_producer_surplus_formula(self):
         """(pdd - cdd(1-m)) R (1 + eps pdd) + eps R pdd m, spot-checked."""
@@ -363,6 +397,11 @@ class TestNaiveCmcr:
         )
         with pytest.raises(InputValidationError, match="unsupported"):
             effects.naive_cmcr(market, div, mk.MergerSpec("f1", "f2"))
+
+    def test_nan_diversion_refused(self):
+        market, div, merger = two_firm_market(d12=np.nan)
+        with pytest.raises(InputValidationError, match="D_jk x D_kj = nan is not below 1"):
+            effects.naive_cmcr(market, div, merger)
 
 
 class TestCompensatingEfficiency:

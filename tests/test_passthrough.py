@@ -113,7 +113,7 @@ def oracle_passthrough(inputs: PassthroughInputs, step: float = 1e-6) -> np.ndar
 def closed_form_passthrough(inputs: PassthroughInputs) -> np.ndarray:
     """M = -J^(-1) from hand-derived partials of the two pricing conditions.
 
-    Independent of ``simulation``'s Jacobian: each row (dh_j/dp_j, dh_j/dp_k)
+    Independent of ``ces._foc_jacobian``: each row (dh_j/dp_j, dh_j/dp_k)
     is written out in (alpha, m, eps, D^R, eta), with the single consumer's
     share slopes and the observed eps and D^R as levels. The diversion-response
     term alpha_j (1/D_kj - D_jk) D_jk is evaluated in the equivalent form
@@ -206,7 +206,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("inputs", CLOSED_FORM_CASES)
     def test_matches_hand_derived_closed_form(self, inputs):
-        """The simulation Jacobian with observed levels reproduces the 2x2
+        """The pricing-condition Jacobian with observed levels reproduces the 2x2
         closed form, also where eps is not the economy's own (Staples, the
         perturbed draws)."""
         np.testing.assert_allclose(
@@ -232,6 +232,7 @@ class TestClosedForm:
         ("d_jk", 1e300, "not consistent with interior shares"),
         ("eps_kk", -0.5, "elasticities must be < -1"),
         ("eta", 1.0, "eta must be > 1"),
+        ("eta", 1e308, r"pricing-condition Jacobian overflows: \(eta - 1\) / spending"),
         ("d_kj", -0.1, "diversion ratios must be non-negative"),
     ] + [(f.name, np.inf, f"finite: {f.name}") for f in fields(PassthroughInputs)]
 

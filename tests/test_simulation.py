@@ -313,7 +313,7 @@ class TestFocJacobian:
         step is taken: as many Jacobian rows as steps over the three members,
         none at a root, while every trial point still evaluates the residual."""
         built, focs, batches = [], [], []
-        jacobian, foc, newton = (simulation._foc_jacobian, simulation.foc_residual,
+        jacobian, foc, newton = (ces._foc_jacobian, simulation.foc_residual,
                                  simulation.damped_newton)
 
         def counting_jacobian(s, co_owned):
@@ -329,7 +329,7 @@ class TestFocJacobian:
             batches.append(out)
             return out
 
-        monkeypatch.setattr(simulation, "_foc_jacobian", counting_jacobian)
+        monkeypatch.setattr(ces, "_foc_jacobian", counting_jacobian)
         monkeypatch.setattr(simulation, "foc_residual", counting_foc)
         monkeypatch.setattr(simulation, "damped_newton", recording)
         result = simulation.simulate(forty_consumer_problem())
@@ -351,12 +351,10 @@ class TestFocJacobian:
         own = (1.0 - econ.eta) * (wb @ (a * (1.0 - a))) / (wb @ a)
         np.testing.assert_allclose(state.eps, own - 1.0, rtol=1e-15, atol=0.0)
         spend, den, pair = state.moments
-        wa = ces._diversion_from_share_values(state.alpha, wb, econ.order)[2][0]
-        np.testing.assert_array_equal(wa, wb[:, None] * a)
         np.testing.assert_allclose(spend, wb @ a, rtol=1e-15)
         np.testing.assert_allclose(den, spend - np.diag(pair[:, :n]), rtol=0.0,
                                    atol=1e-14 * np.max(spend))
-        np.testing.assert_allclose(pair, wa.T @ state.alpha, rtol=1e-15)
+        np.testing.assert_allclose(pair, (wb[:, None] * a).T @ state.alpha, rtol=1e-15)
 
 
 def undefined_at(pdd):
@@ -484,19 +482,19 @@ class TestSimulate:
         expected = simulation.simulate(problem)
         assert not any("re-solve" in w for w in expected.warnings)
         g = simulation._gaps_and_warm_start(problem)[1]
-        jacobian = simulation._foc_jacobian
+        jacobian = ces._foc_jacobian
 
         def refusing(at, singular=False):
             def jac(s, co_owned):
                 out = jacobian(s, co_owned)
                 hit = [np.array_equal(row, at) for row in np.atleast_2d(s.pdd)]
                 if any(hit) and not singular:
-                    raise InputValidationError("simulation Jacobian overflows: test")
+                    raise InputValidationError("pricing-condition Jacobian overflows: test")
                 out[np.array(hit)] = 0.0  # a singular J for that member alone
                 return out
             return jac
 
-        monkeypatch.setattr(simulation, "_foc_jacobian", refusing(np.zeros(2), singular=True))
+        monkeypatch.setattr(ces, "_foc_jacobian", refusing(np.zeros(2), singular=True))
         result = simulation.simulate(problem)
         assert result.converged and result.unique
         assert result.price_changes == expected.price_changes
@@ -505,18 +503,18 @@ class TestSimulate:
         assert resolves[0].startswith("uniqueness re-solve from 0 did not converge: residual ")
         assert resolves[0].endswith("after 1 iterations")
 
-        monkeypatch.setattr(simulation, "_foc_jacobian", refusing(np.zeros(2)))
+        monkeypatch.setattr(ces, "_foc_jacobian", refusing(np.zeros(2)))
         result = simulation.simulate(problem)
         assert result.converged and result.unique
         assert result.price_changes == expected.price_changes
         assert [w for w in result.warnings if "re-solve" in w] == [
             "uniqueness re-solve from 0 stopped after 0 iterations: "
-            "simulation Jacobian overflows: test"]
+            "pricing-condition Jacobian overflows: test"]
 
-        monkeypatch.setattr(simulation, "_foc_jacobian", refusing(g))
+        monkeypatch.setattr(ces, "_foc_jacobian", refusing(g))
         with pytest.raises(InputValidationError, match="Jacobian overflows: test"):
             simulation.simulate(problem)
-        monkeypatch.setattr(simulation, "_foc_jacobian", jacobian)
+        monkeypatch.setattr(ces, "_foc_jacobian", jacobian)
         monkeypatch.setattr(simulation, "post_merger_state", undefined_at(g))
         with pytest.raises(InputValidationError, match="diversion undefined"):
             simulation.simulate(problem)
@@ -531,7 +529,7 @@ class TestSimulate:
             staples_bundle.market, staples_economy, staples_bundle.merger
         )
         g = simulation._gaps_and_warm_start(problem)[1]
-        jacobian, rows_built = simulation._foc_jacobian, []
+        jacobian, rows_built = ces._foc_jacobian, []
 
         def singular_at_g(s, co_owned):
             out = jacobian(s, co_owned)
@@ -539,7 +537,7 @@ class TestSimulate:
             out[[np.array_equal(row, g) for row in s.pdd]] = 0.0
             return out
 
-        monkeypatch.setattr(simulation, "_foc_jacobian", singular_at_g)
+        monkeypatch.setattr(ces, "_foc_jacobian", singular_at_g)
         result = simulation.simulate(problem)
         assert not result.converged and result.unique and result.iterations == 1
         assert rows_built == [3]
